@@ -760,8 +760,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_refresh_is_bit_identical_to_cold_rebuild_and_cheaper() {
-        // 18 participants → 19 entries → three chain runs per family.
+    fn warm_refresh_is_bit_identical_to_cold_rebuild_and_no_costlier() {
+        // 18 participants → 19 entries → one whole-family chain each.
         let before = counting_query(18, 0);
         let after = counting_query(18, 5); // delta: 5 new tuples, known owners
         let (frozen, seed, _) = FrozenSequences::compute_with_seed(
@@ -789,9 +789,11 @@ mod tests {
             assert_eq!(warm.h_entries(), cold.h_entries());
             assert_eq!(warm.g_entries(), cold.g_entries());
             assert_eq!(warm.bounding_factor(), cold.bounding_factor());
-            // …while strictly saving pivots (each H run re-enters warm).
+            // …at no more pivots than the rebuild. Only the H chain's
+            // trivial `i = 0` entry re-enters from the seed; every later
+            // entry re-enters through the dual simplex either way.
             assert!(
-                stats.lp.total_pivots < cold_stats.total_pivots,
+                stats.lp.total_pivots <= cold_stats.total_pivots,
                 "warm {} pivots vs cold {}",
                 stats.lp.total_pivots,
                 cold_stats.total_pivots

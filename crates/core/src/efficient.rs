@@ -31,16 +31,21 @@
 //! Within a family, consecutive entries differ **only** in the right-hand
 //! side of the mass-tie equality, so the family is standardized once into a
 //! [`rmdp_lp::PreparedLp`] (the mass row is always constraint 0) and walked
-//! as a chain: entry `i+1` re-enters the simplex from entry `i`'s optimal
-//! basis ([`rmdp_lp::PreparedLp::solve_warm`]) instead of paying a cold
-//! two-phase solve. Chains are cut into fixed contiguous runs
-//! ([`rmdp_runtime::contiguous_runs`], independent of the worker count), and
-//! runs — not entries — are the unit of work everywhere: a lazy `h(i)` call
-//! solves the whole run containing `i`, and
-//! [`MechanismSequences::precompute`] maps uncached runs onto the worker
-//! pool. Because both paths execute byte-identical run chains, the cached
-//! values, the releases, and even the pivot counters are bit-identical for
-//! every [`Parallelism`] setting.
+//! as a chain: entry `i+1` re-enters from entry `i`'s optimal basis
+//! ([`rmdp_lp::PreparedLp::solve_warm`]), which is still dual feasible, so
+//! the dual simplex re-optimises it in a few pivots with no composite
+//! phase 1. By default each family is **one** chain from `i = 0`: a chain
+//! cut at `i` would restart cold there, and a cold start costs about as much
+//! as walking the chain from 0 to `i`, so cuts buy no parallelism. The
+//! chain run length is still a knob ([`EfficientSequences::with_chain_run_len`]
+//! cuts fixed contiguous runs via [`rmdp_runtime::contiguous_runs`],
+//! independent of the worker count), and runs — not entries — are the unit
+//! of work everywhere: a lazy `h(i)` call solves the whole run containing
+//! `i`, and [`MechanismSequences::precompute`] maps uncached runs (by
+//! default the H and the G chain) onto the worker pool. Because both paths
+//! execute byte-identical run chains, the cached values, the releases, and
+//! even the pivot counters are bit-identical for every [`Parallelism`]
+//! setting.
 
 use crate::error::{MechanismError, SequenceFamily};
 use crate::krelation_query::SensitiveKRelation;
@@ -54,10 +59,12 @@ use rmdp_lp::{Basis, Model, Sense, SimplexOptions, SolveStats, Var};
 use rmdp_runtime::{contiguous_runs, par_map_indexed, run_containing, Parallelism};
 use std::ops::Range;
 
-/// Default number of consecutive entries per warm-start run. Small enough
-/// that a fig-4-sized family still splits into several independent runs for
-/// the worker pool, large enough that most solves in a run are warm.
-const DEFAULT_CHAIN_RUN_LEN: usize = 8;
+/// Default number of consecutive entries per warm-start run: the whole
+/// family. A dual re-entry costs a few pivots per entry, while a run that
+/// starts cold at `i` costs about as much as walking the chain from 0 to
+/// `i`, so shorter runs buy neither speed nor useful parallelism; the H and
+/// G chains are the two units of parallel work.
+const DEFAULT_CHAIN_RUN_LEN: usize = usize::MAX;
 
 /// Cumulative counters describing the LP work done by one instantiation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -68,9 +75,13 @@ pub struct LpWorkStats {
     pub g_solves: usize,
     /// Total simplex pivots across all solves.
     pub total_pivots: usize,
-    /// Pivots spent restoring primal feasibility (phase 1). Warm-started
-    /// solves whose previous basis is still feasible contribute 0 here.
+    /// Pivots spent restoring primal feasibility through the composite
+    /// phase 1. Warm-started chain entries re-enter through the dual simplex
+    /// instead and contribute 0 here.
     pub phase1_pivots: usize,
+    /// Dual simplex pivots spent re-optimising warm-started entries after
+    /// the mass-row step (part of `total_pivots`).
+    pub dual_pivots: usize,
     /// Pivots spent optimising from a feasible basis (phase 2).
     pub phase2_pivots: usize,
     /// Solves that re-entered from the previous entry's optimal basis
@@ -100,6 +111,7 @@ impl LpWorkStats {
         self.g_solves += other.g_solves;
         self.total_pivots += other.total_pivots;
         self.phase1_pivots += other.phase1_pivots;
+        self.dual_pivots += other.dual_pivots;
         self.phase2_pivots += other.phase2_pivots;
         self.warm_start_hits += other.warm_start_hits;
         self.refactorizations += other.refactorizations;
@@ -116,6 +128,7 @@ impl LpWorkStats {
             g_solves: self.g_solves as u64,
             total_pivots: self.total_pivots as u64,
             phase1_pivots: self.phase1_pivots as u64,
+            dual_pivots: self.dual_pivots as u64,
             phase2_pivots: self.phase2_pivots as u64,
             warm_start_hits: self.warm_start_hits as u64,
             refactorizations: self.refactorizations as u64,
@@ -131,9 +144,9 @@ impl LpWorkStats {
             SequenceFamily::H => self.h_solves += 1,
             SequenceFamily::G => self.g_solves += 1,
         }
-        let pivots = stats.phase1_iterations + stats.phase2_iterations;
-        self.total_pivots += pivots;
+        self.total_pivots += stats.total_iterations();
         self.phase1_pivots += stats.phase1_iterations;
+        self.dual_pivots += stats.dual_iterations;
         self.phase2_pivots += stats.phase2_iterations;
         self.refactorizations += stats.refactorizations;
         self.basis_updates += stats.basis_updates;
@@ -212,9 +225,11 @@ pub enum RefreshTier {
     /// filtered out).
     Unchanged,
     /// Term weights changed over an unchanged variable space in the
-    /// warm-exact class: H chain runs re-entered the simplex from the
-    /// retained run-initial bases (phase-1-free, `set_rhs`-stepped) and G
-    /// was re-derived through the standard cold-identical chains.
+    /// warm-exact class: each H chain run's initial entry re-entered the
+    /// simplex from its retained basis and G was re-derived through the
+    /// standard cold-identical chains. With whole-family chains only the
+    /// trivial `i = 0` entry re-enters from the seed, so this tier costs
+    /// about as many pivots as [`RefreshTier::ColdRebuild`].
     WarmChain,
     /// The structure changed (participants, annotations, or a weight class
     /// warm exactness cannot cover): everything was re-derived through the
@@ -401,7 +416,9 @@ impl EfficientSequences {
     }
 
     /// Sets the number of consecutive entries solved as one warm-started
-    /// chain (clamped to ≥ 1; 1 reproduces entry-by-entry cold solves).
+    /// chain (clamped to ≥ 1; 1 reproduces entry-by-entry cold solves). The
+    /// default walks each family as one chain; shorter runs only add cold
+    /// starts.
     ///
     /// Like [`Parallelism`] this is a pure performance knob *per value*:
     /// serial and parallel execution are bit-identical for any fixed run
@@ -761,7 +778,11 @@ impl MechanismSequences for EfficientSequences {
     /// and will be re-solved lazily if the driver ever asks for one of its
     /// entries — so a failure in a run the driver never touches cannot fail
     /// a query that would have succeeded serially, and the error surface is
-    /// identical for every [`Parallelism`] setting.
+    /// identical for every [`Parallelism`] setting. With the default
+    /// whole-family chains a failure drops the whole family. That stays
+    /// rare: a warm entry whose re-entry fails numerically is re-solved cold
+    /// inside [`rmdp_lp::PreparedLp::solve_warm`], so a chain fails only
+    /// where a cold solve of that entry would fail too.
     fn precompute(&mut self, parallelism: Parallelism) -> Result<(), MechanismError> {
         let entries = self.num_participants() + 1;
         let mut jobs: Vec<(SequenceFamily, Range<usize>)> = Vec::new();
@@ -1147,6 +1168,34 @@ mod tests {
                 chained.stats().total_pivots,
                 cold.stats().total_pivots
             );
+        }
+    }
+
+    #[test]
+    fn whole_family_chains_reenter_through_the_dual_simplex() {
+        for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
+            for backend in [SolverBackend::SparseLu, SolverBackend::Revised] {
+                let mut seq = EfficientSequences::new(fig4_relation(pattern.clone()))
+                    .with_solver_options(SimplexOptions {
+                        backend,
+                        ..SimplexOptions::default()
+                    });
+                seq.precompute(Parallelism::Serial).unwrap();
+                let stats = seq.stats();
+                let n = seq.num_participants();
+                // One chain per family: only the two `i = 0` entries start cold.
+                assert_eq!(stats.warm_start_hits, 2 * n, "{}", pattern.name());
+                assert_eq!(stats.phase1_pivots, 0, "{} {backend:?}", pattern.name());
+                assert!(stats.dual_pivots > 0, "{} {backend:?}", pattern.name());
+                // The dual keeps every basis dual feasible, so a warm entry
+                // is optimal the moment it is primal feasible; the cold
+                // `i = 0` entries start optimal too.
+                assert_eq!(stats.phase2_pivots, 0, "{} {backend:?}", pattern.name());
+                assert_eq!(
+                    stats.total_pivots,
+                    stats.phase1_pivots + stats.dual_pivots + stats.phase2_pivots
+                );
+            }
         }
     }
 

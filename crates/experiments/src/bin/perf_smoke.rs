@@ -3,7 +3,11 @@
 //! **LP chains** (`BENCH_lp.json`): times a full `H`/`G` precompute twice
 //! per fig-4 workload (triangle and 2-star counting under node privacy) —
 //! entry-by-entry cold solves (`chain_run_len = 1`) and the default
-//! warm-started chains — with wall times and pivot counts. The same file
+//! warm-started chains — with wall times and pivot counts, split into
+//! composite phase-1, dual and phase-2 pivots. Gated on the default chains
+//! spending no composite phase-1 pivot: every warm entry must re-enter
+//! through the dual simplex (a silent fallback costs 2–3× and no
+//! correctness test notices it). The same file
 //! also carries the **basis scaling** section: synthetic 2-star counting
 //! `H`-models from 4.5k up to 101.5k hinge rows, solved cold and
 //! RHS-stepped warm on the sparse-LU backend (wall time, pivots, peak
@@ -54,9 +58,11 @@
 //! parks its refresh seed), and re-releases twice under the same seed —
 //! once through the warm-refresh path, once rebuilding the cache entry
 //! cold (the identical eager computation, minus the parked seed). Gated on
-//! the warm path strictly beating the cold rebuild in both wall-clock
-//! (minimum over replayed timing passes) and pivots while releasing
-//! bit-identically. A second
+//! the warm path releasing bit-identically at no more pivots than the cold
+//! rebuild, and within 25% of its wall-clock (minimum over replayed timing
+//! passes). With whole-family chains the warm tier re-enters only the
+//! trivial `i = 0` H entry from its seed, so the two paths cost the same
+//! (1.0×). A second
 //! section runs a [`rmdp_server::DpServer`] mixed query+ingest loop over
 //! two tables and gates on the untouched table's entries surviving every
 //! ingest and on version-matched replay reproducing the interleaved run
@@ -106,6 +112,8 @@ struct WorkloadResult {
     cold_pivots: usize,
     warm_wall_ms: f64,
     warm_pivots: usize,
+    warm_phase1_pivots: usize,
+    warm_dual_pivots: usize,
     warm_start_hits: usize,
 }
 
@@ -171,6 +179,8 @@ fn run_workload(name: &str, relation: &SensitiveKRelation) -> WorkloadResult {
         cold_pivots: c.total_pivots,
         warm_wall_ms,
         warm_pivots: w.total_pivots,
+        warm_phase1_pivots: w.phase1_pivots,
+        warm_dual_pivots: w.dual_pivots,
         warm_start_hits: w.warm_start_hits,
     }
 }
@@ -291,7 +301,7 @@ fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> Sca
         let dstats = sol.solution.stats;
         DensePoint {
             wall_ms,
-            pivots: dstats.phase1_iterations + dstats.phase2_iterations,
+            pivots: dstats.total_iterations(),
             mem_bytes: dstats.rows * dstats.rows * 8,
             objective: sol.solution.objective,
         }
@@ -304,11 +314,11 @@ fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> Sca
         cols: stats.cols,
         objective: cold.solution.objective,
         sparse_wall_ms,
-        sparse_pivots: stats.phase1_iterations + stats.phase2_iterations,
+        sparse_pivots: stats.total_iterations(),
         peak_factor_nnz: stats.fill_in_nnz,
         sparse_mem_bytes: stats.fill_in_nnz * 16,
         warm_wall_ms,
-        warm_pivots: wstats.phase1_iterations + wstats.phase2_iterations,
+        warm_pivots: wstats.total_iterations(),
         dense,
     }
 }
@@ -1147,7 +1157,8 @@ fn main() {
             concat!(
                 "    {{\"name\": \"{}\", \"participants\": {}, \"lp_solves\": {}, ",
                 "\"cold\": {{\"wall_ms\": {:.3}, \"pivots\": {}}}, ",
-                "\"warm\": {{\"wall_ms\": {:.3}, \"pivots\": {}, \"warm_start_hits\": {}}}, ",
+                "\"warm\": {{\"wall_ms\": {:.3}, \"pivots\": {}, \"phase1_pivots\": {}, ",
+                "\"dual_pivots\": {}, \"warm_start_hits\": {}}}, ",
                 "\"pivot_ratio\": {:.4}}}{}\n"
             ),
             r.name,
@@ -1157,19 +1168,23 @@ fn main() {
             r.cold_pivots,
             r.warm_wall_ms,
             r.warm_pivots,
+            r.warm_phase1_pivots,
+            r.warm_dual_pivots,
             r.warm_start_hits,
             ratio,
             if k + 1 < results.len() { "," } else { "" },
         ));
         println!(
             "{:>10}: {} LPs over {} participants — cold {} pivots / {:.1} ms, \
-             warm {} pivots / {:.1} ms ({} warm starts, pivot ratio {:.2})",
+             warm {} pivots ({} phase-1, {} dual) / {:.1} ms ({} warm starts, pivot ratio {:.2})",
             r.name,
             r.lp_solves,
             r.participants,
             r.cold_pivots,
             r.cold_wall_ms,
             r.warm_pivots,
+            r.warm_phase1_pivots,
+            r.warm_dual_pivots,
             r.warm_wall_ms,
             r.warm_start_hits,
             ratio,
@@ -1502,6 +1517,17 @@ fn main() {
         );
         failed = true;
     }
+    // Dual re-entry gate: the two `i = 0` entries start cold from a feasible
+    // all-slack basis, so any composite phase-1 pivot in a default chain is
+    // a warm entry that fell back from the dual simplex.
+    for r in results.iter().filter(|r| r.warm_phase1_pivots > 0) {
+        eprintln!(
+            "PERF REGRESSION: {} warm chains spent {} composite phase-1 pivots \
+             (dual re-entry fell back)",
+            r.name, r.warm_phase1_pivots
+        );
+        failed = true;
+    }
     // Scaling gates: the sparse-LU backend must strictly beat the dense
     // B⁻¹ oracle wall-clock at the 4.5k-row point (where dense already
     // pays a 160 MB inverse and rows² per pivot) while agreeing with it
@@ -1630,19 +1656,22 @@ fn main() {
         eprintln!("CORRECTNESS REGRESSION: server latency histogram recorded no samples");
         failed = true;
     }
-    // Incremental-ingestion gates: warm re-release must strictly beat the
-    // full cold rebuild wall-clock (it skips phase 1 on every H chain run)
-    // while releasing bit-identically, and the server-level mixed run must
-    // preserve the untouched table's hit rate and replay bit-identically
-    // across the interleaved ingests.
-    if inc.warm_wall_ms >= inc.cold_wall_ms {
+    // Incremental-ingestion gates: warm re-release must release
+    // bit-identically at no more pivots than the full cold rebuild (with
+    // whole-family chains both re-enter every entry past `i = 0` through the
+    // dual simplex, so they do the same work) and within 25% of its
+    // wall-clock; the server-level mixed run must preserve the untouched
+    // table's hit rate and replay bit-identically across the interleaved
+    // ingests.
+    if inc.warm_wall_ms > inc.cold_wall_ms * 1.25 {
         eprintln!(
-            "PERF REGRESSION: warm refresh {:.1} ms not faster than cold rebuild {:.1} ms",
+            "PERF REGRESSION: warm refresh {:.1} ms more than 25% slower than cold rebuild \
+             {:.1} ms",
             inc.warm_wall_ms, inc.cold_wall_ms
         );
         failed = true;
     }
-    if inc.warm_pivots >= inc.cold_pivots {
+    if inc.warm_pivots > inc.cold_pivots {
         eprintln!(
             "PERF REGRESSION: warm refresh spent {} pivots vs {} cold",
             inc.warm_pivots, inc.cold_pivots

@@ -32,7 +32,7 @@
 //!
 //! A successful solve returns the optimal [`Basis`]; feeding it to
 //! [`PreparedLp::solve_warm`] after an RHS step re-enters the simplex from
-//! that basis (phase-1-free when the old basis is still primal feasible),
+//! that basis (through the dual simplex, with no composite phase 1),
 //! which is how a chain of `|P|+1` sequence solves avoids `|P|` cold starts.
 
 use crate::error::LpError;
@@ -338,12 +338,13 @@ impl PreparedLp {
     }
 
     /// Solves warm-started from `basis` (typically the optimal basis of the
-    /// previous solve in a chain). If the basis is still primal feasible for
-    /// the current RHS the solve is phase-1-free; otherwise a composite
-    /// phase 1 re-enters from the given basis, which still needs far fewer
-    /// pivots than a cold start. A basis that does not fit this LP (wrong
-    /// shape) or whose basis matrix has gone numerically singular falls back
-    /// to a cold solve instead of failing.
+    /// previous solve in a chain). After an RHS step the old optimal basis
+    /// is still dual feasible, so the dual simplex re-optimises from it with
+    /// no composite phase-1 pivots; a basis that is not dual feasible (e.g.
+    /// after [`PreparedLp::set_objective`]) re-enters through the composite
+    /// phase 1 instead. A basis that does not fit this LP (wrong shape) or
+    /// whose basis matrix has gone numerically singular falls back to a cold
+    /// solve instead of failing.
     pub fn solve_warm(
         &self,
         basis: &Basis,

@@ -6,9 +6,13 @@ use crate::model::Var;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveStats {
     /// Simplex pivots performed in phase 1 (for the revised backend: pivots
-    /// plus bound flips spent restoring primal feasibility; 0 when a warm
-    /// start re-entered feasible).
+    /// plus bound flips spent restoring primal feasibility through the
+    /// composite phase 1; 0 when a warm start re-entered feasible or the
+    /// dual simplex restored feasibility).
     pub phase1_iterations: usize,
+    /// Dual simplex pivots spent restoring primal feasibility from a warm,
+    /// dual-feasible basis (revised backends only; 0 on cold starts).
+    pub dual_iterations: usize,
     /// Simplex pivots performed in phase 2.
     pub phase2_iterations: usize,
     /// Rows of the standardised system.
@@ -42,6 +46,13 @@ pub struct SolveStats {
     /// Whether this solve re-entered from a caller-supplied basis
     /// ([`crate::PreparedLp::solve_warm`]).
     pub warm_started: bool,
+}
+
+impl SolveStats {
+    /// Every iteration of the solve: composite phase 1, dual and phase 2.
+    pub fn total_iterations(&self) -> usize {
+        self.phase1_iterations + self.dual_iterations + self.phase2_iterations
+    }
 }
 
 /// An optimal solution of a linear program.

@@ -411,3 +411,57 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Warm re-entry after RHS steps — the dual simplex path whenever the
+    /// previous optimal basis stays dual feasible — reaches the same verdict
+    /// as a cold dense-tableau solve of the stepped model, with objectives
+    /// within 1e-7, on both revised backends.
+    #[test]
+    fn dual_reentry_matches_a_cold_dense_tableau(
+        lp in bounded_lp(),
+        steps in proptest::collection::vec((0usize..5, -2.0..3.0f64), 1..5),
+    ) {
+        let tableau = rmdp_lp::SimplexOptions {
+            backend: rmdp_lp::SolverBackend::DenseTableau,
+            ..Default::default()
+        };
+        for backend in [rmdp_lp::SolverBackend::SparseLu, rmdp_lp::SolverBackend::Revised] {
+            let options = rmdp_lp::SimplexOptions { backend, ..Default::default() };
+            let mut stepped = lp.clone();
+            let mut prepared = build_bounded(&stepped).prepare().expect("validated by construction");
+            let Ok(first) = prepared.solve(&options) else { continue };
+            let mut basis = first.basis;
+            for (k, &(row, rhs)) in steps.iter().enumerate() {
+                let row = row % stepped.constraints.len();
+                stepped.constraints[row].2 = rhs;
+                prepared.set_rhs(row, rhs);
+                let warm = prepared.solve_warm(&basis, &options);
+                let oracle = build_bounded(&stepped).solve_with(&tableau);
+                let warm_solution = warm
+                    .as_ref()
+                    .map(|s| s.solution.clone())
+                    .map_err(|e| e.clone());
+                match (verdict(&warm_solution), verdict(&oracle)) {
+                    (Some(Ok(a)), Some(Ok(b))) => {
+                        prop_assert!((a - b).abs() <= 1e-7 * a.abs().max(b.abs()).max(1.0),
+                            "{backend:?} step {k}: warm {a} vs dense tableau {b}");
+                    }
+                    (Some(Err(a)), Some(Err(b))) => {
+                        prop_assert_eq!(a, b, "{:?} step {}: verdicts differ", backend, k);
+                    }
+                    (Some(a), Some(b)) => {
+                        prop_assert!(false, "{backend:?} step {k}: warm says {a:?}, tableau says {b:?}");
+                    }
+                    _ => {}
+                }
+                match warm {
+                    Ok(s) => basis = s.basis,
+                    Err(_) => break,
+                }
+            }
+        }
+    }
+}

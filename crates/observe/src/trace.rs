@@ -48,8 +48,10 @@ pub struct LpSummary {
     pub g_solves: u64,
     /// Total simplex pivots.
     pub total_pivots: u64,
-    /// Phase-1 (feasibility) pivots.
+    /// Composite phase-1 (feasibility) pivots.
     pub phase1_pivots: u64,
+    /// Dual simplex pivots (warm re-entry after an RHS step).
+    pub dual_pivots: u64,
     /// Phase-2 (optimisation) pivots.
     pub phase2_pivots: u64,
     /// Solves warm-started from the previous entry's basis.
@@ -74,6 +76,7 @@ impl LpSummary {
         self.g_solves += other.g_solves;
         self.total_pivots += other.total_pivots;
         self.phase1_pivots += other.phase1_pivots;
+        self.dual_pivots += other.dual_pivots;
         self.phase2_pivots += other.phase2_pivots;
         self.warm_start_hits += other.warm_start_hits;
         self.refactorizations += other.refactorizations;
@@ -83,9 +86,10 @@ impl LpSummary {
         self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
-    /// Internal coherence: pivots split into the two phases.
+    /// Internal coherence: pivots split into composite phase 1, dual and
+    /// phase 2.
     pub fn is_consistent(&self) -> bool {
-        self.total_pivots == self.phase1_pivots + self.phase2_pivots
+        self.total_pivots == self.phase1_pivots + self.dual_pivots + self.phase2_pivots
             && self.warm_start_hits <= self.h_solves + self.g_solves
     }
 }
@@ -241,13 +245,15 @@ impl ReleaseTrace {
         let _ = write!(
             out,
             ", \"lp\": {{\"h_solves\": {}, \"g_solves\": {}, \"total_pivots\": {}, \
-             \"phase1_pivots\": {}, \"phase2_pivots\": {}, \"warm_start_hits\": {}, \
+             \"phase1_pivots\": {}, \"dual_pivots\": {}, \"phase2_pivots\": {}, \
+             \"warm_start_hits\": {}, \
              \"refactorizations\": {}, \"basis_updates\": {}, \"fill_in_nnz\": {}, \
              \"presolve_rows_removed\": {}, \"presolve_cols_removed\": {}}}",
             self.lp.h_solves,
             self.lp.g_solves,
             self.lp.total_pivots,
             self.lp.phase1_pivots,
+            self.lp.dual_pivots,
             self.lp.phase2_pivots,
             self.lp.warm_start_hits,
             self.lp.refactorizations,
@@ -331,6 +337,11 @@ impl ReleaseTrace {
         );
         let _ = writeln!(
             out,
+            "  lp pivots       {} phase-1, {} dual, {} phase-2",
+            self.lp.phase1_pivots, self.lp.dual_pivots, self.lp.phase2_pivots
+        );
+        let _ = writeln!(
+            out,
             "  lp basis        {} updates, peak factor nnz {}, presolve removed {} rows / {} cols",
             self.lp.basis_updates,
             self.lp.fill_in_nnz,
@@ -405,8 +416,9 @@ mod tests {
             lp: LpSummary {
                 h_solves: 7,
                 g_solves: 7,
-                total_pivots: 30,
+                total_pivots: 36,
                 phase1_pivots: 10,
+                dual_pivots: 6,
                 phase2_pivots: 20,
                 warm_start_hits: 5,
                 refactorizations: 1,
@@ -443,7 +455,11 @@ mod tests {
         assert!(!t.is_consistent());
 
         let mut t = sample_trace();
-        t.lp.total_pivots = 31; // phase split no longer adds up
+        t.lp.total_pivots = 37; // phase split no longer adds up
+        assert!(!t.is_consistent());
+
+        let mut t = sample_trace();
+        t.lp.dual_pivots = 0; // dual pivots missing from the split
         assert!(!t.is_consistent());
 
         let mut t = sample_trace();
@@ -474,6 +490,7 @@ mod tests {
             "sequence_solve",
             "total_nanos",
             "lp",
+            "dual_pivots",
             "basis_updates",
             "fill_in_nnz",
             "presolve_rows_removed",
@@ -499,6 +516,7 @@ mod tests {
         assert!(text.contains("sequence_solve"));
         assert!(text.contains("epsilon_spent"));
         assert!(text.contains("peak factor nnz 40"));
+        assert!(text.contains("10 phase-1, 6 dual, 20 phase-2"));
         assert!(text.contains("presolve removed 0 rows / 2 cols"));
         assert!(text.contains("100ns"));
         assert!(format_nanos(2_500).starts_with("2.5"));

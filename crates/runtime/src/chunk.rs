@@ -7,12 +7,14 @@
 //! [`crate::Parallelism`] setting: each run is computed exactly the same way
 //! regardless of which worker (or the calling thread) ends up executing it.
 //!
-//! The motivating caller is the sequence-chain solver in `rmdp-core`: entries
-//! of one `H`/`G` family are solved as a warm-started chain *within* a run
-//! (each solve reuses the previous entry's optimal basis), while distinct
-//! runs are independent cold starts that parallelise freely. Cutting by a
-//! fixed run length instead of "one chunk per worker" trades a little warm
-//! sharing for schedule-independent results.
+//! The caller is the sequence-chain solver in `rmdp-core`: entries of one
+//! `H`/`G` family are solved as a warm-started chain *within* a run (each
+//! solve re-enters from the previous entry's optimal basis), while distinct
+//! runs are independent cold starts that parallelise freely. By default a
+//! run is the whole family — a cold start at `i` costs about as much as
+//! walking the chain from 0 to `i`, so cuts would buy no parallelism — and
+//! shorter runs are an explicit opt-in. Cutting by a fixed run length
+//! instead of "one chunk per worker" keeps results schedule-independent.
 
 use std::ops::Range;
 

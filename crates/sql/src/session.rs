@@ -713,6 +713,7 @@ impl SqlSession {
             m.counter_add("lp.h_solves", lp.h_solves as u64);
             m.counter_add("lp.g_solves", lp.g_solves as u64);
             m.counter_add("lp.total_pivots", lp.total_pivots as u64);
+            m.counter_add("lp.dual_pivots", lp.dual_pivots as u64);
             m.counter_add("lp.warm_start_hits", lp.warm_start_hits as u64);
             m.counter_add("lp.refactorizations", lp.refactorizations as u64);
             m.counter_add("lp.basis_updates", lp.basis_updates as u64);
@@ -1826,6 +1827,10 @@ mod tests {
         assert!(snap.counter("lp.h_solves").unwrap() > 0);
         assert!(session.lp_totals().h_solves > 0);
         assert!(snap.counter("lp.basis_updates").unwrap() > 0);
+        assert_eq!(
+            snap.counter("lp.dual_pivots"),
+            Some(session.lp_totals().dual_pivots as u64)
+        );
         assert!(snap.gauge("lp.peak_fill_in_nnz").unwrap() > 0.0);
         assert_eq!(
             snap.gauge("lp.peak_fill_in_nnz").unwrap(),

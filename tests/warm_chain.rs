@@ -76,6 +76,10 @@ fn warm_chains_beat_cold_solves_on_the_fig4_families() {
             warm.phase1_pivots,
             cold.phase1_pivots
         );
+        // Warm entries re-enter through the dual simplex: no composite
+        // phase-1 pivot anywhere in the default chains.
+        assert_eq!(warm.phase1_pivots, 0, "{name}");
+        assert!(warm.dual_pivots > 0, "{name}");
     }
 }
 
