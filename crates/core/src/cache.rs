@@ -112,7 +112,7 @@ impl FrozenSequences {
     }
 
     /// Re-derives this snapshot for the **post-delta** query through the
-    /// cheapest tier that stays bit-identical (per backend, per seed) to a
+    /// cheapest tier that stays bit-identical (per seed) to a
     /// cold [`compute`](Self::compute) of `query`:
     ///
     /// * [`RefreshTier::Unchanged`] — `query` is structurally identical to

@@ -89,16 +89,14 @@ pub struct LpWorkStats {
     pub warm_start_hits: usize,
     /// Basis-inverse refactorizations across all solves.
     pub refactorizations: usize,
-    /// Product-form basis updates (one per true pivot): eta-file updates on
-    /// the sparse-LU backend, dense `B⁻¹` transformations on the dense one.
+    /// Eta-file basis updates (one per true pivot).
     pub basis_updates: usize,
     /// Peak stored nonzeros of any one solve's LU factorization (factors
     /// plus eta file). A *maximum*, not a sum: it bounds the basis memory
     /// any single solve needed.
     pub fill_in_nnz: usize,
-    /// Constraint rows removed by presolve, summed across solves.
-    pub presolve_rows_removed: usize,
-    /// Variables removed by presolve, summed across solves.
+    /// Variables fixed by their bounds and substituted out, summed across
+    /// solves.
     pub presolve_cols_removed: usize,
 }
 
@@ -117,7 +115,6 @@ impl LpWorkStats {
         self.refactorizations += other.refactorizations;
         self.basis_updates += other.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(other.fill_in_nnz);
-        self.presolve_rows_removed += other.presolve_rows_removed;
         self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
@@ -134,7 +131,6 @@ impl LpWorkStats {
             refactorizations: self.refactorizations as u64,
             basis_updates: self.basis_updates as u64,
             fill_in_nnz: self.fill_in_nnz as u64,
-            presolve_rows_removed: self.presolve_rows_removed as u64,
             presolve_cols_removed: self.presolve_cols_removed as u64,
         }
     }
@@ -151,7 +147,6 @@ impl LpWorkStats {
         self.refactorizations += stats.refactorizations;
         self.basis_updates += stats.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(stats.fill_in_nnz);
-        self.presolve_rows_removed += stats.presolve_rows_removed;
         self.presolve_cols_removed += stats.presolve_cols_removed;
         if stats.warm_started {
             self.warm_start_hits += 1;
@@ -192,7 +187,7 @@ pub struct RefreshSeed {
 
 impl RefreshSeed {
     /// Picks the cheapest re-derivation tier that is still guaranteed
-    /// bit-identical to a cold recompute of `query` (per backend):
+    /// bit-identical to a cold recompute of `query`:
     /// structurally unchanged queries republish, warm-exact weight changes
     /// over an unchanged variable space re-enter from the retained bases,
     /// everything else rebuilds through the standard cold chains.
@@ -213,7 +208,7 @@ impl RefreshSeed {
 
 /// Which re-derivation tier a
 /// [`FrozenSequences::refresh`](crate::cache::FrozenSequences::refresh)
-/// took. Every tier releases bit-identically (per backend) to a cold
+/// took. Every tier releases bit-identically to a cold
 /// recompute on the post-delta query; the tiers differ only in how much LP
 /// work that costs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -830,7 +825,6 @@ mod tests {
     use rand::SeedableRng;
     use rmdp_graph::{generators, Pattern};
     use rmdp_krelation::{KRelation, Tuple};
-    use rmdp_lp::SolverBackend;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -1079,9 +1073,10 @@ mod tests {
         // Differential test on the *real* sequence models: every H_i/G_i
         // value produced by the warm-started revised chain must match a cold
         // dense-tableau solve of the same entry model.
-        let oracle = SimplexOptions {
-            backend: SolverBackend::DenseTableau,
-            ..SimplexOptions::default()
+        let oracle = |model: &rmdp_lp::Model| {
+            rmdp_lp::simplex::solve_dense(model, &SimplexOptions::default())
+                .unwrap()
+                .objective
         };
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
             let relation = fig4_relation(pattern);
@@ -1090,59 +1085,18 @@ mod tests {
             for i in 0..=n {
                 let h_chain = seq.h(i).unwrap();
                 let (h_model, offset) = seq.lps.build_h_model(i);
-                let h_dense = h_model.solve_with(&oracle).unwrap().objective + offset;
+                let h_dense = oracle(&h_model) + offset;
                 assert!(
                     (h_chain - h_dense).abs() < 1e-6,
                     "H_{i}: chain {h_chain} vs dense {h_dense}"
                 );
                 let g_chain = seq.g(i).unwrap();
-                let g_dense = seq
-                    .lps
-                    .build_g_model(i)
-                    .solve_with(&oracle)
-                    .unwrap()
-                    .objective;
+                let g_dense = oracle(&seq.lps.build_g_model(i));
                 assert!(
                     (g_chain - g_dense).abs() < 1e-6,
                     "G_{i}: chain {g_chain} vs dense {g_dense}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sparse_lu_and_dense_inverse_chains_agree_on_fig4_models() {
-        // The two revised backends share pivot logic but run independent
-        // linear algebra (LU substitution vs an explicit inverse), so entry
-        // values can differ by rounding ulps once pivots turn fractional;
-        // whole warm chains are held to a relative 1e-12 — far below the
-        // 1e-7 feasibility tolerance and the release's noise floor. (True
-        // bit-identity across *runs of the same backend* is covered by
-        // `parallel_precompute_is_bit_identical_to_lazy_serial`.)
-        for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            let relation = fig4_relation(pattern.clone());
-            let n = relation.num_participants();
-            let mut sparse = EfficientSequences::new(relation.clone());
-            let mut dense = EfficientSequences::new(relation).with_solver_options(SimplexOptions {
-                backend: SolverBackend::Revised,
-                ..SimplexOptions::default()
-            });
-            for i in 0..=n {
-                let (hs, hd) = (sparse.h(i).unwrap(), dense.h(i).unwrap());
-                assert!(
-                    (hs - hd).abs() <= 1e-12 * hd.abs().max(1.0),
-                    "{}: H_{i} sparse-LU {hs} vs dense B⁻¹ {hd}",
-                    pattern.name()
-                );
-                let (gs, gd) = (sparse.g(i).unwrap(), dense.g(i).unwrap());
-                assert!(
-                    (gs - gd).abs() <= 1e-12 * gd.abs().max(1.0),
-                    "{}: G_{i} sparse-LU {gs} vs dense B⁻¹ {gd}",
-                    pattern.name()
-                );
-            }
-            assert!(sparse.stats().fill_in_nnz > 0);
-            assert_eq!(dense.stats().fill_in_nnz, 0);
         }
     }
 
@@ -1174,28 +1128,22 @@ mod tests {
     #[test]
     fn whole_family_chains_reenter_through_the_dual_simplex() {
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            for backend in [SolverBackend::SparseLu, SolverBackend::Revised] {
-                let mut seq = EfficientSequences::new(fig4_relation(pattern.clone()))
-                    .with_solver_options(SimplexOptions {
-                        backend,
-                        ..SimplexOptions::default()
-                    });
-                seq.precompute(Parallelism::Serial).unwrap();
-                let stats = seq.stats();
-                let n = seq.num_participants();
-                // One chain per family: only the two `i = 0` entries start cold.
-                assert_eq!(stats.warm_start_hits, 2 * n, "{}", pattern.name());
-                assert_eq!(stats.phase1_pivots, 0, "{} {backend:?}", pattern.name());
-                assert!(stats.dual_pivots > 0, "{} {backend:?}", pattern.name());
-                // The dual keeps every basis dual feasible, so a warm entry
-                // is optimal the moment it is primal feasible; the cold
-                // `i = 0` entries start optimal too.
-                assert_eq!(stats.phase2_pivots, 0, "{} {backend:?}", pattern.name());
-                assert_eq!(
-                    stats.total_pivots,
-                    stats.phase1_pivots + stats.dual_pivots + stats.phase2_pivots
-                );
-            }
+            let mut seq = EfficientSequences::new(fig4_relation(pattern.clone()));
+            seq.precompute(Parallelism::Serial).unwrap();
+            let stats = seq.stats();
+            let n = seq.num_participants();
+            // One chain per family: only the two `i = 0` entries start cold.
+            assert_eq!(stats.warm_start_hits, 2 * n, "{}", pattern.name());
+            assert_eq!(stats.phase1_pivots, 0, "{}", pattern.name());
+            assert!(stats.dual_pivots > 0, "{}", pattern.name());
+            // The dual keeps every basis dual feasible, so a warm entry
+            // is optimal the moment it is primal feasible; the cold
+            // `i = 0` entries start optimal too.
+            assert_eq!(stats.phase2_pivots, 0, "{}", pattern.name());
+            assert_eq!(
+                stats.total_pivots,
+                stats.phase1_pivots + stats.dual_pivots + stats.phase2_pivots
+            );
         }
     }
 

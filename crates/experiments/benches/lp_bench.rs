@@ -1,13 +1,14 @@
 //! Micro-benchmark of the simplex solver on the LP shapes the efficient
 //! mechanism produces (hinge epigraphs over the capped simplex): one-shot
-//! solves on both backends, plus the standardize-once warm-started chain
-//! that the `H`/`G` sequence computation runs on.
+//! solves on the revised solver and the dense tableau oracle, plus the
+//! standardize-once warm-started chain that the `H`/`G` sequence
+//! computation runs on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rmdp_lp::{Model, Sense, SimplexOptions, SolverBackend};
+use rmdp_lp::{Model, Sense, SimplexOptions};
 
 /// Builds the H-style LP for `tuples` random 3-variable hinges over
 /// `participants` variables with mass `i`.
@@ -44,11 +45,8 @@ fn bench_simplex(c: &mut Criterion) {
             |b, &(participants, tuples)| {
                 let mut rng = StdRng::seed_from_u64(1);
                 let model = hinge_lp(participants, tuples, participants as f64 - 1.0, &mut rng);
-                let options = SimplexOptions {
-                    backend: SolverBackend::DenseTableau,
-                    ..SimplexOptions::default()
-                };
-                b.iter(|| model.solve_with(&options).expect("solvable"));
+                let options = SimplexOptions::default();
+                b.iter(|| rmdp_lp::simplex::solve_dense(&model, &options).expect("solvable"));
             },
         );
     }

@@ -9,13 +9,11 @@
 //! through the dual simplex (a silent fallback costs 2–3× and no
 //! correctness test notices it). The same file
 //! also carries the **basis scaling** section: synthetic 2-star counting
-//! `H`-models from 4.5k up to 101.5k hinge rows, solved cold and
-//! RHS-stepped warm on the sparse-LU backend (wall time, pivots, peak
-//! factor nonzeros, estimated basis memory), with the dense-`B⁻¹` oracle
-//! timed at the 4.5k point only (its `rows²` inverse is already 160 MB
-//! there). Gated on the sparse backend strictly beating dense wall-clock
-//! at 4.5k rows, agreeing with it on the objective, and completing the
-//! 100k-row instance.
+//! `H`-models from 300 up to 101.5k hinge rows, solved cold and
+//! RHS-stepped warm on the sparse-LU solver (wall time, pivots, peak
+//! factor nonzeros, estimated basis memory), with the dense tableau oracle
+//! solving the 300-row point only. Gated on the sparse objective agreeing
+//! with the oracle's there and on completing the 100k-row instance.
 //!
 //! **Sequence cache** (`BENCH_cache.json`): the repeated-workload bench.
 //! One cold release pays the full sequence precompute and populates the
@@ -97,7 +95,7 @@ use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_krelation::{Expr, KRelation};
-use rmdp_lp::{Model, Sense, SimplexOptions, SolverBackend};
+use rmdp_lp::{Model, Sense, SimplexOptions};
 use rmdp_noise::PrivacyBudget;
 use rmdp_observe::{MonotonicClock, NoopRecorder, SpanRecorder, Stage, Stopwatch};
 use rmdp_server::{serve, DpClient, DpServer, ServerConfig, WireResponse};
@@ -198,24 +196,15 @@ struct ScalingResult {
     sparse_pivots: usize,
     /// Peak stored nonzeros of the LU factors plus eta file.
     peak_factor_nnz: usize,
-    /// Estimated peak basis memory of the sparse backend
+    /// Estimated peak basis memory of the sparse solver
     /// (`peak_factor_nnz × 16` bytes: one f64 + one index per entry).
     sparse_mem_bytes: usize,
     /// Warm re-solve after stepping the mass row RHS by one.
     warm_wall_ms: f64,
     warm_pivots: usize,
-    /// The dense-`B⁻¹` oracle on the same instance; only run at the
-    /// smallest size (its inverse alone is `rows² × 8` bytes).
-    dense: Option<DensePoint>,
-}
-
-/// The dense-backend comparison point of one scaling instance.
-struct DensePoint {
-    wall_ms: f64,
-    pivots: usize,
-    /// `rows² × 8` bytes: the explicit inverse the backend maintains.
-    mem_bytes: usize,
-    objective: f64,
+    /// The dense tableau oracle's objective on the same instance; only
+    /// solved at the smallest size (the tableau is dense in rows × cols).
+    oracle_objective: Option<f64>,
 }
 
 /// A synthetic 2-star counting `H`-model with the exact shape
@@ -223,7 +212,7 @@ struct DensePoint {
 /// `f_p ∈ [0,1]` per participant, the mass row `Σ f_p = mass` first (row 0,
 /// so a chain steps the index with one `set_rhs`), then one hinge row
 /// `f_c + f_l + f_l' − v ≤ 2` per 2-star `centers × C(leaves_per, 2)`.
-/// `(100, 10)` gives 4 500 hinge rows, `(250, 29)` gives 101 500.
+/// `(20, 6)` gives 300 hinge rows, `(100, 10)` 4 500, `(250, 29)` 101 500.
 fn two_star_h_model(centers: usize, leaves_per: usize, mass: f64) -> Model {
     let mut model = Model::new(Sense::Minimize);
     let mut participants = Vec::with_capacity(centers * (1 + leaves_per));
@@ -255,14 +244,19 @@ fn two_star_h_model(centers: usize, leaves_per: usize, mass: f64) -> Model {
     model
 }
 
-/// Runs one scaling instance: a cold sparse-LU solve, a warm re-solve after
-/// stepping the mass row (the chain access pattern), and — when
-/// `with_dense` — the dense-`B⁻¹` oracle on the same cold start.
-fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> ScalingResult {
-    let mass = centers as f64;
+/// Runs one scaling instance at mass `mass_per_center × centers`: a cold
+/// sparse-LU solve, a warm re-solve after stepping the mass row (the chain
+/// access pattern), and — when `with_oracle` — the dense tableau oracle on
+/// the same model.
+fn run_scaling_point(
+    centers: usize,
+    leaves_per: usize,
+    mass_per_center: f64,
+    with_oracle: bool,
+) -> ScalingResult {
+    let mass = mass_per_center * centers as f64;
     let model = two_star_h_model(centers, leaves_per, mass);
     let sparse_opts = SimplexOptions::default();
-    debug_assert_eq!(sparse_opts.backend, SolverBackend::SparseLu);
 
     let prepared = model.prepare().expect("scaling model is well-formed");
 
@@ -288,23 +282,10 @@ fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> Sca
         "the stepped scaling solve must re-enter warm"
     );
 
-    let dense = with_dense.then(|| {
-        let dense_opts = SimplexOptions {
-            backend: SolverBackend::Revised,
-            ..SimplexOptions::default()
-        };
-        let watch = Stopwatch::start();
-        let sol = prepared
-            .solve(&dense_opts)
-            .expect("the dense oracle solves the same instance");
-        let wall_ms = watch.elapsed_seconds() * 1e3;
-        let dstats = sol.solution.stats;
-        DensePoint {
-            wall_ms,
-            pivots: dstats.total_iterations(),
-            mem_bytes: dstats.rows * dstats.rows * 8,
-            objective: sol.solution.objective,
-        }
+    let oracle_objective = with_oracle.then(|| {
+        rmdp_lp::simplex::solve_dense(&model, &sparse_opts)
+            .expect("the dense oracle solves the same instance")
+            .objective
     });
 
     ScalingResult {
@@ -319,7 +300,7 @@ fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> Sca
         sparse_mem_bytes: stats.fill_in_nnz * 16,
         warm_wall_ms,
         warm_pivots: wstats.total_iterations(),
-        dense,
+        oracle_objective,
     }
 }
 
@@ -1192,31 +1173,28 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // --- Basis scaling: synthetic 2-star H-models, 4.5k → 101.5k rows ---
+    // --- Basis scaling: synthetic 2-star H-models, 300 → 101.5k rows ---
+    // One unit of mass per star optimises to 0 (every center at 1, every
+    // leaf at 0), so the oracle point carries 6.5 per 7-participant star,
+    // past the 6 a star absorbs at zero cost: its optimum is positive.
     let scaling_points = [
-        (100usize, 10usize, true),
-        (150, 16, false),
-        (250, 29, false),
+        (20usize, 6usize, 6.5, true),
+        (100, 10, 1.0, false),
+        (150, 16, 1.0, false),
+        (250, 29, 1.0, false),
     ];
     let scaling: Vec<ScalingResult> = scaling_points
         .iter()
-        .map(|&(centers, leaves_per, with_dense)| {
-            run_scaling_point(centers, leaves_per, with_dense)
+        .map(|&(centers, leaves_per, mass_per_center, with_oracle)| {
+            run_scaling_point(centers, leaves_per, mass_per_center, with_oracle)
         })
         .collect();
 
     json.push_str("  \"scaling\": [\n");
     for (k, s) in scaling.iter().enumerate() {
-        let dense_json = match &s.dense {
-            Some(d) => format!(
-                concat!(
-                    "{{\"wall_ms\": {:.3}, \"pivots\": {}, ",
-                    "\"mem_bytes_est\": {}, \"objective\": {:.6}}}"
-                ),
-                d.wall_ms, d.pivots, d.mem_bytes, d.objective,
-            ),
-            None => "null".to_string(),
-        };
+        let oracle_json = s
+            .oracle_objective
+            .map_or_else(|| "null".to_string(), |o| format!("{o:.6}"));
         json.push_str(&format!(
             concat!(
                 "    {{\"centers\": {}, \"leaves_per\": {}, \"rows\": {}, \"cols\": {}, ",
@@ -1224,7 +1202,7 @@ fn main() {
                 "\"sparse\": {{\"wall_ms\": {:.3}, \"pivots\": {}, ",
                 "\"peak_factor_nnz\": {}, \"mem_bytes_est\": {}}}, ",
                 "\"warm_step\": {{\"wall_ms\": {:.3}, \"pivots\": {}}}, ",
-                "\"dense\": {}}}{}\n"
+                "\"oracle_objective\": {}}}{}\n"
             ),
             s.centers,
             s.leaves_per,
@@ -1237,7 +1215,7 @@ fn main() {
             s.sparse_mem_bytes,
             s.warm_wall_ms,
             s.warm_pivots,
-            dense_json,
+            oracle_json,
             if k + 1 < scaling.len() { "," } else { "" },
         ));
         print!(
@@ -1251,14 +1229,9 @@ fn main() {
             s.warm_wall_ms,
             s.warm_pivots,
         );
-        match &s.dense {
-            Some(d) => println!(
-                "; dense B⁻¹ {:.1} ms / {} pivots (~{:.0} MB inverse)",
-                d.wall_ms,
-                d.pivots,
-                d.mem_bytes as f64 / 1e6,
-            ),
-            None => println!("; dense B⁻¹ skipped at this size"),
+        match s.oracle_objective {
+            Some(o) => println!("; tableau oracle objective {o:.6}"),
+            None => println!(),
         }
     }
     json.push_str("  ]\n}\n");
@@ -1528,28 +1501,18 @@ fn main() {
         );
         failed = true;
     }
-    // Scaling gates: the sparse-LU backend must strictly beat the dense
-    // B⁻¹ oracle wall-clock at the 4.5k-row point (where dense already
-    // pays a 160 MB inverse and rows² per pivot) while agreeing with it
-    // on the objective, and the 100k-row instance must have completed —
-    // run_scaling_point panics on a failed solve, so reaching here with
-    // the point present means it solved.
+    // Scaling gates: the sparse-LU objective must agree with the dense
+    // tableau oracle at the 300-row point, and the 100k-row instance must
+    // have completed — run_scaling_point panics on a failed solve, so
+    // reaching here with the point present means it solved.
     for s in &scaling {
-        if let Some(d) = &s.dense {
-            if s.sparse_wall_ms >= d.wall_ms {
+        if let Some(o) = s.oracle_objective {
+            let scale = s.objective.abs().max(o.abs()).max(1.0);
+            if (s.objective - o).abs() > 1e-9 * scale {
                 eprintln!(
-                    "PERF REGRESSION: sparse LU {:.1} ms not faster than dense B⁻¹ {:.1} ms \
+                    "CORRECTNESS REGRESSION: sparse objective {:.12} vs tableau {:.12} \
                      at {} rows",
-                    s.sparse_wall_ms, d.wall_ms, s.rows
-                );
-                failed = true;
-            }
-            let scale = s.objective.abs().max(d.objective.abs()).max(1.0);
-            if (s.objective - d.objective).abs() > 1e-9 * scale {
-                eprintln!(
-                    "CORRECTNESS REGRESSION: sparse objective {:.12} vs dense {:.12} \
-                     at {} rows",
-                    s.objective, d.objective, s.rows
+                    s.objective, o, s.rows
                 );
                 failed = true;
             }

@@ -6,13 +6,11 @@
 //! sensitive K-relation. This crate provides the solver: a sparse
 //! bounded-variable **revised simplex** ([`revised`]) over models with boxed
 //! variables and `≤ / ≥ / =` constraints. The basis is maintained as a
-//! sparse Markowitz **LU factorization** updated by a bounded eta file
-//! ([`SolverBackend::SparseLu`], the default); the dense `B⁻¹` revised
-//! backend ([`SolverBackend::Revised`]) and the original dense two-phase
-//! tableau ([`SolverBackend::DenseTableau`]) are retained as
-//! differential-testing oracles. A **presolve** pass (fixed variables,
-//! singleton rows/columns, duplicate-column merges) shrinks models in front
-//! of every [`Model::solve`]; [`PreparedLp`] applies its RHS-safe subset.
+//! sparse Markowitz **LU factorization** updated by a bounded eta file.
+//! Variables fixed by their bounds are substituted out when a model is
+//! standardized. The original dense two-phase tableau
+//! ([`simplex::solve_dense`]) is retained as the differential-testing
+//! oracle.
 //!
 //! Two ways in:
 //!
@@ -55,7 +53,6 @@ pub mod error;
 mod lu;
 pub mod model;
 pub mod prepared;
-mod presolve;
 pub mod revised;
 pub mod simplex;
 pub mod solution;
@@ -64,6 +61,6 @@ pub mod sparse;
 pub use error::LpError;
 pub use model::{Constraint, ConstraintOp, Model, Sense, Var};
 pub use prepared::{Basis, PreparedLp, PreparedSolution, VarStatus};
-pub use simplex::{SimplexOptions, SolverBackend};
+pub use simplex::SimplexOptions;
 pub use solution::{Solution, SolveStats};
 pub use sparse::CscMatrix;

@@ -2,9 +2,9 @@
 //!
 //! A [`Model`] owns a set of bounded variables, a linear objective and a list
 //! of linear constraints. [`Model::solve`] standardises the model and runs
-//! the backend selected by [`crate::simplex::SimplexOptions`] (the revised
-//! simplex by default); [`Model::prepare`] standardises once into a
-//! [`crate::PreparedLp`] for repeated warm-started solves.
+//! the sparse revised simplex of [`crate::revised`]; [`Model::prepare`]
+//! standardises once into a [`crate::PreparedLp`] for repeated
+//! warm-started solves.
 
 use crate::error::LpError;
 use crate::solution::Solution;
@@ -197,7 +197,7 @@ impl Model {
 
     /// Solves the model with the default simplex options.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        crate::simplex::solve(self, &crate::simplex::SimplexOptions::default())
+        self.solve_with(&crate::simplex::SimplexOptions::default())
     }
 
     /// Solves with explicit solver options.
@@ -205,7 +205,7 @@ impl Model {
         &self,
         options: &crate::simplex::SimplexOptions,
     ) -> Result<Solution, LpError> {
-        crate::simplex::solve(self, options)
+        crate::revised::solve_model(self, options)
     }
 
     /// Standardizes the model once into a [`crate::PreparedLp`] for repeated
@@ -259,20 +259,15 @@ mod tests {
 
     #[test]
     fn duplicate_terms_are_merged_at_insertion() {
-        // x + x + y − x ≤ 1 must become x + y ≤ 1 — on both backends, the
-        // duplicate must neither double-count nor overwrite.
+        // x + x + y − x ≤ 1 must become x + y ≤ 1 — on the solver and the
+        // oracle, the duplicate must neither double-count nor overwrite.
         let mut m = Model::maximize();
         let x = m.add_unit_var(1.0);
         let y = m.add_unit_var(1.0);
         m.add_le([(x, 1.0), (x, 1.0), (y, 1.0), (x, -1.0)], 1.0);
         assert_eq!(m.constraints[0].terms, vec![(x, 1.0), (y, 1.0)]);
         let revised = m.solve().unwrap();
-        let dense = m
-            .solve_with(&crate::simplex::SimplexOptions {
-                backend: crate::simplex::SolverBackend::DenseTableau,
-                ..Default::default()
-            })
-            .unwrap();
+        let dense = crate::simplex::solve_dense(&m, &Default::default()).unwrap();
         assert!((revised.objective - 1.0).abs() < 1e-7);
         assert!((dense.objective - 1.0).abs() < 1e-7);
 

@@ -1,13 +1,12 @@
 //! Standardize-once / solve-many linear programs.
 //!
-//! [`PreparedLp`] separates the two halves of [`crate::Model::solve`] that
-//! the dense tableau fuses: *standardization* (mapping a model with boxed
-//! variables and `≤ / ≥ / =` rows onto equality form `Ax = b`,
-//! `l ≤ x ≤ u`) happens once, and *solving* can then be repeated after
-//! mutating the right-hand side ([`PreparedLp::set_rhs`]) or the objective
-//! ([`PreparedLp::set_objective`]) — the mutations the recursive mechanism's
-//! `H`/`G` sequence chains need, where consecutive entries differ only in the
-//! mass-tie equality `Σ_p f_p = i`.
+//! [`PreparedLp`] separates the two halves of a solve: *standardization*
+//! (mapping a model with boxed variables and `≤ / ≥ / =` rows onto equality
+//! form `Ax = b`, `l ≤ x ≤ u`) happens once, and *solving* can then be
+//! repeated after mutating the right-hand side ([`PreparedLp::set_rhs`]) or
+//! the objective ([`PreparedLp::set_objective`]) — the mutations the
+//! recursive mechanism's `H`/`G` sequence chains need, where consecutive
+//! entries differ only in the mass-tie equality `Σ_p f_p = i`.
 //!
 //! Standard form is deliberately slack-complete: every constraint row gets
 //! exactly one slack column (`≤` → `s ∈ [0, ∞)`, `≥` → `s ∈ (−∞, 0]`,
@@ -19,16 +18,13 @@
 //! revised simplex of [`crate::revised`] tracks nonbasic-at-lower /
 //! nonbasic-at-upper status instead.
 //!
-//! Preparation also runs the *RHS-safe* subset of the presolve in
-//! `crate::presolve`: variables fixed by their bounds (`l = u`) are
-//! substituted out of the matrix at standardization time. This subset is
-//! chosen so every later mutation stays a plain store — no rows are removed
-//! (so [`PreparedLp::set_rhs`] row indices keep meaning the model's
-//! constraints) and nothing depends on objective signs (so
-//! [`PreparedLp::set_objective`] cannot invalidate it). The full reduction
-//! set (singleton rows/columns, duplicate-column merges) runs only on the
-//! solve-once [`crate::Model::solve`] path. Solutions are always reported in
-//! the *full* model variable space.
+//! Preparation also substitutes out variables fixed by their bounds
+//! (`l = u`) at standardization time. This reduction is RHS-safe: every later
+//! mutation stays a plain store — no rows are removed (so
+//! [`PreparedLp::set_rhs`] row indices keep meaning the model's constraints)
+//! and nothing depends on objective signs (so [`PreparedLp::set_objective`]
+//! cannot invalidate it). Solutions are always reported in the *full* model
+//! variable space.
 //!
 //! A successful solve returns the optimal [`Basis`]; feeding it to
 //! [`PreparedLp::solve_warm`] after an RHS step re-enters the simplex from
@@ -59,13 +55,13 @@ pub enum VarStatus {
 /// of every column. Returned by a solve and accepted by
 /// [`PreparedLp::solve_warm`] to continue a chain from the previous optimum.
 ///
-/// A basis returned by a solve also carries the maintained basis
-/// factorization of the backend that produced it. Re-entering with it skips
-/// the from-scratch refactorization as long as the constraint matrix is
-/// unchanged (RHS and objective mutations keep it valid; the factor is
-/// fingerprinted against the matrix so a basis fed to a *different* prepared
-/// LP silently falls back to refactorizing). The hand-off is O(1): both
-/// factor representations share their bulk behind an `Arc`.
+/// A basis returned by a solve also carries the maintained LU basis
+/// factorization. Re-entering with it skips the from-scratch
+/// refactorization as long as the constraint matrix is unchanged (RHS and
+/// objective mutations keep it valid; the factor is fingerprinted against
+/// the matrix so a basis fed to a *different* prepared LP silently falls
+/// back to refactorizing). The hand-off is O(1): the factorization shares
+/// its bulk behind an `Arc`.
 #[derive(Clone, Debug)]
 pub struct Basis {
     /// Basic column of each row (length = number of rows).
@@ -80,22 +76,10 @@ pub struct Basis {
 /// factored against.
 #[derive(Clone, Debug)]
 pub(crate) struct BasisFactor {
-    /// The backend-specific factor representation.
-    pub(crate) kind: FactorKind,
+    /// Sparse Markowitz LU plus eta file.
+    pub(crate) lu: LuFactor,
     /// Fingerprint of the [`CscMatrix`] the factor belongs to.
     pub(crate) fingerprint: u64,
-}
-
-/// Which backend produced a carried basis factor. A solve re-entering with a
-/// factor from the *other* backend keeps the basis but refactorizes in its
-/// own representation.
-#[derive(Clone, Debug)]
-pub(crate) enum FactorKind {
-    /// Dense column-major `B⁻¹` ([`crate::simplex::SolverBackend::Revised`]).
-    Dense(crate::revised::DenseFactor),
-    /// Sparse Markowitz LU plus eta file
-    /// ([`crate::simplex::SolverBackend::SparseLu`]).
-    Lu(LuFactor),
 }
 
 impl Basis {
@@ -382,7 +366,7 @@ impl PreparedLp {
         }
     }
 
-    /// Variables removed at preparation time by the RHS-safe reduction.
+    /// Variables fixed by their bounds and substituted out at preparation.
     pub(crate) fn presolve_cols_removed(&self) -> usize {
         self.reduction.as_ref().map_or(0, |r| r.cols_fixed)
     }

@@ -1,22 +1,15 @@
 //! Sparse bounded-variable revised simplex.
 //!
 //! The solver works on a [`PreparedLp`] in equality form `Ax = b`,
-//! `l ≤ x ≤ u` and maintains a representation of the basis inverse behind
-//! the `Factorization` trait, with two interchangeable implementations:
+//! `l ≤ x ≤ u` and maintains the basis as a sparse Markowitz LU
+//! factorization (`crate::lu`) updated across pivots by a bounded eta file,
+//! so per-pivot work tracks the factor nonzeros instead of `rows²`.
 //!
-//! * `LuFactor` (default, [`SolverBackend::SparseLu`]): a sparse Markowitz
-//!   LU factorization maintained across pivots by a bounded eta file
-//!   (`crate::lu`) — per-pivot work tracks the factor nonzeros;
-//! * `DenseFactor` ([`SolverBackend::Revised`]): the dense column-major
-//!   `B⁻¹` this solver grew out of, updated by a product-form eta
-//!   transformation per pivot — kept as a differential-testing oracle with
-//!   identical pivot logic but independent linear algebra.
-//!
-//! Either representation is revalidated every
+//! The factorization is revalidated every
 //! [`SimplexOptions::refactor_every`] pivots by an O(nnz) primal-residual
-//! drift check that gates a from-scratch refactorization; the sparse backend
-//! additionally refactorizes unconditionally when its eta file reaches
-//! [`SimplexOptions::update_cap`]. Bounds are handled natively:
+//! drift check that gates a from-scratch refactorization, and is rebuilt
+//! unconditionally when its eta file reaches [`SimplexOptions::update_cap`].
+//! Bounds are handled natively:
 //!
 //! * nonbasic variables sit at a finite bound (or at 0 when free) and may
 //!   enter by increasing from their lower bound or decreasing from their
@@ -50,15 +43,12 @@
 //! [`SimplexOptions::bland_after`] pivots, mirroring the dense oracle in
 //! [`crate::simplex`].
 
-use std::sync::Arc;
-
 use crate::error::LpError;
 use crate::lu::LuFactor;
 use crate::model::Model;
-use crate::prepared::{Basis, BasisFactor, FactorKind, PreparedLp, PreparedSolution, VarStatus};
-use crate::simplex::{SimplexOptions, SolverBackend};
+use crate::prepared::{Basis, BasisFactor, PreparedLp, PreparedSolution, VarStatus};
+use crate::simplex::SimplexOptions;
 use crate::solution::{Solution, SolveStats};
-use crate::sparse::CscMatrix;
 
 /// Bound-violation tolerance: a basic variable within this distance of its
 /// bounds counts as feasible.
@@ -74,294 +64,28 @@ const PIVOT_TOL: f64 = 1e-7;
 /// rebuilt before drift can corrupt feasibility decisions).
 const REFRESH_TOL: f64 = 1e-8;
 
-/// A maintained representation of the basis inverse. Both implementations
-/// are cheap to clone (their bulk lives behind an [`Arc`]), which is what
-/// makes carrying a factor through [`Basis`] O(1).
-pub(crate) trait Factorization: Clone + std::fmt::Debug {
-    /// The representation of the identity basis (the all-slack cold start).
-    fn identity(m: usize) -> Self;
-    /// Factorizes the basis whose columns are `a[:, basic[k]]`; `Err` on a
-    /// (numerically) singular basis.
-    fn factorize(a: &CscMatrix, basic: &[usize], options: &SimplexOptions) -> Result<Self, ()>;
-    /// Dimension of the represented basis.
-    fn dim(&self) -> usize;
-    /// `w = B⁻¹ · a_j` for a standardized column `j` of `a`.
-    fn ftran(&self, a: &CscMatrix, j: usize, m: usize) -> Vec<f64>;
-    /// `y = (c_B)ᵀ · B⁻¹`.
-    fn btran(&self, cb: &[f64]) -> Vec<f64>;
-    /// `B⁻¹ · r` for a dense right-hand side.
-    fn solve_vec(&self, r: Vec<f64>) -> Vec<f64>;
-    /// Applies the product-form update after the entering column (FTRAN
-    /// image `w`) replaced the basic column of `row`.
-    fn update(&mut self, row: usize, w: &[f64]);
-    /// Updates accumulated since the last from-scratch factorization that
-    /// count against [`SimplexOptions::update_cap`] (0 on the dense
-    /// representation, whose in-place updates do not grow).
-    fn pending_updates(&self) -> usize;
-    /// Stored nonzeros of a sparse representation (0 on the dense one).
-    fn factor_nnz(&self) -> usize;
-    /// Recovers this representation from a carried [`FactorKind`] (O(1):
-    /// clones share the underlying storage). `None` when the basis was
-    /// produced by the other backend.
-    fn from_carried(kind: &FactorKind) -> Option<Self>;
-    /// Wraps this representation for carrying through a [`Basis`].
-    fn into_carried(self) -> FactorKind;
-}
-
-/// The dense column-major basis inverse (`binv[k]` is `B⁻¹·e_k`), shared
-/// behind an [`Arc`]: hand-off through a [`Basis`] is O(1) and the deep
-/// O(m²) copy happens only at the first pivot of a solve that inherited a
-/// shared inverse (copy-on-write via [`Arc::make_mut`]).
-#[derive(Clone, Debug)]
-pub(crate) struct DenseFactor {
-    binv: Arc<Vec<Vec<f64>>>,
-}
-
-impl DenseFactor {
-    /// Whether two factors share the same inverse storage (used by the O(1)
-    /// hand-off regression tests).
-    #[cfg(test)]
-    pub(crate) fn shares_storage_with(&self, other: &DenseFactor) -> bool {
-        Arc::ptr_eq(&self.binv, &other.binv)
-    }
-}
-
-impl Factorization for DenseFactor {
-    fn identity(m: usize) -> Self {
-        let binv = (0..m)
-            .map(|k| {
-                let mut col = vec![0.0; m];
-                col[k] = 1.0;
-                col
-            })
-            .collect();
-        DenseFactor {
-            binv: Arc::new(binv),
-        }
-    }
-
-    /// Gauss–Jordan with partial pivoting, O(m³).
-    fn factorize(a: &CscMatrix, basic: &[usize], _options: &SimplexOptions) -> Result<Self, ()> {
-        let m = basic.len();
-        // Row-major copies of B and the growing inverse.
-        let mut mat = vec![vec![0.0; m]; m];
-        for (k, &j) in basic.iter().enumerate() {
-            for (i, v) in a.col(j) {
-                mat[i][k] = v;
-            }
-        }
-        let mut inv = vec![vec![0.0; m]; m];
-        for (i, row) in inv.iter_mut().enumerate() {
-            row[i] = 1.0;
-        }
-        for col in 0..m {
-            let pivot_row = (col..m)
-                .max_by(|&a, &b| mat[a][col].abs().total_cmp(&mat[b][col].abs()))
-                .ok_or(())?;
-            if mat[pivot_row][col].abs() < PIVOT_TOL * 1e-2 {
-                return Err(());
-            }
-            mat.swap(col, pivot_row);
-            inv.swap(col, pivot_row);
-            let inv_p = 1.0 / mat[col][col];
-            for v in mat[col].iter_mut() {
-                *v *= inv_p;
-            }
-            for v in inv[col].iter_mut() {
-                *v *= inv_p;
-            }
-            let (mat_pivot, inv_pivot) =
-                (std::mem::take(&mut mat[col]), std::mem::take(&mut inv[col]));
-            for i in 0..m {
-                if i == col {
-                    continue;
-                }
-                let factor = mat[i][col];
-                if factor != 0.0 {
-                    for (x, &p) in mat[i].iter_mut().zip(&mat_pivot) {
-                        *x -= factor * p;
-                    }
-                    for (x, &p) in inv[i].iter_mut().zip(&inv_pivot) {
-                        *x -= factor * p;
-                    }
-                }
-            }
-            mat[col] = mat_pivot;
-            inv[col] = inv_pivot;
-        }
-        // Transpose row-major inverse into column-major form.
-        let binv = (0..m)
-            .map(|k| (0..m).map(|i| inv[i][k]).collect())
-            .collect();
-        Ok(DenseFactor {
-            binv: Arc::new(binv),
-        })
-    }
-
-    fn dim(&self) -> usize {
-        self.binv.len()
-    }
-
-    fn ftran(&self, a: &CscMatrix, j: usize, m: usize) -> Vec<f64> {
-        let mut w = vec![0.0; m];
-        for (r, v) in a.col(j) {
-            for (slot, &bv) in w.iter_mut().zip(&self.binv[r]) {
-                *slot += v * bv;
-            }
-        }
-        w
-    }
-
-    fn btran(&self, cb: &[f64]) -> Vec<f64> {
-        (0..self.binv.len())
-            .map(|k| cb.iter().zip(&self.binv[k]).map(|(c, v)| c * v).sum())
-            .collect()
-    }
-
-    fn solve_vec(&self, r: Vec<f64>) -> Vec<f64> {
-        // B⁻¹ r, accumulated column-by-column of B⁻¹.
-        let mut out = vec![0.0; r.len()];
-        for (k, &rk) in r.iter().enumerate() {
-            if rk != 0.0 {
-                for (slot, &v) in out.iter_mut().zip(&self.binv[k]) {
-                    *slot += rk * v;
-                }
-            }
-        }
-        out
-    }
-
-    fn update(&mut self, row: usize, w: &[f64]) {
-        let pivot = w[row];
-        debug_assert!(pivot.abs() > 0.0);
-        // Copy-on-write: the deep O(m²) clone happens here (first pivot of a
-        // solve whose inverse is still shared with the previous basis), not
-        // on warm entry.
-        let binv = Arc::make_mut(&mut self.binv);
-        for col in binv.iter_mut() {
-            let vr = col[row];
-            if vr == 0.0 {
-                continue;
-            }
-            let scaled = vr / pivot;
-            for (i, slot) in col.iter_mut().enumerate() {
-                if i != row {
-                    *slot -= w[i] * scaled;
-                }
-            }
-            col[row] = scaled;
-        }
-    }
-
-    fn pending_updates(&self) -> usize {
-        0
-    }
-
-    fn factor_nnz(&self) -> usize {
-        0
-    }
-
-    fn from_carried(kind: &FactorKind) -> Option<Self> {
-        match kind {
-            FactorKind::Dense(f) => Some(f.clone()),
-            FactorKind::Lu(_) => None,
-        }
-    }
-
-    fn into_carried(self) -> FactorKind {
-        FactorKind::Dense(self)
-    }
-}
-
-impl Factorization for LuFactor {
-    fn identity(m: usize) -> Self {
-        LuFactor::identity(m)
-    }
-
-    fn factorize(a: &CscMatrix, basic: &[usize], options: &SimplexOptions) -> Result<Self, ()> {
-        LuFactor::factorize(a, basic, options.markowitz_threshold)
-    }
-
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn ftran(&self, a: &CscMatrix, j: usize, m: usize) -> Vec<f64> {
-        let mut rhs = vec![0.0; m];
-        for (r, v) in a.col(j) {
-            rhs[r] += v;
-        }
-        self.solve_vec(rhs)
-    }
-
-    fn btran(&self, cb: &[f64]) -> Vec<f64> {
-        self.btran_vec(cb.to_vec())
-    }
-
-    fn solve_vec(&self, r: Vec<f64>) -> Vec<f64> {
-        LuFactor::solve_vec(self, r)
-    }
-
-    fn update(&mut self, row: usize, w: &[f64]) {
-        LuFactor::update(self, row, w);
-    }
-
-    fn pending_updates(&self) -> usize {
-        LuFactor::pending_updates(self)
-    }
-
-    fn factor_nnz(&self) -> usize {
-        self.nnz()
-    }
-
-    fn from_carried(kind: &FactorKind) -> Option<Self> {
-        match kind {
-            FactorKind::Lu(f) => Some(f.clone()),
-            FactorKind::Dense(_) => None,
-        }
-    }
-
-    fn into_carried(self) -> FactorKind {
-        FactorKind::Lu(self)
-    }
-}
-
-/// Solves a [`Model`] through the revised simplex (used by the
-/// [`crate::simplex::solve`] dispatcher for both revised backends).
+/// Solves a [`Model`] through the revised simplex (the
+/// [`crate::Model::solve`] path).
 pub(crate) fn solve_model(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
     let prepared = PreparedLp::new(model)?;
     Ok(solve_prepared(&prepared, None, options)?.solution)
 }
 
 /// Solves a prepared LP, cold (`start = None`, all-slack basis) or warm
-/// (from a previous basis), on the basis representation selected by
-/// [`SimplexOptions::backend`] (the dense-tableau backend has no prepared
-/// path, so it falls through to the default sparse LU).
-pub(crate) fn solve_prepared(
-    lp: &PreparedLp,
-    start: Option<&Basis>,
-    options: &SimplexOptions,
-) -> Result<PreparedSolution, LpError> {
-    match options.backend {
-        SolverBackend::Revised => solve_prepared_as::<DenseFactor>(lp, start, options),
-        SolverBackend::SparseLu | SolverBackend::DenseTableau => {
-            solve_prepared_as::<LuFactor>(lp, start, options)
-        }
-    }
-}
-
+/// (from a previous basis).
+///
 /// Iteration-limit stalls and Unbounded verdicts are retried once under
 /// maximum-robustness settings — Bland's rule from the first pivot, a drift
 /// check after every pivot and a single-eta cap — because on heavily
 /// degenerate instances accumulated rounding can empty a pivot column and
 /// fake an unbounded ray (the dense oracle guards the same failure mode
 /// with its RHS-perturbation retry).
-fn solve_prepared_as<F: Factorization>(
+pub(crate) fn solve_prepared(
     lp: &PreparedLp,
     start: Option<&Basis>,
     options: &SimplexOptions,
 ) -> Result<PreparedSolution, LpError> {
-    match Engine::<F>::new(lp, start, options)?.run() {
+    match Engine::new(lp, start, options)?.run() {
         Err(LpError::IterationLimit { .. } | LpError::Unbounded) => {
             let robust = SimplexOptions {
                 bland_after: 0,
@@ -369,7 +93,7 @@ fn solve_prepared_as<F: Factorization>(
                 update_cap: 1,
                 ..*options
             };
-            Engine::<F>::new(lp, start, &robust)?.run()
+            Engine::new(lp, start, &robust)?.run()
         }
         other => other,
     }
@@ -382,12 +106,12 @@ enum Phase {
     Two,
 }
 
-struct Engine<'a, F: Factorization> {
+struct Engine<'a> {
     lp: &'a PreparedLp,
     options: &'a SimplexOptions,
     m: usize,
-    /// The maintained basis representation.
-    factor: F,
+    /// The maintained basis factorization.
+    factor: LuFactor,
     basic: Vec<usize>,
     status: Vec<VarStatus>,
     /// Current value of every standardized column.
@@ -397,7 +121,7 @@ struct Engine<'a, F: Factorization> {
     stats: SolveStats,
 }
 
-impl<'a, F: Factorization> Engine<'a, F> {
+impl<'a> Engine<'a> {
     fn new(
         lp: &'a PreparedLp,
         start: Option<&Basis>,
@@ -413,15 +137,14 @@ impl<'a, F: Factorization> Engine<'a, F> {
         let (basic, status, inherited_factor) = match start {
             Some(s) => {
                 // Reuse the carried factorization when the basis was produced
-                // against this exact matrix by the same backend — the common
-                // chain case. The hand-off is O(1): both representations
-                // share their bulk behind an Arc, so no O(m²) clone happens
-                // here.
+                // against this exact matrix — the common chain case. The
+                // hand-off is O(1): the LU base is shared behind an Arc, so
+                // no O(m²) clone happens here.
                 let factor = s
                     .factor
                     .as_ref()
                     .filter(|f| f.fingerprint == lp.fingerprint)
-                    .and_then(|f| F::from_carried(&f.kind))
+                    .map(|f| f.lu.clone())
                     .filter(|f| f.dim() == m);
                 (s.basic.clone(), s.status.clone(), factor)
             }
@@ -437,13 +160,17 @@ impl<'a, F: Factorization> Engine<'a, F> {
                 }
                 // The all-slack basis matrix is the identity: no
                 // factorization needed.
-                ((lp.nvars..lp.ncols).collect(), status, Some(F::identity(m)))
+                (
+                    (lp.nvars..lp.ncols).collect(),
+                    status,
+                    Some(LuFactor::identity(m)),
+                )
             }
         };
         let inherited = inherited_factor.is_some() && start.is_some();
         let factor = match inherited_factor {
             Some(f) => f,
-            None => match F::factorize(&lp.a, &basic, options) {
+            None => match LuFactor::factorize(&lp.a, &basic, options.markowitz_threshold) {
                 Ok(f) => f,
                 // A singular warm basis is repaired by falling back to the
                 // all-slack basis (which is the identity, always invertible).
@@ -467,7 +194,7 @@ impl<'a, F: Factorization> Engine<'a, F> {
                 ..SolveStats::default()
             },
         };
-        engine.stats.fill_in_nnz = engine.factor.factor_nnz();
+        engine.stats.fill_in_nnz = engine.factor.nnz();
         engine.compute_x();
         if inherited && engine.primal_residual() > REFRESH_TOL {
             // The per-solve pivot counts inside a chain rarely reach the
@@ -484,11 +211,12 @@ impl<'a, F: Factorization> Engine<'a, F> {
         Ok(engine)
     }
 
-    /// Rebuilds the basis representation from scratch.
+    /// Rebuilds the basis factorization from scratch.
     fn refactorize(&mut self) -> Result<(), ()> {
-        self.factor = F::factorize(&self.lp.a, &self.basic, self.options)?;
+        self.factor =
+            LuFactor::factorize(&self.lp.a, &self.basic, self.options.markowitz_threshold)?;
         self.since_refactor = 0;
-        self.stats.fill_in_nnz = self.stats.fill_in_nnz.max(self.factor.factor_nnz());
+        self.stats.fill_in_nnz = self.stats.fill_in_nnz.max(self.factor.nnz());
         Ok(())
     }
 
@@ -526,7 +254,11 @@ impl<'a, F: Factorization> Engine<'a, F> {
 
     /// `w = B⁻¹ · a_j` for a standardized column `j`.
     fn ftran(&self, j: usize) -> Vec<f64> {
-        self.factor.ftran(&self.lp.a, j, self.m)
+        let mut rhs = vec![0.0; self.m];
+        for (r, v) in self.lp.a.col(j) {
+            rhs[r] += v;
+        }
+        self.factor.solve_vec(rhs)
     }
 
     /// `‖b − A·x‖∞` of the current iterate — the cheap (O(nnz)) drift
@@ -546,7 +278,7 @@ impl<'a, F: Factorization> Engine<'a, F> {
 
     /// `y = (c_B)ᵀ · B⁻¹`.
     fn btran(&self, cb: &[f64]) -> Vec<f64> {
-        self.factor.btran(cb)
+        self.factor.btran_vec(cb.to_vec())
     }
 
     /// Total bound violation of the basic variables and the phase-1 cost
@@ -732,7 +464,7 @@ impl<'a, F: Factorization> Engine<'a, F> {
                 basic: self.basic,
                 status: self.status,
                 factor: Some(BasisFactor {
-                    kind: self.factor.into_carried(),
+                    lu: self.factor,
                     fingerprint: self.lp.fingerprint,
                 }),
             },
@@ -949,8 +681,7 @@ impl<'a, F: Factorization> Engine<'a, F> {
         self.since_refactor += 1;
         // The eta file is bounded: hitting the cap forces a refactorization
         // regardless of drift (applying a long eta file costs more than
-        // refactorizing, and its error compounds). The dense representation
-        // updates in place and never reports pending updates.
+        // refactorizing, and its error compounds).
         let cap_hit = self.factor.pending_updates() >= self.options.update_cap.max(1);
         if cap_hit || self.since_refactor >= self.options.refactor_every.max(1) {
             self.since_refactor = 0;
@@ -1029,11 +760,9 @@ mod tests {
         SimplexOptions::default()
     }
 
-    fn dense_opts() -> SimplexOptions {
-        SimplexOptions {
-            backend: SolverBackend::Revised,
-            ..SimplexOptions::default()
-        }
+    /// The dense tableau oracle's solution of a model.
+    fn tableau(m: &Model) -> Solution {
+        crate::simplex::solve_dense(m, &opts()).unwrap()
     }
 
     fn assert_close(a: f64, b: f64) {
@@ -1082,64 +811,57 @@ mod tests {
         let second = prepared.solve_warm(&first.basis, &opts()).unwrap();
         assert!(second.solution.stats.warm_started);
         // The dense oracle agrees on the stepped instance.
-        let oracle = hinge_family(2.0)
-            .solve_with(&SimplexOptions {
-                backend: SolverBackend::DenseTableau,
-                ..opts()
-            })
-            .unwrap();
+        let oracle = tableau(&hinge_family(2.0));
         assert_close(second.solution.objective, oracle.objective);
     }
 
     #[test]
     fn warm_chain_matches_cold_solves_and_spends_fewer_pivots() {
-        for options in [opts(), dense_opts()] {
-            let mut prepared = hinge_family(0.0).prepare().unwrap();
-            let mut basis: Option<crate::Basis> = None;
-            let mut warm_pivots = 0usize;
-            let mut cold_pivots = 0usize;
-            for i in 0..=5usize {
-                prepared.set_rhs(0, i as f64);
-                let warm = match &basis {
-                    None => prepared.solve(&options).unwrap(),
-                    Some(b) => prepared.solve_warm(b, &options).unwrap(),
-                };
-                let cold = prepared.solve(&options).unwrap();
-                assert_close(warm.solution.objective, cold.solution.objective);
-                warm_pivots += warm.solution.stats.total_iterations();
-                cold_pivots += cold.solution.stats.total_iterations();
-                basis = Some(warm.basis);
-            }
-            assert!(
-                warm_pivots < cold_pivots,
-                "warm chain spent {warm_pivots} pivots vs cold {cold_pivots}"
-            );
+        let options = opts();
+        let mut prepared = hinge_family(0.0).prepare().unwrap();
+        let mut basis: Option<crate::Basis> = None;
+        let mut warm_pivots = 0usize;
+        let mut cold_pivots = 0usize;
+        for i in 0..=5usize {
+            prepared.set_rhs(0, i as f64);
+            let warm = match &basis {
+                None => prepared.solve(&options).unwrap(),
+                Some(b) => prepared.solve_warm(b, &options).unwrap(),
+            };
+            let cold = prepared.solve(&options).unwrap();
+            assert_close(warm.solution.objective, cold.solution.objective);
+            warm_pivots += warm.solution.stats.total_iterations();
+            cold_pivots += cold.solution.stats.total_iterations();
+            basis = Some(warm.basis);
         }
+        assert!(
+            warm_pivots < cold_pivots,
+            "warm chain spent {warm_pivots} pivots vs cold {cold_pivots}"
+        );
     }
 
     #[test]
     fn rhs_chains_reenter_through_the_dual_simplex() {
-        for options in [opts(), dense_opts()] {
-            let mut prepared = hinge_family(0.0).prepare().unwrap();
-            let mut basis = prepared.solve(&options).unwrap().basis;
-            let mut dual_pivots = 0usize;
-            for i in 1..=5usize {
-                prepared.set_rhs(0, i as f64);
-                let warm = prepared.solve_warm(&basis, &options).unwrap();
-                let stats = warm.solution.stats;
-                assert!(stats.warm_started);
-                assert_eq!(stats.phase1_iterations, 0, "entry {i} took phase 1");
-                // Dual pivots keep the basis dual feasible: primal feasible
-                // means optimal, with nothing left for phase 2.
-                assert_eq!(stats.phase2_iterations, 0, "entry {i} took phase 2");
-                dual_pivots += stats.dual_iterations;
-                let cold = prepared.solve(&options).unwrap();
-                assert_eq!(cold.solution.stats.dual_iterations, 0);
-                assert_close(warm.solution.objective, cold.solution.objective);
-                basis = warm.basis;
-            }
-            assert!(dual_pivots > 0, "the chain never pivoted in the dual");
+        let options = opts();
+        let mut prepared = hinge_family(0.0).prepare().unwrap();
+        let mut basis = prepared.solve(&options).unwrap().basis;
+        let mut dual_pivots = 0usize;
+        for i in 1..=5usize {
+            prepared.set_rhs(0, i as f64);
+            let warm = prepared.solve_warm(&basis, &options).unwrap();
+            let stats = warm.solution.stats;
+            assert!(stats.warm_started);
+            assert_eq!(stats.phase1_iterations, 0, "entry {i} took phase 1");
+            // Dual pivots keep the basis dual feasible: primal feasible
+            // means optimal, with nothing left for phase 2.
+            assert_eq!(stats.phase2_iterations, 0, "entry {i} took phase 2");
+            dual_pivots += stats.dual_iterations;
+            let cold = prepared.solve(&options).unwrap();
+            assert_eq!(cold.solution.stats.dual_iterations, 0);
+            assert_close(warm.solution.objective, cold.solution.objective);
+            basis = warm.basis;
         }
+        assert!(dual_pivots > 0, "the chain never pivoted in the dual");
     }
 
     #[test]
@@ -1153,43 +875,35 @@ mod tests {
             m.add_eq([(x, 1.0), (y, 1.0)], mass);
             (m, y)
         };
-        for options in [opts(), dense_opts()] {
-            let (m, y) = model(2.0, 1.0);
-            let mut prepared = m.prepare().unwrap();
-            let first = prepared.solve(&options).unwrap();
-            // y turns cheap (its reduced cost goes negative at its lower
-            // bound) and x = 7 breaks its box: dual and primal infeasible.
-            prepared.set_objective(y, 0.5);
-            prepared.set_rhs(0, 7.0);
-            let warm = prepared.solve_warm(&first.basis, &options).unwrap();
-            assert!(warm.solution.stats.warm_started);
-            assert_eq!(warm.solution.stats.dual_iterations, 0);
-            assert!(warm.solution.stats.phase1_iterations > 0);
-            let cold = prepared.solve(&options).unwrap();
-            assert_close(warm.solution.objective, cold.solution.objective);
-            let oracle = model(0.5, 7.0)
-                .0
-                .solve_with(&SimplexOptions {
-                    backend: SolverBackend::DenseTableau,
-                    ..opts()
-                })
-                .unwrap();
-            assert_close(warm.solution.objective, oracle.objective);
-            assert_close(warm.solution.objective, 4.5);
-        }
+        let options = opts();
+        let (m, y) = model(2.0, 1.0);
+        let mut prepared = m.prepare().unwrap();
+        let first = prepared.solve(&options).unwrap();
+        // y turns cheap (its reduced cost goes negative at its lower
+        // bound) and x = 7 breaks its box: dual and primal infeasible.
+        prepared.set_objective(y, 0.5);
+        prepared.set_rhs(0, 7.0);
+        let warm = prepared.solve_warm(&first.basis, &options).unwrap();
+        assert!(warm.solution.stats.warm_started);
+        assert_eq!(warm.solution.stats.dual_iterations, 0);
+        assert!(warm.solution.stats.phase1_iterations > 0);
+        let cold = prepared.solve(&options).unwrap();
+        assert_close(warm.solution.objective, cold.solution.objective);
+        let oracle = tableau(&model(0.5, 7.0).0);
+        assert_close(warm.solution.objective, oracle.objective);
+        assert_close(warm.solution.objective, 4.5);
     }
 
     #[test]
     fn an_rhs_step_beyond_the_box_is_still_infeasible() {
-        for options in [opts(), dense_opts()] {
-            let mut prepared = hinge_family(4.0).prepare().unwrap();
-            let first = prepared.solve(&options).unwrap();
-            // Five unit variables cannot carry mass 6.
-            prepared.set_rhs(0, 6.0);
-            match prepared.solve_warm(&first.basis, &options) {
-                Err(LpError::Infeasible) => {}
-                other => panic!("expected Infeasible, got {other:?}"),
-            }
+        let options = opts();
+        let mut prepared = hinge_family(4.0).prepare().unwrap();
+        let first = prepared.solve(&options).unwrap();
+        // Five unit variables cannot carry mass 6.
+        prepared.set_rhs(0, 6.0);
+        match prepared.solve_warm(&first.basis, &options) {
+            Err(LpError::Infeasible) => {}
+            other => panic!("expected Infeasible, got {other:?}"),
         }
     }
 
@@ -1318,31 +1032,16 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_agree_on_the_mechanism_shape() {
+    fn sparse_lu_and_tableau_agree_on_the_mechanism_shape() {
         for mass in [0.0, 1.0, 2.5, 4.0, 5.0] {
             let m = hinge_family(mass);
             let sparse = m.solve().unwrap();
-            let dense_inv = m.solve_with(&dense_opts()).unwrap();
-            let tableau = m
-                .solve_with(&SimplexOptions {
-                    backend: SolverBackend::DenseTableau,
-                    ..opts()
-                })
-                .unwrap();
+            let tableau = tableau(&m);
             assert!(
                 (sparse.objective - tableau.objective).abs() < 1e-7,
                 "mass {mass}: sparse {} vs tableau {}",
                 sparse.objective,
                 tableau.objective
-            );
-            // The two revised backends share pivot logic and run exact
-            // arithmetic on these ±1-coefficient instances: bitwise equal.
-            assert_eq!(
-                sparse.objective.to_bits(),
-                dense_inv.objective.to_bits(),
-                "mass {mass}: sparse-LU {} vs dense-inverse {}",
-                sparse.objective,
-                dense_inv.objective
             );
         }
     }
@@ -1358,65 +1057,28 @@ mod tests {
         let (Some(a), Some(b)) = (&first.basis.factor, &second.basis.factor) else {
             panic!("both solves must carry factors");
         };
-        match (&a.kind, &b.kind) {
-            (FactorKind::Lu(x), FactorKind::Lu(y)) => {
-                assert!(x.shares_base_with(y), "LU base was deep-copied on hand-off");
-            }
-            other => panic!("expected sparse-LU factors, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dense_warm_handoff_shares_the_inverse_until_first_pivot() {
-        let prepared = hinge_family(2.0).prepare().unwrap();
-        let first = prepared.solve(&dense_opts()).unwrap();
-        let second = prepared.solve_warm(&first.basis, &dense_opts()).unwrap();
-        assert_eq!(second.solution.stats.total_iterations(), 0);
-        let (Some(a), Some(b)) = (&first.basis.factor, &second.basis.factor) else {
-            panic!("both solves must carry factors");
-        };
-        match (&a.kind, &b.kind) {
-            (FactorKind::Dense(x), FactorKind::Dense(y)) => {
-                assert!(
-                    x.shares_storage_with(y),
-                    "dense inverse was deep-copied on a pivot-free hand-off"
-                );
-            }
-            other => panic!("expected dense factors, got {other:?}"),
-        }
+        assert!(
+            a.lu.shares_base_with(&b.lu),
+            "LU base was deep-copied on hand-off"
+        );
     }
 
     #[test]
     fn a_warm_basis_without_a_factor_is_refactorized_on_entry() {
-        for options in [opts(), dense_opts()] {
-            let mut prepared = hinge_family(1.0).prepare().unwrap();
-            let first = prepared.solve(&options).unwrap();
-            prepared.set_rhs(0, 2.0);
-            // A basis stripped of its factor (or carrying one from the other
-            // backend) must refactorize on entry and still agree with cold.
-            let stripped = Basis {
-                basic: first.basis.basic.clone(),
-                status: first.basis.status.clone(),
-                factor: None,
-            };
-            let warm = prepared.solve_warm(&stripped, &options).unwrap();
-            assert!(warm.solution.stats.warm_started);
-            let cold = prepared.solve(&options).unwrap();
-            assert_close(warm.solution.objective, cold.solution.objective);
-        }
-    }
-
-    #[test]
-    fn a_basis_carried_across_backends_still_warm_starts() {
-        // Solve on the dense backend, hand the basis to the sparse backend:
-        // the carried dense factor cannot be reused, but the basis itself
-        // can — the sparse backend refactorizes and re-enters warm.
+        let options = opts();
         let mut prepared = hinge_family(1.0).prepare().unwrap();
-        let dense = prepared.solve(&dense_opts()).unwrap();
-        prepared.set_rhs(0, 3.0);
-        let warm = prepared.solve_warm(&dense.basis, &opts()).unwrap();
+        let first = prepared.solve(&options).unwrap();
+        prepared.set_rhs(0, 2.0);
+        // A basis stripped of its factor must refactorize on entry and still
+        // agree with cold.
+        let stripped = Basis {
+            basic: first.basis.basic.clone(),
+            status: first.basis.status.clone(),
+            factor: None,
+        };
+        let warm = prepared.solve_warm(&stripped, &options).unwrap();
         assert!(warm.solution.stats.warm_started);
-        let cold = prepared.solve(&opts()).unwrap();
+        let cold = prepared.solve(&options).unwrap();
         assert_close(warm.solution.objective, cold.solution.objective);
     }
 
@@ -1431,7 +1093,5 @@ mod tests {
                     .saturating_sub(s.stats.bound_flips),
             "every true pivot applies one basis update"
         );
-        let d = hinge_family(3.0).solve_with(&dense_opts()).unwrap();
-        assert_eq!(d.stats.fill_in_nnz, 0, "dense backend tracks no fill-in");
     }
 }

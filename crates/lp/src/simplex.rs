@@ -1,10 +1,11 @@
-//! Solve dispatch and the dense two-phase tableau oracle.
+//! Solver options and the dense two-phase tableau oracle.
 //!
-//! [`solve`] routes a model to the configured [`SolverBackend`]: the sparse
-//! bounded-variable revised simplex of [`crate::revised`] by default, or the
-//! dense tableau below — retained as a structurally independent
-//! differential-testing oracle (the property tests pit the two against each
-//! other on random LPs and on the mechanism's real sequence models).
+//! [`SimplexOptions`] configures the sparse bounded-variable revised simplex
+//! of [`crate::revised`], which every [`Model::solve`] and
+//! [`crate::PreparedLp`] solve runs on. [`solve_dense`] is the dense tableau
+//! this crate started from, kept as a structurally independent
+//! differential-testing oracle: the property tests pit it against the
+//! revised solver on random LPs and on the mechanism's real sequence models.
 //!
 //! The dense oracle standardises a [`Model`] into equality form
 //! `min c'ᵀx'  s.t.  Ax' = b, x' ≥ 0` (shifting finite lower bounds to zero,
@@ -24,28 +25,6 @@ use crate::error::LpError;
 use crate::model::{ConstraintOp, Model, Sense};
 use crate::solution::{Solution, SolveStats};
 
-/// Which solver implementation a solve runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SolverBackend {
-    /// The bounded-variable revised simplex of [`crate::revised`] over a
-    /// **sparse Markowitz LU** basis factorization (`crate::lu`) maintained
-    /// by a bounded eta file (default): per-pivot work tracks the factor
-    /// nonzeros instead of `rows²`, which is what lets 100k-row instances
-    /// through. Supports [`crate::PreparedLp`] warm starts.
-    #[default]
-    SparseLu,
-    /// The same revised simplex over the dense column-major `B⁻¹` this
-    /// backend grew out of. Kept as a differential-testing oracle for the
-    /// LU path (identical pivot logic, independent linear algebra); also
-    /// supports warm starts. `O(rows²)` memory and per-pivot work.
-    Revised,
-    /// The dense two-phase tableau this crate started from. Kept as a
-    /// structurally independent differential-testing oracle (column splits,
-    /// explicit upper-bound rows, full tableau updates), so agreement with
-    /// the revised backends is strong evidence all are right.
-    DenseTableau,
-}
-
 /// Options controlling the simplex run.
 #[derive(Clone, Copy, Debug)]
 pub struct SimplexOptions {
@@ -56,28 +35,21 @@ pub struct SimplexOptions {
     pub bland_after: usize,
     /// Numerical tolerance for reduced costs, pivots and feasibility.
     pub tol: f64,
-    /// Which implementation solves the model.
-    pub backend: SolverBackend,
-    /// Revised backends only: pivots between drift checks of the maintained
-    /// basis representation. Each check costs O(nnz); a primal residual above
+    /// Revised solver only: pivots between drift checks of the maintained
+    /// basis factorization. Each check costs O(nnz); a primal residual above
     /// tolerance triggers a from-scratch refactorization (and a
     /// recomputation of the primal point). Smaller values trade time for
     /// numerical robustness on long pivot chains over badly scaled data.
     pub refactor_every: usize,
-    /// Sparse-LU backend only: relative threshold of Markowitz pivoting. A
+    /// Revised solver only: relative threshold of Markowitz pivoting. A
     /// candidate pivot must be at least this fraction of the largest
     /// magnitude in its column. Larger values favour stability, smaller
     /// values favour sparsity; clamped to `[0, 1]`.
     pub markowitz_threshold: f64,
-    /// Sparse-LU backend only: maximum eta-file (product-form update)
-    /// length before a forced refactorization. Bounds both the per-solve
-    /// cost of applying updates and the error they can accumulate.
+    /// Revised solver only: maximum eta-file (product-form update) length
+    /// before a forced refactorization. Bounds both the per-solve cost of
+    /// applying updates and the error they can accumulate.
     pub update_cap: usize,
-    /// Run the presolve pass (`crate::presolve`) before solving. Applies
-    /// to [`solve`]-path entries ([`crate::Model::solve`] /
-    /// [`crate::Model::solve_with`]) on every backend; [`crate::PreparedLp`]
-    /// always applies its own RHS-safe subset instead.
-    pub presolve: bool,
 }
 
 impl Default for SimplexOptions {
@@ -86,11 +58,9 @@ impl Default for SimplexOptions {
             max_iterations: 30_000,
             bland_after: 5_000,
             tol: 1e-9,
-            backend: SolverBackend::default(),
             refactor_every: 64,
             markowitz_threshold: 0.1,
             update_cap: 64,
-            presolve: true,
         }
     }
 }
@@ -116,9 +86,10 @@ struct Standardized {
     costs: Vec<f64>,
     /// Mapping from model variables to standardised columns.
     var_map: Vec<VarMap>,
-    /// Index of the first slack column (used only for diagnostics).
-    #[allow(dead_code)]
-    slack_start: usize,
+    /// Per row, the slack column that can start basic: the row's slack when
+    /// its coefficient is +1 after normalisation (slacks appear in exactly
+    /// one row); `None` where phase 1 needs an artificial.
+    basic_slack: Vec<Option<usize>>,
 }
 
 fn standardize(model: &Model, minimize: bool, perturbation: f64) -> Result<Standardized, LpError> {
@@ -178,7 +149,9 @@ fn standardize(model: &Model, minimize: bool, perturbation: f64) -> Result<Stand
         }
     }
 
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(model.constraints.len() + upper_rows.len());
+    let n_rows = model.constraints.len() + upper_rows.len();
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n_rows);
+    let mut basic_slack: Vec<Option<usize>> = Vec::with_capacity(n_rows);
     let mut next_slack = n_structural;
 
     let mut push_row = |coeffs: Vec<(usize, f64)>, op: ConstraintOp, rhs: f64| {
@@ -186,18 +159,24 @@ fn standardize(model: &Model, minimize: bool, perturbation: f64) -> Result<Stand
         for (col, a) in coeffs {
             row[col] += a;
         }
-        match op {
-            ConstraintOp::Le => {
-                row[next_slack] = 1.0;
-                next_slack += 1;
-            }
-            ConstraintOp::Ge => {
-                row[next_slack] = -1.0;
-                next_slack += 1;
-            }
-            ConstraintOp::Eq => {}
+        let slack = match op {
+            ConstraintOp::Le => Some((next_slack, 1.0)),
+            ConstraintOp::Ge => Some((next_slack, -1.0)),
+            ConstraintOp::Eq => None,
+        };
+        if let Some((col, coeff)) = slack {
+            row[col] = coeff;
+            next_slack += 1;
         }
         row[total_cols] = rhs;
+        // Normalise to b ≥ 0.
+        let flip = rhs < 0.0;
+        if flip {
+            for x in row.iter_mut() {
+                *x = -*x;
+            }
+        }
+        basic_slack.push(slack.and_then(|(col, coeff)| ((coeff > 0.0) != flip).then_some(col)));
         rows.push(row);
     };
 
@@ -226,20 +205,10 @@ fn standardize(model: &Model, minimize: bool, perturbation: f64) -> Result<Stand
         push_row(vec![(col, 1.0)], ConstraintOp::Le, ub);
     }
 
-    // Normalise to b ≥ 0.
-    for row in &mut rows {
-        let rhs = *row.last().expect("row has rhs");
-        if rhs < 0.0 {
-            for x in row.iter_mut() {
-                *x = -*x;
-            }
-        }
-    }
-
     // Optional anti-degeneracy perturbation: a tiny, deterministic, strictly
     // increasing offset per row breaks the ratio-test ties that make highly
     // degenerate instances stall. Applied only on the retry path of
-    // [`solve`], so the common case stays exact.
+    // [`solve_dense`], so the common case stays exact.
     if perturbation > 0.0 {
         for (i, row) in rows.iter_mut().enumerate() {
             let rhs = row.last_mut().expect("row has rhs");
@@ -252,7 +221,7 @@ fn standardize(model: &Model, minimize: bool, perturbation: f64) -> Result<Stand
         cols: total_cols,
         costs,
         var_map,
-        slack_start: n_structural,
+        basic_slack,
     })
 }
 
@@ -388,41 +357,9 @@ impl Tableau {
     }
 }
 
-/// Solves a model on the backend selected by
-/// [`SimplexOptions::backend`], returning an optimal solution or an error.
-///
-/// When [`SimplexOptions::presolve`] is set (the default), the model is
-/// first reduced by the presolve pass; the reduced model is solved on the
-/// configured backend and the solution is mapped back through the postsolve
-/// record, with the objective re-evaluated against the original costs.
-pub fn solve(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
-    if !options.presolve {
-        return solve_backend(model, options);
-    }
-    let pre = crate::presolve::presolve(model)?;
-    let mut sol = solve_backend(&pre.reduced, options)?;
-    let values = pre.postsolve(&sol.values);
-    let objective = pre.objective_of(&values);
-    sol.stats.presolve_rows_removed = pre.rows_removed;
-    sol.stats.presolve_cols_removed = pre.cols_removed;
-    Ok(Solution {
-        objective,
-        values,
-        stats: sol.stats,
-    })
-}
-
-/// Backend dispatch without presolve.
-fn solve_backend(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
-    match options.backend {
-        SolverBackend::SparseLu | SolverBackend::Revised => {
-            crate::revised::solve_model(model, options)
-        }
-        SolverBackend::DenseTableau => solve_dense(model, options),
-    }
-}
-
-/// Solves on the dense tableau oracle.
+/// Solves a model on the dense two-phase tableau oracle. Options shared
+/// with the revised solver (`max_iterations`, `bland_after`, `tol`) apply;
+/// the revised-only ones are ignored.
 ///
 /// Highly degenerate instances can stall the plain simplex; if the iteration
 /// limit is hit, the solve is retried with a tiny deterministic right-hand
@@ -430,7 +367,7 @@ fn solve_backend(model: &Model, options: &SimplexOptions) -> Result<Solution, Lp
 /// degeneracy. The perturbation changes the optimum by at most the
 /// perturbation times the dual magnitudes — negligible for the LPs produced
 /// by the mechanism — and is only used on the fallback path.
-pub(crate) fn solve_dense(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
+pub fn solve_dense(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
     // Retry with perturbation on both stalling (iteration limit) and on an
     // unboundedness verdict: on heavily degenerate instances accumulated
     // rounding can empty a pivot column, and the perturbed re-solve settles
@@ -461,42 +398,21 @@ fn solve_once(
     // Attach artificial variables where no +1 slack is available.
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
     let mut basis: Vec<usize> = Vec::with_capacity(m);
-    let mut n_artificial = 0usize;
-
-    // First pass: figure out which rows need artificials so we know the final
-    // width before building the padded rows.
-    let mut needs_artificial = vec![true; m];
-    for (i, row) in std.rows.iter().enumerate() {
-        // A slack column with coefficient +1 in this row (and zero elsewhere
-        // by construction) can serve as the initial basic variable.
-        if row[std.slack_start..n]
-            .iter()
-            .any(|&v| (v - 1.0).abs() <= tol)
-        {
-            // Slack columns appear in exactly one row, so +1 there means
-            // the column is a valid starting basis column.
-            needs_artificial[i] = false;
-        }
-        if needs_artificial[i] {
-            n_artificial += 1;
-        }
-    }
+    let n_artificial = std.basic_slack.iter().filter(|s| s.is_none()).count();
     let total = n + n_artificial;
 
     let mut next_artificial = n;
-    for (i, row) in std.rows.iter().enumerate() {
+    for (row, &slack) in std.rows.iter().zip(&std.basic_slack) {
         let mut padded = vec![0.0; total + 1];
         padded[..n].copy_from_slice(&row[..n]);
         padded[total] = row[n];
-        if needs_artificial[i] {
-            padded[next_artificial] = 1.0;
-            basis.push(next_artificial);
-            next_artificial += 1;
-        } else {
-            let basic_col = (std.slack_start..n)
-                .find(|&j| (row[j] - 1.0).abs() <= tol)
-                .unwrap_or(usize::MAX);
-            basis.push(basic_col);
+        match slack {
+            Some(col) => basis.push(col),
+            None => {
+                padded[next_artificial] = 1.0;
+                basis.push(next_artificial);
+                next_artificial += 1;
+            }
         }
         rows.push(padded);
     }
@@ -618,6 +534,18 @@ mod tests {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
     }
 
+    /// Solves on the dense oracle and on the revised solver, which must
+    /// reach the same verdict and objective; returns the oracle's answer.
+    fn solve(m: &Model) -> Result<Solution, LpError> {
+        let dense = solve_dense(m, &SimplexOptions::default());
+        match (&dense, m.solve()) {
+            (Ok(d), Ok(r)) => assert_close(d.objective, r.objective),
+            (Err(d), Err(r)) => assert_eq!(*d, r),
+            (d, r) => panic!("oracle says {d:?}, revised says {r:?}"),
+        }
+        dense
+    }
+
     #[test]
     fn simple_minimization_with_unit_bounds() {
         // min x + 2y  s.t. x + y >= 1, 0 <= x,y <= 1  =>  x = 1, y = 0.
@@ -625,7 +553,7 @@ mod tests {
         let x = m.add_unit_var(1.0);
         let y = m.add_unit_var(2.0);
         m.add_ge([(x, 1.0), (y, 1.0)], 1.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, 1.0);
         assert_close(s.value(x), 1.0);
         assert_close(s.value(y), 0.0);
@@ -641,7 +569,7 @@ mod tests {
         m.add_le([(x, 1.0)], 4.0);
         m.add_le([(y, 2.0)], 12.0);
         m.add_le([(x, 3.0), (y, 2.0)], 18.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, 36.0);
         assert_close(s.value(x), 2.0);
         assert_close(s.value(y), 6.0);
@@ -655,7 +583,7 @@ mod tests {
         let y = m.add_nonneg_var(1.0);
         m.add_eq([(x, 1.0), (y, 2.0)], 4.0);
         m.add_eq([(x, 1.0), (y, -1.0)], 1.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), 2.0);
         assert_close(s.value(y), 1.0);
         assert_close(s.objective, 3.0);
@@ -666,7 +594,7 @@ mod tests {
         let mut m = Model::minimize();
         let x = m.add_unit_var(1.0);
         m.add_ge([(x, 1.0)], 2.0);
-        match m.solve() {
+        match solve(&m) {
             Err(LpError::Infeasible) => {}
             other => panic!("expected Infeasible, got {other:?}"),
         }
@@ -677,7 +605,7 @@ mod tests {
         let mut m = Model::maximize();
         let x = m.add_nonneg_var(1.0);
         m.add_ge([(x, 1.0)], 1.0);
-        match m.solve() {
+        match solve(&m) {
             Err(LpError::Unbounded) => {}
             other => panic!("expected Unbounded, got {other:?}"),
         }
@@ -691,7 +619,7 @@ mod tests {
         let x = m.add_var(-3.0, f64::INFINITY, 1.0);
         let y = m.add_var(0.0, 2.0, 0.0);
         m.add_eq([(x, 1.0), (y, 1.0)], 0.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), -2.0);
         assert_close(s.value(y), 2.0);
     }
@@ -706,7 +634,7 @@ mod tests {
         m.add_eq([(x, 1.0)], 3.0);
         m.add_ge([(z, 1.0), (x, -1.0)], -5.0);
         m.add_ge([(z, 1.0), (x, 1.0)], 5.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), 3.0);
         assert_close(s.value(z), 2.0);
     }
@@ -717,7 +645,7 @@ mod tests {
         let mut m = Model::maximize();
         let x = m.add_var(f64::NEG_INFINITY, 7.0, 1.0);
         m.add_ge([(x, 1.0)], 1.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), 7.0);
     }
 
@@ -732,7 +660,7 @@ mod tests {
         }
         m.add_le([(x, 1.0)], 1.0);
         m.add_le([(y, 1.0)], 1.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         // Optimum at x = 1 - something... verify feasibility and objective by
         // checking against a grid search.
         let mut best = f64::INFINITY;
@@ -765,7 +693,7 @@ mod tests {
         m.add_ge([(v1, 1.0), (f[0], -1.0), (f[1], -1.0)], -1.0);
         m.add_ge([(v2, 1.0), (f[1], -1.0), (f[2], -1.0)], -1.0);
         m.add_eq(f.iter().map(|&x| (x, 1.0)), 2.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, 0.0);
 
         // With |f| = 3 every variable is 1 and both hinges are active.
@@ -776,7 +704,7 @@ mod tests {
         m.add_ge([(v1, 1.0), (f[0], -1.0), (f[1], -1.0)], -1.0);
         m.add_ge([(v2, 1.0), (f[1], -1.0), (f[2], -1.0)], -1.0);
         m.add_eq(f.iter().map(|&x| (x, 1.0)), 3.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, 2.0);
     }
 
@@ -785,25 +713,16 @@ mod tests {
         let mut m = Model::minimize();
         let x = m.add_unit_var(1.0);
         m.add_ge([(x, 1.0)], 0.5);
-        let s = m.solve().unwrap();
-        // Presolve dissolves this tiny model entirely; the counters say so.
-        assert_eq!(s.stats.presolve_rows_removed, 1);
-        assert_eq!(s.stats.presolve_cols_removed, 1);
-        let raw = m
-            .solve_with(&SimplexOptions {
-                presolve: false,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
-        assert!(raw.stats.rows >= 1);
-        assert!(raw.stats.cols >= 1);
-        assert_close(raw.objective, s.objective);
+        let s = solve(&m).unwrap();
+        // One model row plus the explicit upper-bound row of the unit box.
+        assert_eq!(s.stats.rows, 2);
+        assert!(s.stats.cols >= 1);
     }
 
     #[test]
     fn empty_model_solves_trivially() {
         let m = Model::minimize();
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, 0.0);
         assert!(s.values.is_empty());
     }
@@ -814,8 +733,10 @@ mod tests {
         let x = m.add_var(2.5, 2.5, 1.0);
         let y = m.add_unit_var(1.0);
         m.add_ge([(x, 1.0), (y, 1.0)], 3.0);
-        let s = m.solve().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), 2.5);
         assert_close(s.value(y), 0.5);
+        // The revised path substitutes the fixed variable out and says so.
+        assert_eq!(m.solve().unwrap().stats.presolve_cols_removed, 1);
     }
 }

@@ -160,8 +160,9 @@ proptest! {
 
 /// A random LP over *general* bounded variables: shifted boxes, one-sided
 /// bounds, fixed variables and free variables — every shape the two
-/// standardizations handle differently (the revised backend keeps bounds
-/// native; the dense oracle shifts, reflects, splits and adds bound rows).
+/// standardizations handle differently (the revised solver keeps bounds
+/// native and substitutes fixed variables out; the dense oracle shifts,
+/// reflects, splits and adds bound rows).
 #[derive(Clone, Debug)]
 struct BoundedLp {
     bounds: Vec<(f64, f64)>,
@@ -227,7 +228,8 @@ fn build_bounded(lp: &BoundedLp) -> Model {
     m
 }
 
-/// Feasibility of a point in the *original* (pre-presolve) bounded model.
+/// Feasibility of a point in the *original* bounded model (before the
+/// revised solver substitutes fixed variables out).
 fn bounded_feasible(lp: &BoundedLp, x: &[f64], tol: f64) -> bool {
     for ((lo, hi), v) in lp.bounds.iter().zip(x) {
         if *v < lo - tol || *v > hi + tol {
@@ -249,7 +251,7 @@ fn bounded_feasible(lp: &BoundedLp, x: &[f64], tol: f64) -> bool {
 }
 
 /// Whether a free/one-sided variable makes the instance unbounded is a
-/// question both backends must answer the same way, and on bounded optima
+/// question the solver and the oracle must answer the same way, and on bounded optima
 /// the values must agree. Iteration limits are treated as "no verdict".
 fn verdict(result: &Result<rmdp_lp::Solution, LpError>) -> Option<Result<f64, &LpError>> {
     match result {
@@ -262,77 +264,41 @@ fn verdict(result: &Result<rmdp_lp::Solution, LpError>) -> Option<Result<f64, &L
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// All three backends — sparse-LU revised (default), dense-`B⁻¹` revised
-    /// and the dense tableau — agree on every random bounded-variable LP:
-    /// same optimum within tolerance, or the same infeasible/unbounded
-    /// verdict.
+    /// The sparse-LU revised solver and the dense tableau oracle agree on
+    /// every random bounded-variable LP: same optimum within tolerance, or
+    /// the same infeasible/unbounded verdict. The solver's point, expanded
+    /// back through the fixed-variable substitution, is feasible in the
+    /// original model.
     #[test]
-    fn revised_and_dense_backends_agree(lp in bounded_lp()) {
+    fn revised_solver_and_dense_tableau_agree(lp in bounded_lp()) {
         let model = build_bounded(&lp);
-        let sparse = model.solve_with(&rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::SparseLu,
-            ..Default::default()
-        });
-        let revised = model.solve_with(&rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::Revised,
-            ..Default::default()
-        });
-        let dense = model.solve_with(&rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::DenseTableau,
-            ..Default::default()
-        });
-        for (name, other) in [("dense B⁻¹", &revised), ("dense tableau", &dense)] {
-            match (verdict(&sparse), verdict(other)) {
-                (Some(Ok(a)), Some(Ok(b))) => {
-                    prop_assert!((a - b).abs() < 1e-6,
-                        "optima differ: sparse-LU {a} vs {name} {b}");
-                }
-                (Some(Err(a)), Some(Err(b))) => {
-                    prop_assert_eq!(a, b, "verdicts differ vs {}", name);
-                }
-                (Some(a), Some(b)) => {
-                    prop_assert!(false, "sparse-LU says {a:?}, {name} says {b:?}");
-                }
-                // A backend giving up (iteration limit) is not a disagreement.
-                _ => {}
-            }
-        }
-    }
-
-    /// Presolve + postsolve is invisible: the reduced-then-reconstructed
-    /// solve reaches the same verdict and objective as the raw solver, and
-    /// the reconstructed point is feasible in the *original* model.
-    #[test]
-    fn presolve_reaches_the_same_answer_as_the_raw_solver(lp in bounded_lp()) {
-        let model = build_bounded(&lp);
-        let with = model.solve(); // presolve on by default
-        let without = model.solve_with(&rmdp_lp::SimplexOptions {
-            presolve: false,
-            ..Default::default()
-        });
-        match (verdict(&with), verdict(&without)) {
+        let sparse = model.solve();
+        let dense = rmdp_lp::simplex::solve_dense(&model, &Default::default());
+        match (verdict(&sparse), verdict(&dense)) {
             (Some(Ok(a)), Some(Ok(b))) => {
                 prop_assert!((a - b).abs() < 1e-6,
-                    "optima differ: presolved {a} vs raw {b}");
-                let sol = with.as_ref().unwrap();
+                    "optima differ: sparse-LU {a} vs dense tableau {b}");
+                let sol = sparse.as_ref().unwrap();
                 prop_assert!(bounded_feasible(&lp, &sol.values, 1e-6),
-                    "postsolved point {:?} violates the original model", sol.values);
+                    "sparse-LU point {:?} violates the original model", sol.values);
             }
             (Some(Err(a)), Some(Err(b))) => {
                 prop_assert_eq!(a, b, "verdicts differ");
             }
             (Some(a), Some(b)) => {
-                prop_assert!(false, "presolved says {a:?}, raw says {b:?}");
+                prop_assert!(false, "sparse-LU says {a:?}, dense tableau says {b:?}");
             }
+            // A solver giving up (iteration limit) is not a disagreement.
             _ => {}
         }
     }
 
     /// The same agreement on reduction-rich instances: duplicated columns, a
-    /// singleton row and a fixed variable grafted onto every model, so the
-    /// presolve passes all fire and must still be invisible.
+    /// singleton row and a fixed variable grafted onto every model. The
+    /// fixed variable is substituted out by the revised solver and must
+    /// still be reported at its value.
     #[test]
-    fn presolve_is_invisible_on_reduction_rich_models(lp in bounded_lp(), dup_cost in -2.0..2.0f64, singleton_cap in 0.5..3.0f64) {
+    fn revised_solver_and_dense_tableau_agree_on_reduction_rich_models(lp in bounded_lp(), dup_cost in -2.0..2.0f64, singleton_cap in 0.5..3.0f64) {
         let mut model = build_bounded(&lp);
         // Two duplicate columns (identical pattern + cost) in a fresh row.
         let d1 = model.add_var(0.0, 1.0, dup_cost);
@@ -344,26 +310,22 @@ proptest! {
         let fixed = model.add_var(0.25, 0.25, 1.0);
         model.add_le([(fixed, 1.0), (d2, 1.0)], 2.0);
 
-        let with = model.solve();
-        let without = model.solve_with(&rmdp_lp::SimplexOptions {
-            presolve: false,
-            ..Default::default()
-        });
-        match (verdict(&with), verdict(&without)) {
+        let sparse = model.solve();
+        let dense = rmdp_lp::simplex::solve_dense(&model, &Default::default());
+        match (verdict(&sparse), verdict(&dense)) {
             (Some(Ok(a)), Some(Ok(b))) => {
                 prop_assert!((a - b).abs() < 1e-6,
-                    "optima differ: presolved {a} vs raw {b}");
-                let sol = with.as_ref().unwrap();
-                let raw = without.as_ref().unwrap();
-                prop_assert_eq!(sol.values.len(), raw.values.len(),
-                    "postsolve must report the full variable space");
+                    "optima differ: sparse-LU {a} vs dense tableau {b}");
+                let sol = sparse.as_ref().unwrap();
+                prop_assert_eq!(sol.values.len(), model.num_vars(),
+                    "solutions must report the full variable space");
                 prop_assert!((sol.values[fixed.index()] - 0.25).abs() < 1e-9);
             }
             (Some(Err(a)), Some(Err(b))) => {
                 prop_assert_eq!(a, b, "verdicts differ");
             }
             (Some(a), Some(b)) => {
-                prop_assert!(false, "presolved says {a:?}, raw says {b:?}");
+                prop_assert!(false, "sparse-LU says {a:?}, dense tableau says {b:?}");
             }
             _ => {}
         }
@@ -418,28 +380,23 @@ proptest! {
     /// Warm re-entry after RHS steps — the dual simplex path whenever the
     /// previous optimal basis stays dual feasible — reaches the same verdict
     /// as a cold dense-tableau solve of the stepped model, with objectives
-    /// within 1e-7, on both revised backends.
+    /// within 1e-7.
     #[test]
     fn dual_reentry_matches_a_cold_dense_tableau(
         lp in bounded_lp(),
         steps in proptest::collection::vec((0usize..5, -2.0..3.0f64), 1..5),
     ) {
-        let tableau = rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::DenseTableau,
-            ..Default::default()
-        };
-        for backend in [rmdp_lp::SolverBackend::SparseLu, rmdp_lp::SolverBackend::Revised] {
-            let options = rmdp_lp::SimplexOptions { backend, ..Default::default() };
-            let mut stepped = lp.clone();
-            let mut prepared = build_bounded(&stepped).prepare().expect("validated by construction");
-            let Ok(first) = prepared.solve(&options) else { continue };
+        let options = rmdp_lp::SimplexOptions::default();
+        let mut stepped = lp.clone();
+        let mut prepared = build_bounded(&stepped).prepare().expect("validated by construction");
+        if let Ok(first) = prepared.solve(&options) {
             let mut basis = first.basis;
             for (k, &(row, rhs)) in steps.iter().enumerate() {
                 let row = row % stepped.constraints.len();
                 stepped.constraints[row].2 = rhs;
                 prepared.set_rhs(row, rhs);
                 let warm = prepared.solve_warm(&basis, &options);
-                let oracle = build_bounded(&stepped).solve_with(&tableau);
+                let oracle = rmdp_lp::simplex::solve_dense(&build_bounded(&stepped), &options);
                 let warm_solution = warm
                     .as_ref()
                     .map(|s| s.solution.clone())
@@ -447,13 +404,13 @@ proptest! {
                 match (verdict(&warm_solution), verdict(&oracle)) {
                     (Some(Ok(a)), Some(Ok(b))) => {
                         prop_assert!((a - b).abs() <= 1e-7 * a.abs().max(b.abs()).max(1.0),
-                            "{backend:?} step {k}: warm {a} vs dense tableau {b}");
+                            "step {k}: warm {a} vs dense tableau {b}");
                     }
                     (Some(Err(a)), Some(Err(b))) => {
-                        prop_assert_eq!(a, b, "{:?} step {}: verdicts differ", backend, k);
+                        prop_assert_eq!(a, b, "step {}: verdicts differ", k);
                     }
                     (Some(a), Some(b)) => {
-                        prop_assert!(false, "{backend:?} step {k}: warm says {a:?}, tableau says {b:?}");
+                        prop_assert!(false, "step {k}: warm says {a:?}, tableau says {b:?}");
                     }
                     _ => {}
                 }
@@ -462,6 +419,7 @@ proptest! {
                     Err(_) => break,
                 }
             }
+
         }
     }
 }

@@ -63,9 +63,8 @@ pub struct LpSummary {
     /// Peak stored nonzeros of any single solve's LU factorization
     /// (a maximum across solves, not a sum).
     pub fill_in_nnz: u64,
-    /// Constraint rows removed by presolve, summed across solves.
-    pub presolve_rows_removed: u64,
-    /// Variables removed by presolve, summed across solves.
+    /// Variables fixed by their bounds and substituted out, summed across
+    /// solves.
     pub presolve_cols_removed: u64,
 }
 
@@ -82,7 +81,6 @@ impl LpSummary {
         self.refactorizations += other.refactorizations;
         self.basis_updates += other.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(other.fill_in_nnz);
-        self.presolve_rows_removed += other.presolve_rows_removed;
         self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
@@ -248,7 +246,7 @@ impl ReleaseTrace {
              \"phase1_pivots\": {}, \"dual_pivots\": {}, \"phase2_pivots\": {}, \
              \"warm_start_hits\": {}, \
              \"refactorizations\": {}, \"basis_updates\": {}, \"fill_in_nnz\": {}, \
-             \"presolve_rows_removed\": {}, \"presolve_cols_removed\": {}}}",
+             \"presolve_cols_removed\": {}}}",
             self.lp.h_solves,
             self.lp.g_solves,
             self.lp.total_pivots,
@@ -259,7 +257,6 @@ impl ReleaseTrace {
             self.lp.refactorizations,
             self.lp.basis_updates,
             self.lp.fill_in_nnz,
-            self.lp.presolve_rows_removed,
             self.lp.presolve_cols_removed
         );
         out.push_str(", \"noise\": [");
@@ -342,11 +339,8 @@ impl ReleaseTrace {
         );
         let _ = writeln!(
             out,
-            "  lp basis        {} updates, peak factor nnz {}, presolve removed {} rows / {} cols",
-            self.lp.basis_updates,
-            self.lp.fill_in_nnz,
-            self.lp.presolve_rows_removed,
-            self.lp.presolve_cols_removed
+            "  lp basis        {} updates, peak factor nnz {}, presolve removed {} cols",
+            self.lp.basis_updates, self.lp.fill_in_nnz, self.lp.presolve_cols_removed
         );
         for (i, n) in self.noise.iter().enumerate() {
             let label = if self.noise.len() == 1 {
@@ -424,7 +418,6 @@ mod tests {
                 refactorizations: 1,
                 basis_updates: 25,
                 fill_in_nnz: 40,
-                presolve_rows_removed: 0,
                 presolve_cols_removed: 2,
             },
             noise: vec![NoiseScales {
@@ -493,7 +486,6 @@ mod tests {
             "dual_pivots",
             "basis_updates",
             "fill_in_nnz",
-            "presolve_rows_removed",
             "presolve_cols_removed",
             "noise",
             "epsilon_spent",
@@ -517,7 +509,7 @@ mod tests {
         assert!(text.contains("epsilon_spent"));
         assert!(text.contains("peak factor nnz 40"));
         assert!(text.contains("10 phase-1, 6 dual, 20 phase-2"));
-        assert!(text.contains("presolve removed 0 rows / 2 cols"));
+        assert!(text.contains("presolve removed 2 cols"));
         assert!(text.contains("100ns"));
         assert!(format_nanos(2_500).starts_with("2.5"));
         assert!(format_nanos(2_500_000).ends_with("ms"));

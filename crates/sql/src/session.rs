@@ -717,7 +717,6 @@ impl SqlSession {
             m.counter_add("lp.warm_start_hits", lp.warm_start_hits as u64);
             m.counter_add("lp.refactorizations", lp.refactorizations as u64);
             m.counter_add("lp.basis_updates", lp.basis_updates as u64);
-            m.counter_add("lp.presolve_rows_removed", lp.presolve_rows_removed as u64);
             m.counter_add("lp.presolve_cols_removed", lp.presolve_cols_removed as u64);
             // Peak, not a sum: the session total already folds with `max`.
             m.gauge_set("lp.peak_fill_in_nnz", self.lp_totals.fill_in_nnz as f64);
