@@ -4,16 +4,20 @@
 //! per fig-4 workload (triangle and 2-star counting under node privacy) —
 //! entry-by-entry cold solves (`chain_run_len = 1`) and the default
 //! warm-started chains — with wall times and pivot counts, split into
-//! composite phase-1, dual and phase-2 pivots. Gated on the default chains
+//! composite phase-1, dual and phase-2 pivots, plus the count and time of
+//! the LU factorizations each precompute ran. Gated on the default chains
 //! spending no composite phase-1 pivot: every warm entry must re-enter
 //! through the dual simplex (a silent fallback costs 2–3× and no
-//! correctness test notices it). The same file
+//! correctness test notices it), and on exact pivot limits (pivot counts
+//! are deterministic): the default chains may not spend more pivots than
+//! the largest-violation dual did (410 triangle, 1,951 2-star). The same file
 //! also carries the **basis scaling** section: synthetic 2-star counting
 //! `H`-models from 300 up to 101.5k hinge rows, solved cold and
 //! RHS-stepped warm on the sparse-LU solver (wall time, pivots, peak
 //! factor nonzeros, estimated basis memory), with the dense tableau oracle
 //! solving the 300-row point only. Gated on the sparse objective agreeing
-//! with the oracle's there and on completing the 100k-row instance.
+//! with the oracle's there, on completing the 100k-row instance, and on the
+//! 18k- and 101.5k-row warm steps staying within their pivot limits.
 //!
 //! **Sequence cache** (`BENCH_cache.json`): the repeated-workload bench.
 //! One cold release pays the full sequence precompute and populates the
@@ -95,12 +99,12 @@ use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_krelation::{Expr, KRelation};
-use rmdp_lp::{Model, Sense, SimplexOptions};
+use rmdp_lp::{time_factorizations, FactorTiming, Model, Sense, SimplexOptions};
 use rmdp_noise::PrivacyBudget;
-use rmdp_observe::{MonotonicClock, NoopRecorder, SpanRecorder, Stage, Stopwatch};
+use rmdp_observe::{Clock, MonotonicClock, NoopRecorder, SpanRecorder, Stage, Stopwatch};
 use rmdp_server::{serve, DpClient, DpServer, ServerConfig, WireResponse};
 use rmdp_sql::{CatalogSnapshot, QueryOutput, SqlSession};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 struct WorkloadResult {
     name: String,
@@ -108,11 +112,31 @@ struct WorkloadResult {
     lp_solves: usize,
     cold_wall_ms: f64,
     cold_pivots: usize,
+    cold_factor: FactorTiming,
     warm_wall_ms: f64,
     warm_pivots: usize,
     warm_phase1_pivots: usize,
     warm_dual_pivots: usize,
     warm_start_hits: usize,
+    warm_factor: FactorTiming,
+}
+
+/// Dual pivots the default fig-4 warm chains spent under the
+/// largest-violation leaving rule, before dual steepest edge. Pivot counts
+/// are deterministic, so a chain spending more is a regression, not noise.
+const FIG4_WARM_PIVOT_LIMITS: [(&str, usize); 2] = [("triangle", 410), ("2-star", 1951)];
+
+/// Pivots of the RHS-stepped warm re-solve per scaling instance, by rows.
+/// The re-entry starts from the cold optimum, whose primal pivots leave no
+/// steepest-edge weights, so it runs the largest-violation rule; the limits
+/// are the counts measured when this gate was added.
+const SCALING_WARM_PIVOT_LIMITS: [(usize, usize); 2] = [(18_001, 14), (101_501, 9)];
+
+/// Monotonic nanoseconds for [`rmdp_lp::time_factorizations`], which takes
+/// a plain function pointer.
+fn now_nanos() -> u64 {
+    static ORIGIN: OnceLock<MonotonicClock> = OnceLock::new();
+    ORIGIN.get_or_init(MonotonicClock::new).now_nanos()
 }
 
 fn fig4_relation(pattern: &Pattern) -> SensitiveKRelation {
@@ -151,21 +175,24 @@ fn build_env() -> BenchEnv {
     }
 }
 
-fn precompute_timed(seq: &mut EfficientSequences) -> f64 {
+/// Serial precompute: wall milliseconds and the LU factorizations it ran.
+fn precompute_timed(seq: &mut EfficientSequences) -> (f64, FactorTiming) {
     let watch = Stopwatch::start();
-    seq.precompute(Parallelism::Serial)
-        .expect("fig-4 entry LPs are feasible and bounded");
-    watch.elapsed_seconds() * 1e3
+    let ((), factor) = time_factorizations(now_nanos, || {
+        seq.precompute(Parallelism::Serial)
+            .expect("fig-4 entry LPs are feasible and bounded")
+    });
+    (watch.elapsed_seconds() * 1e3, factor)
 }
 
 fn run_workload(name: &str, relation: &SensitiveKRelation) -> WorkloadResult {
     let participants = relation.num_participants();
 
     let mut cold = EfficientSequences::new(relation.clone()).with_chain_run_len(1);
-    let cold_wall_ms = precompute_timed(&mut cold);
+    let (cold_wall_ms, cold_factor) = precompute_timed(&mut cold);
 
     let mut warm = EfficientSequences::new(relation.clone());
-    let warm_wall_ms = precompute_timed(&mut warm);
+    let (warm_wall_ms, warm_factor) = precompute_timed(&mut warm);
 
     let (c, w) = (cold.stats(), warm.stats());
     assert_eq!(c.h_solves + c.g_solves, w.h_solves + w.g_solves);
@@ -175,11 +202,13 @@ fn run_workload(name: &str, relation: &SensitiveKRelation) -> WorkloadResult {
         lp_solves: w.h_solves + w.g_solves,
         cold_wall_ms,
         cold_pivots: c.total_pivots,
+        cold_factor,
         warm_wall_ms,
         warm_pivots: w.total_pivots,
         warm_phase1_pivots: w.phase1_pivots,
         warm_dual_pivots: w.dual_pivots,
         warm_start_hits: w.warm_start_hits,
+        warm_factor,
     }
 }
 
@@ -1137,9 +1166,11 @@ fn main() {
         json.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"participants\": {}, \"lp_solves\": {}, ",
-                "\"cold\": {{\"wall_ms\": {:.3}, \"pivots\": {}}}, ",
+                "\"cold\": {{\"wall_ms\": {:.3}, \"pivots\": {}, ",
+                "\"factorizations\": {}, \"factor_ms\": {:.3}}}, ",
                 "\"warm\": {{\"wall_ms\": {:.3}, \"pivots\": {}, \"phase1_pivots\": {}, ",
-                "\"dual_pivots\": {}, \"warm_start_hits\": {}}}, ",
+                "\"dual_pivots\": {}, \"warm_start_hits\": {}, ",
+                "\"factorizations\": {}, \"factor_ms\": {:.3}}}, ",
                 "\"pivot_ratio\": {:.4}}}{}\n"
             ),
             r.name,
@@ -1147,17 +1178,22 @@ fn main() {
             r.lp_solves,
             r.cold_wall_ms,
             r.cold_pivots,
+            r.cold_factor.factorizations,
+            r.cold_factor.nanos as f64 / 1e6,
             r.warm_wall_ms,
             r.warm_pivots,
             r.warm_phase1_pivots,
             r.warm_dual_pivots,
             r.warm_start_hits,
+            r.warm_factor.factorizations,
+            r.warm_factor.nanos as f64 / 1e6,
             ratio,
             if k + 1 < results.len() { "," } else { "" },
         ));
         println!(
             "{:>10}: {} LPs over {} participants — cold {} pivots / {:.1} ms, \
-             warm {} pivots ({} phase-1, {} dual) / {:.1} ms ({} warm starts, pivot ratio {:.2})",
+             warm {} pivots ({} phase-1, {} dual) / {:.1} ms ({} warm starts, pivot ratio {:.2}); \
+             warm chains ran {} LU factorizations in {:.2} ms",
             r.name,
             r.lp_solves,
             r.participants,
@@ -1169,6 +1205,8 @@ fn main() {
             r.warm_wall_ms,
             r.warm_start_hits,
             ratio,
+            r.warm_factor.factorizations,
+            r.warm_factor.nanos as f64 / 1e6,
         );
     }
     json.push_str("  ],\n");
@@ -1500,6 +1538,35 @@ fn main() {
             r.name, r.warm_phase1_pivots
         );
         failed = true;
+    }
+    // Pivot gates: pivot counts are deterministic, so these are exact
+    // bounds, not timing gates.
+    for (name, limit) in FIG4_WARM_PIVOT_LIMITS {
+        if let Some(r) = results.iter().find(|r| r.name == name) {
+            if r.warm_pivots > limit {
+                eprintln!(
+                    "PERF REGRESSION: {} warm chains spent {} pivots (limit {limit})",
+                    r.name, r.warm_pivots
+                );
+                failed = true;
+            }
+        }
+    }
+    for (rows, limit) in SCALING_WARM_PIVOT_LIMITS {
+        match scaling.iter().find(|s| s.rows == rows) {
+            Some(s) if s.warm_pivots > limit => {
+                eprintln!(
+                    "PERF REGRESSION: warm step at {rows} rows spent {} pivots (limit {limit})",
+                    s.warm_pivots
+                );
+                failed = true;
+            }
+            Some(_) => {}
+            None => {
+                eprintln!("PERF REGRESSION: no {rows}-row scaling instance to gate");
+                failed = true;
+            }
+        }
     }
     // Scaling gates: the sparse-LU objective must agree with the dense
     // tableau oracle at the 300-row point, and the 100k-row instance must

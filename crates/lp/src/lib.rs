@@ -6,7 +6,11 @@
 //! sensitive K-relation. This crate provides the solver: a sparse
 //! bounded-variable **revised simplex** ([`revised`]) over models with boxed
 //! variables and `≤ / ≥ / =` constraints. The basis is maintained as a
-//! sparse Markowitz **LU factorization** updated by a bounded eta file.
+//! sparse **LU factorization** (a singleton pass, then threshold Markowitz
+//! on the remaining bump) updated by a bounded eta file, and warm re-entry
+//! picks its dual leaving rows by steepest edge.
+//! [`time_factorizations`] counts and times the factorizations a closure
+//! runs, on a clock the caller supplies.
 //! Variables fixed by their bounds are substituted out when a model is
 //! standardized. The original dense two-phase tableau
 //! ([`simplex::solve_dense`]) is retained as the differential-testing
@@ -59,6 +63,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use error::LpError;
+pub use lu::{time_factorizations, FactorTiming};
 pub use model::{Constraint, ConstraintOp, Model, Sense, Var};
 pub use prepared::{Basis, PreparedLp, PreparedSolution, VarStatus};
 pub use simplex::SimplexOptions;

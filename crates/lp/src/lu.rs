@@ -1,22 +1,42 @@
-//! Sparse LU factorization of the simplex basis with Markowitz pivoting.
+//! Sparse LU factorization of the simplex basis: a singleton pass, then
+//! threshold Markowitz on the remaining bump.
 //!
-//! The factorization `B = P⁻¹·L·U·Q⁻¹` is built by Gaussian elimination over
-//! a working sparse copy of the basis matrix. Pivots are chosen by the
-//! classical **Markowitz rule**: among numerically acceptable entries, pick
-//! one minimising `(r_i − 1)(c_j − 1)` (row count × column count of the
-//! active submatrix), which bounds the fill-in a pivot can create.
-//! *Threshold pivoting* keeps the choice stable: an entry is acceptable only
-//! when its magnitude is at least [`SimplexOptions::markowitz_threshold`]
-//! times the largest magnitude in its column. Ties break deterministically on
-//! (Markowitz cost, column, row), so the same basis always factors the same
-//! way — part of the crate-wide bit-identity discipline.
+//! The factorization `B = P⁻¹·L·U·Q⁻¹` is built by Gaussian elimination in
+//! two passes over flat working arrays: the basis columns are read straight
+//! from `A`, a row-wise copy is built by counting sort, and the bump lives
+//! in one packed arena. No hash container or ordered set is built per call.
 //!
-//! `L` is stored as the ordered list of elimination operations
-//! `z[target] −= factor · z[pivot_row]` (applied forward for FTRAN, reversed
-//! and transposed for BTRAN); `U` is stored by pivot order as sparse rows
-//! over pivot positions plus a diagonal. Both permutations are kept as plain
-//! vectors. Everything is immutable after construction, so a factorization
-//! can be shared across warm-started solves behind an [`std::sync::Arc`].
+//! * The **singleton pass** peels off the triangular part of the basis,
+//!   which is most of it for the mechanism's slack-heavy bases. A column
+//!   with one active entry pivots on it and needs no elimination (its row
+//!   becomes a row of `U`). A row with one active entry pivots on it and
+//!   eliminates the pivot column from the other rows with pure multipliers:
+//!   the pivot row has nothing else to spread, so it creates no fill and no
+//!   value in the working copy changes. Column singletons go first, to
+//!   exhaustion, then row singletons; a row singleton is taken only when it
+//!   passes the threshold test below.
+//! * **Threshold Markowitz** runs on the remaining *bump* only. Among
+//!   numerically acceptable entries it picks one minimising
+//!   `(r_i − 1)(c_j − 1)` (row count × column count of the active
+//!   submatrix), which bounds the fill-in a pivot can create. An entry is
+//!   acceptable only when its magnitude is at least
+//!   [`SimplexOptions::markowitz_threshold`] times the largest magnitude in
+//!   its column. Columns are visited in ascending count order from linked
+//!   count buckets, at most [`MAX_CANDIDATES`] acceptable columns per pivot.
+//!
+//! Both passes walk queues and buckets in an order fixed by the input; a
+//! Markowitz tie keeps the first column visited and, within a column, the
+//! row with the fewest entries, then the lowest row. The same basis always
+//! factors the same way — part of the crate-wide bit-identity discipline.
+//!
+//! `L` is stored as one column of multipliers per eliminating pivot
+//! (`z[target] −= factor · z[pivot_row]`, applied forward for FTRAN,
+//! reversed and transposed for BTRAN); `U` is stored by pivot order as flat
+//! sparse rows over pivot positions plus a diagonal. Both permutations are
+//! plain vectors. Everything is immutable after construction, so a
+//! factorization can be shared across warm-started solves behind an
+//! [`std::sync::Arc`]. FTRAN and BTRAN take a caller-owned scratch vector,
+//! so they allocate nothing.
 //!
 //! Across pivots the factorization is maintained by a **bounded eta file**
 //! (product-form updates, the update scheme Forrest–Tomlin refines): each
@@ -25,9 +45,11 @@
 //! bounded by [`SimplexOptions::update_cap`]; hitting the cap (or the
 //! drift-gated residual check in [`crate::revised`]) triggers a fresh
 //! factorization and an empty eta file.
+//!
+//! [`SimplexOptions::markowitz_threshold`]: crate::SimplexOptions::markowitz_threshold
+//! [`SimplexOptions::update_cap`]: crate::SimplexOptions::update_cap
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::sparse::CscMatrix;
@@ -40,23 +62,418 @@ const ABS_PIVOT_TOL: f64 = 1e-9;
 /// examines before settling for the best seen (bounded Markowitz search).
 const MAX_CANDIDATES: usize = 16;
 
+/// End-of-list marker of the count buckets.
+const NONE: u32 = u32::MAX;
+
 /// An immutable sparse LU factorization of one basis matrix.
 #[derive(Debug)]
 pub(crate) struct LuFactors {
     /// Dimension of the (square) basis.
     m: usize,
-    /// Elimination operations in application order:
-    /// `(target_row, pivot_row, factor)` meaning `z[target] −= factor · z[pivot_row]`.
-    l_ops: Vec<(u32, u32, f64)>,
+    /// Pivot row of each column of `L`, in application order.
+    l_pivots: Vec<u32>,
+    /// `l_ptr[k]..l_ptr[k+1]` indexes the multipliers of `L` column `k` in
+    /// `l_entries`.
+    l_ptr: Vec<u32>,
+    /// `(target_row, factor)`: `z[target] −= factor · z[l_pivots[k]]`.
+    l_entries: Vec<(u32, f64)>,
     /// Original row index of the `t`-th pivot.
     pivot_rows: Vec<u32>,
     /// Basis-slot (local column) index of the `t`-th pivot.
     pivot_cols: Vec<u32>,
-    /// Off-diagonal entries of the `t`-th row of `U`, as
-    /// `(pivot_position, value)` with `pivot_position > t`, sorted.
-    u_rows: Vec<Vec<(u32, f64)>>,
+    /// `u_ptr[t]..u_ptr[t+1]` indexes the off-diagonal entries of the
+    /// `t`-th row of `U` in `u_entries`.
+    u_ptr: Vec<u32>,
+    /// `(pivot_position, value)` with `pivot_position > t`, sorted per row.
+    u_entries: Vec<(u32, f64)>,
     /// Diagonal of `U` in pivot order.
     diag: Vec<f64>,
+}
+
+/// The factors under construction, in pivot order.
+struct Builder {
+    l_pivots: Vec<u32>,
+    l_ptr: Vec<u32>,
+    l_entries: Vec<(u32, f64)>,
+    pivot_rows: Vec<u32>,
+    pivot_cols: Vec<u32>,
+    u_ptr: Vec<u32>,
+    /// U entries over basis *slots* until [`Builder::finish`] remaps them.
+    u_entries: Vec<(u32, f64)>,
+    diag: Vec<f64>,
+}
+
+impl Builder {
+    fn new(m: usize) -> Self {
+        let mut u_ptr = Vec::with_capacity(m + 1);
+        u_ptr.push(0);
+        Builder {
+            l_pivots: Vec::new(),
+            l_ptr: vec![0],
+            l_entries: Vec::new(),
+            pivot_rows: Vec::with_capacity(m),
+            pivot_cols: Vec::with_capacity(m),
+            u_ptr,
+            u_entries: Vec::new(),
+            diag: Vec::with_capacity(m),
+        }
+    }
+
+    /// Records pivot `(row, col, value)`; the caller has already appended
+    /// its U row to `u_entries`.
+    fn pivot(&mut self, row: u32, col: u32, value: f64) {
+        self.pivot_rows.push(row);
+        self.pivot_cols.push(col);
+        self.diag.push(value);
+        self.u_ptr.push(self.u_entries.len() as u32);
+    }
+
+    /// Closes the L column of the pivot on `row` if it recorded any
+    /// multiplier.
+    fn close_l_column(&mut self, row: u32) {
+        if self.l_entries.len() as u32 > *self.l_ptr.last().unwrap_or(&0) {
+            self.l_pivots.push(row);
+            self.l_ptr.push(self.l_entries.len() as u32);
+        }
+    }
+
+    /// Remaps U columns from basis slots to pivot positions.
+    fn finish(mut self, m: usize) -> LuFactors {
+        let mut pos = vec![0u32; m];
+        for (t, &c) in self.pivot_cols.iter().enumerate() {
+            pos[c as usize] = t as u32;
+        }
+        for t in 0..m {
+            let row = &mut self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize];
+            for e in row.iter_mut() {
+                e.0 = pos[e.0 as usize];
+            }
+            row.sort_unstable_by_key(|e| e.0);
+        }
+        LuFactors {
+            m,
+            l_pivots: self.l_pivots,
+            l_ptr: self.l_ptr,
+            l_entries: self.l_entries,
+            pivot_rows: self.pivot_rows,
+            pivot_cols: self.pivot_cols,
+            u_ptr: self.u_ptr,
+            u_entries: self.u_entries,
+            diag: self.diag,
+        }
+    }
+}
+
+/// Doubly linked lists of the active bump columns, bucketed by active
+/// entry count, so the Markowitz search visits columns in ascending count
+/// order in `O(visited)`.
+struct CountBuckets {
+    head: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Bucket each column is linked in (`NONE` once eliminated).
+    count: Vec<u32>,
+}
+
+impl CountBuckets {
+    fn new(m: usize, max_count: usize) -> Self {
+        CountBuckets {
+            head: vec![NONE; max_count + 1],
+            next: vec![NONE; m],
+            prev: vec![NONE; m],
+            count: vec![NONE; m],
+        }
+    }
+
+    fn insert(&mut self, c: u32, count: u32) {
+        let h = self.head[count as usize];
+        self.next[c as usize] = h;
+        self.prev[c as usize] = NONE;
+        if h != NONE {
+            self.prev[h as usize] = c;
+        }
+        self.head[count as usize] = c;
+        self.count[c as usize] = count;
+    }
+
+    fn remove(&mut self, c: u32) {
+        let (p, n) = (self.prev[c as usize], self.next[c as usize]);
+        if p == NONE {
+            self.head[self.count[c as usize] as usize] = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        if n != NONE {
+            self.prev[n as usize] = p;
+        }
+        self.count[c as usize] = NONE;
+    }
+
+    fn relink(&mut self, c: u32, count: usize) {
+        if self.count[c as usize] != count as u32 {
+            self.remove(c);
+            self.insert(c, count as u32);
+        }
+    }
+}
+
+/// Variable-length lists packed in one flat arena. A list that outgrows
+/// its slot moves to the end of the arena with twice the room, so the
+/// working copy of a factorization makes `O(log)` allocations, not one per
+/// row and column.
+struct Lists<T> {
+    start: Vec<u32>,
+    len: Vec<u32>,
+    cap: Vec<u32>,
+    data: Vec<T>,
+}
+
+impl<T: Copy + Default> Lists<T> {
+    /// Empty lists with room for `caps[k]` entries each.
+    fn with_capacities(caps: &[u32]) -> Self {
+        let mut start = Vec::with_capacity(caps.len());
+        let mut total = 0u32;
+        for &c in caps {
+            start.push(total);
+            total += c;
+        }
+        Lists {
+            start,
+            len: vec![0; caps.len()],
+            cap: caps.to_vec(),
+            data: vec![T::default(); total as usize],
+        }
+    }
+
+    fn get(&self, k: u32) -> &[T] {
+        let s = self.start[k as usize] as usize;
+        &self.data[s..s + self.len[k as usize] as usize]
+    }
+
+    fn get_mut(&mut self, k: u32) -> &mut [T] {
+        let s = self.start[k as usize] as usize;
+        &mut self.data[s..s + self.len[k as usize] as usize]
+    }
+
+    fn push(&mut self, k: u32, v: T) {
+        let k = k as usize;
+        if self.len[k] == self.cap[k] {
+            let (s, n) = (self.start[k] as usize, self.len[k] as usize);
+            let moved = self.data.len();
+            self.data.extend_from_within(s..s + n);
+            let cap = (2 * n).max(4);
+            self.data.resize(moved + cap, T::default());
+            self.start[k] = moved as u32;
+            self.cap[k] = cap as u32;
+        }
+        self.data[(self.start[k] + self.len[k]) as usize] = v;
+        self.len[k] += 1;
+    }
+
+    /// Removes the first entry matching `pred` (order not preserved).
+    fn remove_first(&mut self, k: u32, pred: impl Fn(&T) -> bool) {
+        let list = self.get_mut(k);
+        if let Some(p) = list.iter().position(pred) {
+            let last = list.len() - 1;
+            list.swap(p, last);
+            self.len[k as usize] -= 1;
+        }
+    }
+
+    /// Keeps the entries matching `keep`, in order.
+    fn retain(&mut self, k: u32, keep: impl Fn(&T) -> bool) {
+        let list = self.get_mut(k);
+        let mut n = 0;
+        for p in 0..list.len() {
+            if keep(&list[p]) {
+                list[n] = list[p];
+                n += 1;
+            }
+        }
+        self.len[k as usize] = n as u32;
+    }
+}
+
+/// The active submatrix the singleton pass leaves, in local indices:
+/// values column-wise (what threshold pivoting reads), row patterns
+/// row-wise (what Markowitz costs and elimination targets read).
+struct Bump {
+    /// Global row of each local row, ascending.
+    rows_global: Vec<u32>,
+    /// Basis slot of each local column, ascending.
+    cols_global: Vec<u32>,
+    /// `(local_row, value)` per local column.
+    cols: Lists<(u32, f64)>,
+    /// Local columns per local row.
+    rows: Lists<u32>,
+}
+
+impl Bump {
+    fn new(a: &CscMatrix, basic: &[usize], row_done: &[bool], col_done: &[bool]) -> Self {
+        let mut local = vec![NONE; row_done.len()];
+        let mut rows_global = Vec::new();
+        for (i, _) in row_done.iter().enumerate().filter(|(_, &done)| !done) {
+            local[i] = rows_global.len() as u32;
+            rows_global.push(i as u32);
+        }
+        let cols_global: Vec<u32> = (0..col_done.len() as u32)
+            .filter(|&c| !col_done[c as usize])
+            .collect();
+        let k = rows_global.len();
+        // Room for twice the initial entries absorbs most fill in place.
+        let mut col_caps = vec![0u32; k];
+        let mut row_caps = vec![0u32; k];
+        for (lc, &c) in cols_global.iter().enumerate() {
+            for &i in a.col_slices(basic[c as usize]).0 {
+                if local[i] != NONE {
+                    col_caps[lc] += 2;
+                    row_caps[local[i] as usize] += 2;
+                }
+            }
+        }
+        let mut cols = Lists::with_capacities(&col_caps);
+        let mut rows = Lists::with_capacities(&row_caps);
+        for (lc, &c) in cols_global.iter().enumerate() {
+            let (ri, vals) = a.col_slices(basic[c as usize]);
+            for (&i, &v) in ri.iter().zip(vals) {
+                let li = local[i];
+                if li != NONE {
+                    cols.push(lc as u32, (li, v));
+                    rows.push(li, lc as u32);
+                }
+            }
+        }
+        Bump {
+            rows_global,
+            cols_global,
+            cols,
+            rows,
+        }
+    }
+
+    /// Threshold Markowitz elimination of the bump into `out`.
+    fn factorize(mut self, out: &mut Builder, threshold: f64) -> Result<(), ()> {
+        let k = self.rows_global.len();
+        let mut buckets = CountBuckets::new(k, k);
+        for c in (0..k as u32).rev() {
+            buckets.insert(c, self.cols.len[c as usize]);
+        }
+        // Scatter map of the column being updated: `mark[i] == stamp` means
+        // local row `i` sits at `slot[i]` of that column.
+        let mut mark = vec![0u32; k];
+        let mut slot = vec![0u32; k];
+        let mut stamp = 0u32;
+        // `(local_row, multiplier)` of the current pivot's targets, and the
+        // other columns of its row.
+        let mut targets: Vec<(u32, f64)> = Vec::new();
+        let mut pivot_row: Vec<u32> = Vec::new();
+
+        for remaining in (1..=k).rev() {
+            if buckets.head[0] != NONE {
+                return Err(());
+            }
+            let (lr, lc, pv) = self.select(&buckets, remaining, threshold).ok_or(())?;
+            let (r, c) = (self.rows_global[lr as usize], self.cols_global[lc as usize]);
+
+            // Multipliers of the rows the pivot column leaves.
+            targets.clear();
+            for &(i, v) in self.cols.get(lc) {
+                if i != lr {
+                    targets.push((i, v / pv));
+                    out.l_entries.push((self.rows_global[i as usize], v / pv));
+                }
+            }
+            for &(i, _) in &targets {
+                self.rows.remove_first(i, |&cc| cc == lc);
+            }
+            out.close_l_column(r);
+
+            // Update every other column of the pivot row: its pivot-row
+            // entry becomes a U entry, then `a_ij −= f_i · u_j` per target.
+            pivot_row.clear();
+            pivot_row.extend(self.rows.get(lr).iter().filter(|&&cc| cc != lc));
+            for &cc in &pivot_row {
+                stamp += 1;
+                for (p, &(i, _)) in self.cols.get(cc).iter().enumerate() {
+                    mark[i as usize] = stamp;
+                    slot[i as usize] = p as u32;
+                }
+                let col = self.cols.get_mut(cc);
+                let u = std::mem::replace(&mut col[slot[lr as usize] as usize].1, 0.0);
+                out.u_entries.push((self.cols_global[cc as usize], u));
+                let mut cancelled = false;
+                for &(i, f) in &targets {
+                    if mark[i as usize] == stamp {
+                        let e = &mut self.cols.get_mut(cc)[slot[i as usize] as usize].1;
+                        *e -= f * u;
+                        cancelled |= *e == 0.0;
+                    } else if f * u != 0.0 {
+                        self.cols.push(cc, (i, -f * u));
+                        self.rows.push(i, cc);
+                    }
+                }
+                // Drop the pivot row's entry and any exact cancellation.
+                if cancelled {
+                    for &(i, _) in self.cols.get(cc).iter().filter(|e| e.1 == 0.0 && e.0 != lr) {
+                        self.rows.remove_first(i, |&x| x == cc);
+                    }
+                }
+                self.cols.retain(cc, |e| e.1 != 0.0);
+                buckets.relink(cc, self.cols.len[cc as usize] as usize);
+            }
+            buckets.remove(lc);
+            out.pivot(r, c, pv);
+        }
+        Ok(())
+    }
+
+    /// Bounded threshold-Markowitz search: `(local_row, local_col, value)`
+    /// of the cheapest acceptable pivot among the first [`MAX_CANDIDATES`]
+    /// acceptable columns in ascending count order (a zero-cost pivot ends
+    /// the search). Ties keep the first visited; within a column the row
+    /// with the fewest entries, then the lowest row, wins.
+    fn select(
+        &self,
+        buckets: &CountBuckets,
+        remaining: usize,
+        threshold: f64,
+    ) -> Option<(u32, u32, f64)> {
+        let mut best: Option<(u64, u32, u32, f64)> = None;
+        let (mut examined, mut visited) = (0usize, 0usize);
+        'search: for cnt in 1..buckets.head.len() {
+            let mut c = buckets.head[cnt];
+            while c != NONE {
+                visited += 1;
+                let col = self.cols.get(c);
+                let colmax = col.iter().fold(0.0f64, |acc, e| acc.max(e.1.abs()));
+                let mut cand: Option<(u32, u32, f64)> = None;
+                for &(i, v) in col {
+                    if v.abs() < threshold * colmax || v.abs() < ABS_PIVOT_TOL {
+                        continue;
+                    }
+                    let rc = self.rows.len[i as usize];
+                    if cand.is_none_or(|(brc, bi, _)| (rc, i) < (brc, bi)) {
+                        cand = Some((rc, i, v));
+                    }
+                }
+                if let Some((rc, i, v)) = cand {
+                    let cost = (cnt as u64 - 1) * u64::from(rc - 1);
+                    if best.is_none_or(|b| cost < b.0) {
+                        best = Some((cost, i, c, v));
+                    }
+                    examined += 1;
+                    if cost == 0 || examined >= MAX_CANDIDATES {
+                        break 'search;
+                    }
+                }
+                if visited == remaining {
+                    break 'search;
+                }
+                c = buckets.next[c as usize];
+            }
+        }
+        best.map(|(_, i, c, v)| (i, c, v))
+    }
 }
 
 impl LuFactors {
@@ -65,10 +482,13 @@ impl LuFactors {
     pub(crate) fn identity(m: usize) -> Self {
         LuFactors {
             m,
-            l_ops: Vec::new(),
+            l_pivots: Vec::new(),
+            l_ptr: vec![0],
+            l_entries: Vec::new(),
             pivot_rows: (0..m as u32).collect(),
             pivot_cols: (0..m as u32).collect(),
-            u_rows: vec![Vec::new(); m],
+            u_ptr: vec![0; m + 1],
+            u_entries: Vec::new(),
             diag: vec![1.0; m],
         }
     }
@@ -78,196 +498,152 @@ impl LuFactors {
     pub(crate) fn factorize(a: &CscMatrix, basic: &[usize], threshold: f64) -> Result<Self, ()> {
         let m = basic.len();
         let threshold = threshold.clamp(0.0, 1.0);
+        let col = |c: usize| a.col_slices(basic[c]);
 
-        // Working copy: row-wise value maps plus per-column row sets, both
-        // over basis slots 0..m. Active rows/columns shrink as pivots are
-        // eliminated.
-        let mut rows: Vec<HashMap<u32, f64>> = vec![HashMap::new(); m];
-        let mut cols: Vec<HashSet<u32>> = vec![HashSet::new(); m];
-        for (slot, &j) in basic.iter().enumerate() {
-            for (i, v) in a.col(j) {
-                rows[i].insert(slot as u32, v);
-                cols[slot].insert(i as u32);
+        // Row-wise pattern of the basis by counting sort over its columns
+        // (rows come out sorted by slot); the columns are read from `a`.
+        let mut row_ptr = vec![0u32; m + 1];
+        let mut col_count = vec![0u32; m];
+        for (c, count) in col_count.iter_mut().enumerate() {
+            let (rows, _) = col(c);
+            *count = rows.len() as u32;
+            for &i in rows {
+                row_ptr[i + 1] += 1;
             }
         }
-        // Active columns ordered by (count, column): the Markowitz scan walks
-        // this set in ascending count order, which is deterministic.
-        let mut queue: BTreeSet<(u32, u32)> =
-            (0..m).map(|c| (cols[c].len() as u32, c as u32)).collect();
-
-        let mut l_ops: Vec<(u32, u32, f64)> = Vec::new();
-        let mut pivot_rows: Vec<u32> = Vec::with_capacity(m);
-        let mut pivot_cols: Vec<u32> = Vec::with_capacity(m);
-        let mut u_raw: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut diag: Vec<f64> = Vec::with_capacity(m);
-
-        for _t in 0..m {
-            // --- Markowitz pivot selection with threshold acceptance. ---
-            let mut best: Option<(u64, u32, u32, f64)> = None; // (cost, col, row, value)
-            let mut examined = 0usize;
-            for &(cnt, c) in queue.iter() {
-                if cnt == 0 {
-                    // An active column with no active entries: singular.
-                    return Err(());
-                }
-                let col_set = &cols[c as usize];
-                let mut colmax = 0.0f64;
-                for &i in col_set {
-                    colmax = colmax.max(rows[i as usize][&c].abs());
-                }
-                if colmax < ABS_PIVOT_TOL {
-                    // Numerically empty column; maybe another column works.
-                    continue;
-                }
-                // Best acceptable row in this column: smallest row count,
-                // then smallest row index.
-                let mut cand: Option<(u32, u32, f64)> = None; // (row_count, row, value)
-                for &i in col_set {
-                    let v = rows[i as usize][&c];
-                    if v.abs() < threshold * colmax || v.abs() < ABS_PIVOT_TOL {
-                        continue;
-                    }
-                    let rc = rows[i as usize].len() as u32;
-                    match cand {
-                        None => cand = Some((rc, i, v)),
-                        Some((brc, bi, _)) => {
-                            if (rc, i) < (brc, bi) {
-                                cand = Some((rc, i, v));
-                            }
-                        }
-                    }
-                }
-                let Some((rc, i, v)) = cand else { continue };
-                let cost = (cnt as u64 - 1) * (rc.saturating_sub(1)) as u64;
-                let better = match best {
-                    None => true,
-                    Some((bcost, bcol, brow, _)) => (cost, c, i) < (bcost, bcol, brow),
-                };
-                if better {
-                    best = Some((cost, c, i, v));
-                }
-                examined += 1;
-                // A zero-cost pivot (singleton column or singleton row) is
-                // optimal; otherwise cap the scan.
-                if cost == 0 || examined >= MAX_CANDIDATES {
-                    break;
-                }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut row_count: Vec<u32> = row_ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        if col_count.contains(&0) || row_count.contains(&0) {
+            return Err(());
+        }
+        let mut next = row_ptr[..m].to_vec();
+        let mut row_cols = vec![(0u32, 0.0f64); row_ptr[m] as usize];
+        for c in 0..m {
+            let (rows, vals) = col(c);
+            for (&i, &v) in rows.iter().zip(vals) {
+                row_cols[next[i] as usize] = (c as u32, v);
+                next[i] += 1;
             }
-            let Some((_, c, r, pv)) = best else {
+        }
+        let row = |i: usize| &row_cols[row_ptr[i] as usize..row_ptr[i + 1] as usize];
+        let mut row_done = vec![false; m];
+        let mut col_done = vec![false; m];
+        let mut out = Builder::new(m);
+
+        // --- Column singletons: pivot, no elimination; the pivot row's
+        // other active entries become its row of U. ---
+        let mut queue: Vec<u32> = (0..m as u32)
+            .filter(|&c| col_count[c as usize] == 1)
+            .collect();
+        let mut head = 0;
+        while head < queue.len() {
+            let c = queue[head] as usize;
+            head += 1;
+            if col_done[c] {
+                continue;
+            }
+            let (rows, vals) = col(c);
+            let Some(k) = rows.iter().position(|&i| !row_done[i]) else {
+                // Its only row went to another singleton: singular.
                 return Err(());
             };
-
-            pivot_rows.push(r);
-            pivot_cols.push(c);
-            diag.push(pv);
-
-            // The pivot row (minus the pivot itself) becomes a row of U.
-            // Sorted for deterministic arithmetic downstream.
-            let mut urow: Vec<(u32, f64)> = rows[r as usize]
-                .iter()
-                .filter(|&(&cc, _)| cc != c)
-                .map(|(&cc, &vv)| (cc, vv))
-                .collect();
-            urow.sort_unstable_by_key(|e| e.0);
-
-            // Eliminate the pivot column from every other active row.
-            let mut targets: Vec<u32> = cols[c as usize]
-                .iter()
-                .copied()
-                .filter(|&i| i != r)
-                .collect();
-            targets.sort_unstable();
-            for &i in &targets {
-                let aic = rows[i as usize]
-                    .remove(&c)
-                    .expect("column set and row map agree");
-                let f = aic / pv;
-                l_ops.push((i, r, f));
-                if f != 0.0 {
-                    for &(cc, vv) in &urow {
-                        match rows[i as usize].entry(cc) {
-                            Entry::Occupied(mut o) => {
-                                let nv = *o.get() - f * vv;
-                                if nv == 0.0 {
-                                    o.remove();
-                                    let old = cols[cc as usize].len() as u32;
-                                    cols[cc as usize].remove(&i);
-                                    queue.remove(&(old, cc));
-                                    queue.insert((old - 1, cc));
-                                } else {
-                                    *o.get_mut() = nv;
-                                }
-                            }
-                            Entry::Vacant(vac) => {
-                                vac.insert(-f * vv);
-                                let old = cols[cc as usize].len() as u32;
-                                cols[cc as usize].insert(i);
-                                queue.remove(&(old, cc));
-                                queue.insert((old + 1, cc));
-                            }
-                        }
-                    }
+            let (r, v) = (rows[k], vals[k]);
+            if v.abs() < ABS_PIVOT_TOL {
+                continue;
+            }
+            for &(cc, vv) in row(r) {
+                let cc = cc as usize;
+                if cc == c || col_done[cc] {
+                    continue;
+                }
+                out.u_entries.push((cc as u32, vv));
+                col_count[cc] -= 1;
+                if col_count[cc] == 1 {
+                    queue.push(cc as u32);
                 }
             }
+            out.pivot(r as u32, c as u32, v);
+            row_done[r] = true;
+            col_done[c] = true;
+        }
 
-            // Deactivate the pivot row and column.
-            for &(cc, _) in &urow {
-                let old = cols[cc as usize].len() as u32;
-                cols[cc as usize].remove(&r);
-                queue.remove(&(old, cc));
-                queue.insert((old - 1, cc));
+        // --- Row singletons: pivot, eliminate the column with pure
+        // multipliers; nothing fills in and no working value changes. ---
+        queue.clear();
+        queue
+            .extend((0..m as u32).filter(|&r| !row_done[r as usize] && row_count[r as usize] == 1));
+        head = 0;
+        while head < queue.len() {
+            let r = queue[head] as usize;
+            head += 1;
+            if row_done[r] {
+                continue;
             }
-            queue.remove(&(cols[c as usize].len() as u32, c));
-            cols[c as usize] = HashSet::new();
-            rows[r as usize] = HashMap::new();
-            u_raw.push(urow);
+            let Some(&(c, v)) = row(r).iter().find(|e| !col_done[e.0 as usize]) else {
+                return Err(());
+            };
+            let c = c as usize;
+            let (rows, vals) = col(c);
+            let colmax = rows
+                .iter()
+                .zip(vals)
+                .filter(|&(&i, _)| !row_done[i])
+                .fold(0.0f64, |acc, (_, v)| acc.max(v.abs()));
+            if v.abs() < threshold * colmax || v.abs() < ABS_PIVOT_TOL {
+                continue;
+            }
+            for (&i, &vi) in rows.iter().zip(vals) {
+                if i == r || row_done[i] {
+                    continue;
+                }
+                out.l_entries.push((i as u32, vi / v));
+                row_count[i] -= 1;
+                match row_count[i] {
+                    0 => return Err(()),
+                    1 => queue.push(i as u32),
+                    _ => {}
+                }
+            }
+            out.close_l_column(r as u32);
+            out.pivot(r as u32, c as u32, v);
+            row_done[r] = true;
+            col_done[c] = true;
         }
 
-        // Remap U columns from basis slots to pivot positions.
-        let mut pos = vec![u32::MAX; m];
-        for (t, &c) in pivot_cols.iter().enumerate() {
-            pos[c as usize] = t as u32;
+        if out.diag.len() < m {
+            let bump = Bump::new(a, basic, &row_done, &col_done);
+            bump.factorize(&mut out, threshold)?;
         }
-        let u_rows: Vec<Vec<(u32, f64)>> = u_raw
-            .into_iter()
-            .map(|row| {
-                let mut mapped: Vec<(u32, f64)> =
-                    row.into_iter().map(|(c, v)| (pos[c as usize], v)).collect();
-                mapped.sort_unstable_by_key(|e| e.0);
-                mapped
-            })
-            .collect();
-
-        Ok(LuFactors {
-            m,
-            l_ops,
-            pivot_rows,
-            pivot_cols,
-            u_rows,
-            diag,
-        })
+        Ok(out.finish(m))
     }
 
-    /// Stored nonzeros of the factorization (L ops + U entries + diagonal).
+    /// Stored nonzeros of the factorization (L multipliers + U entries +
+    /// diagonal).
     pub(crate) fn nnz(&self) -> usize {
-        self.l_ops.len() + self.u_rows.iter().map(Vec::len).sum::<usize>() + self.diag.len()
+        self.l_entries.len() + self.u_entries.len() + self.diag.len()
     }
 
     /// Solves `B·x = z` in place (`z` enters as the right-hand side, leaves
-    /// as the solution).
-    fn ftran_in_place(&self, z: &mut [f64]) {
+    /// as the solution). `scratch` is resized to `m` and overwritten.
+    fn ftran_in_place(&self, z: &mut [f64], scratch: &mut Vec<f64>) {
         debug_assert_eq!(z.len(), self.m);
-        for &(tr, pr, f) in &self.l_ops {
+        for (k, &pr) in self.l_pivots.iter().enumerate() {
             let zp = z[pr as usize];
             if zp != 0.0 {
-                z[tr as usize] -= f * zp;
+                let range = self.l_ptr[k] as usize..self.l_ptr[k + 1] as usize;
+                for &(tr, f) in &self.l_entries[range] {
+                    z[tr as usize] -= f * zp;
+                }
             }
         }
         // Backward substitution through U, in pivot order.
-        let mut xp = vec![0.0; self.m];
+        scratch.resize(self.m, 0.0);
+        let xp = &mut scratch[..];
         for t in (0..self.m).rev() {
             let mut s = z[self.pivot_rows[t] as usize];
-            for &(sp, v) in &self.u_rows[t] {
+            for &(sp, v) in &self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize] {
                 let xv = xp[sp as usize];
                 if xv != 0.0 {
                     s -= v * xv;
@@ -275,40 +651,77 @@ impl LuFactors {
             }
             xp[t] = s / self.diag[t];
         }
-        for t in 0..self.m {
-            z[self.pivot_cols[t] as usize] = xp[t];
+        for (&c, &x) in self.pivot_cols.iter().zip(xp.iter()) {
+            z[c as usize] = x;
         }
     }
 
-    /// Solves `Bᵀ·y = c` in place.
-    fn btran_in_place(&self, c: &mut [f64]) {
+    /// Solves `Bᵀ·y = c` in place. `scratch` is resized to `m` and
+    /// overwritten.
+    fn btran_in_place(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
         debug_assert_eq!(c.len(), self.m);
         // Gather through the column permutation, then forward-solve Uᵀ by
         // scattering each pivot's row of U ahead.
-        let mut w = vec![0.0; self.m];
-        for t in 0..self.m {
-            w[t] = c[self.pivot_cols[t] as usize];
+        scratch.resize(self.m, 0.0);
+        let w = &mut scratch[..];
+        for (wt, &pc) in w.iter_mut().zip(&self.pivot_cols) {
+            *wt = c[pc as usize];
         }
         for t in 0..self.m {
             let wt = w[t] / self.diag[t];
             w[t] = wt;
             if wt != 0.0 {
-                for &(sp, v) in &self.u_rows[t] {
+                for &(sp, v) in &self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize]
+                {
                     w[sp as usize] -= v * wt;
                 }
             }
         }
-        for t in 0..self.m {
-            c[self.pivot_rows[t] as usize] = w[t];
+        for (&pr, &wt) in self.pivot_rows.iter().zip(w.iter()) {
+            c[pr as usize] = wt;
         }
-        // Transposed elimination ops, in reverse order.
-        for &(tr, pr, f) in self.l_ops.iter().rev() {
-            let yt = c[tr as usize];
-            if yt != 0.0 {
-                c[pr as usize] -= f * yt;
-            }
+        // Transposed L columns, in reverse order.
+        for (k, &pr) in self.l_pivots.iter().enumerate().rev() {
+            let range = self.l_ptr[k] as usize..self.l_ptr[k + 1] as usize;
+            let s: f64 = self.l_entries[range]
+                .iter()
+                .map(|&(tr, f)| f * c[tr as usize])
+                .sum();
+            c[pr as usize] -= s;
         }
     }
+}
+
+/// Sparse LU factorizations counted and timed by [`time_factorizations`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FactorTiming {
+    /// From-scratch factorizations run (the identity of a cold all-slack
+    /// start is not one).
+    pub factorizations: u64,
+    /// Nanoseconds they took, by the caller's clock.
+    pub nanos: u64,
+}
+
+/// A caller's nanosecond clock and the totals gathered under it.
+type Timer = (fn() -> u64, FactorTiming);
+
+thread_local! {
+    /// The timer of the innermost active [`time_factorizations`] on this
+    /// thread.
+    static FACTOR_TIMER: Cell<Option<Timer>> = const { Cell::new(None) };
+}
+
+/// Runs `f` and returns its result together with the count and total time
+/// of the LU factorizations it ran on this thread. `clock` reads monotonic
+/// nanoseconds; this crate reads no clock of its own, so timing is opt-in
+/// and touches no solver decision.
+pub fn time_factorizations<R>(clock: fn() -> u64, f: impl FnOnce() -> R) -> (R, FactorTiming) {
+    let outer = FACTOR_TIMER.with(|t| t.replace(Some((clock, FactorTiming::default()))));
+    let result = f();
+    let timing = FACTOR_TIMER
+        .with(|t| t.replace(outer))
+        .map_or_else(FactorTiming::default, |(_, timing)| timing);
+    (result, timing)
 }
 
 /// One product-form update: the sparse elementary transformation `E` with
@@ -389,8 +802,16 @@ impl LuFactor {
 
     /// Fresh factorization of the given basis columns; empty eta file.
     pub(crate) fn factorize(a: &CscMatrix, basic: &[usize], threshold: f64) -> Result<Self, ()> {
+        let timer = FACTOR_TIMER.with(Cell::get);
+        let start = timer.map(|(clock, _)| clock());
+        let base = LuFactors::factorize(a, basic, threshold);
+        if let (Some((clock, mut timing)), Some(start)) = (timer, start) {
+            timing.factorizations += 1;
+            timing.nanos += clock().saturating_sub(start);
+            FACTOR_TIMER.with(|t| t.set(Some((clock, timing))));
+        }
         Ok(LuFactor {
-            base: Arc::new(LuFactors::factorize(a, basic, threshold)?),
+            base: Arc::new(base?),
             etas: Vec::new(),
         })
     }
@@ -400,22 +821,22 @@ impl LuFactor {
         self.base.m
     }
 
-    /// `B⁻¹ · r` for a dense right-hand side (consumed and reused).
-    pub(crate) fn solve_vec(&self, mut r: Vec<f64>) -> Vec<f64> {
-        self.base.ftran_in_place(&mut r);
+    /// Overwrites `z` with `B⁻¹ · z` (FTRAN). `scratch` is caller-owned
+    /// working space of any length; its contents are overwritten.
+    pub(crate) fn ftran(&self, z: &mut [f64], scratch: &mut Vec<f64>) {
+        self.base.ftran_in_place(z, scratch);
         for eta in &self.etas {
-            eta.apply_ftran(&mut r);
+            eta.apply_ftran(z);
         }
-        r
     }
 
-    /// `cᵀ · B⁻¹` for a dense cost vector (consumed and reused).
-    pub(crate) fn btran_vec(&self, mut c: Vec<f64>) -> Vec<f64> {
+    /// Overwrites `c` with `cᵀ · B⁻¹` (BTRAN). `scratch` is caller-owned
+    /// working space of any length; its contents are overwritten.
+    pub(crate) fn btran(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
         for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut c);
+            eta.apply_btran(c);
         }
-        self.base.btran_in_place(&mut c);
-        c
+        self.base.btran_in_place(c, scratch);
     }
 
     /// Appends the product-form update for a pivot on `row` with FTRAN
@@ -445,6 +866,18 @@ impl LuFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LuFactor {
+        fn solve_vec(&self, mut r: Vec<f64>) -> Vec<f64> {
+            self.ftran(&mut r, &mut Vec::new());
+            r
+        }
+
+        fn btran_vec(&self, mut c: Vec<f64>) -> Vec<f64> {
+            self.btran(&mut c, &mut Vec::new());
+            c
+        }
+    }
 
     /// Dense reference solve of `B·x = rhs` by Gaussian elimination.
     fn dense_solve(b: &[Vec<f64>], rhs: &[f64]) -> Vec<f64> {
@@ -620,5 +1053,211 @@ mod tests {
         for (p, r) in prod.iter().zip(&rhs) {
             assert!((p - r).abs() < 1e-9);
         }
+    }
+
+    /// Deterministic xorshift stream for the generated bases.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn permutation(&mut self, n: usize) -> Vec<usize> {
+            let mut p: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                p.swap(i, self.below(i + 1));
+            }
+            p
+        }
+    }
+
+    /// A random sparse nonsingular `m×m` basis shaped like the mechanism's:
+    /// a triangular, singleton-heavy block (diagonal in `[1, 2]`, sparse
+    /// couplings above it and into the corner columns) plus a dense,
+    /// diagonally dominant `corner×corner` block, so the matrix is block
+    /// triangular with nonsingular diagonal blocks; rows and columns are
+    /// then randomly permuted. Returns the dense copy, row-major.
+    fn random_basis(stream: &mut Stream, m: usize, corner: usize) -> Vec<Vec<f64>> {
+        let t = m - corner;
+        let mut block = vec![vec![0.0; m]; m];
+        for j in 0..m {
+            if j < t {
+                let sign = if stream.below(2) == 0 { 1.0 } else { -1.0 };
+                block[j][j] = sign * (1.0 + stream.unit());
+                for row in block.iter_mut().take(j) {
+                    if stream.below(6) == 0 {
+                        row[j] = 2.0 * stream.unit() - 1.0;
+                    }
+                }
+            } else {
+                for (i, row) in block.iter_mut().enumerate() {
+                    if i == j {
+                        row[j] = corner as f64 + 1.0 + stream.unit();
+                    } else if (i >= t && stream.below(10) < 7) || (i < t && stream.below(5) == 0) {
+                        row[j] = 2.0 * stream.unit() - 1.0;
+                    }
+                }
+            }
+        }
+        let (rows, cols) = (stream.permutation(m), stream.permutation(m));
+        let mut dense = vec![vec![0.0; m]; m];
+        for i in 0..m {
+            for j in 0..m {
+                dense[rows[i]][cols[j]] = block[i][j];
+            }
+        }
+        dense
+    }
+
+    fn to_csc(dense: &[Vec<f64>]) -> CscMatrix {
+        let m = dense.len();
+        let mut triplets = Vec::new();
+        for (i, row) in dense.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    triplets.push((i, j, v));
+                }
+            }
+        }
+        CscMatrix::from_triplets(m, m, &triplets)
+    }
+
+    fn transpose(dense: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let m = dense.len();
+        (0..m)
+            .map(|i| (0..m).map(|j| dense[j][i]).collect())
+            .collect()
+    }
+
+    /// FTRAN and BTRAN of `lu` agree with dense solves of `dense` to 1e-9.
+    fn assert_solves_match(lu: &LuFactor, dense: &[Vec<f64>], stream: &mut Stream) {
+        let m = dense.len();
+        let rhs: Vec<f64> = (0..m).map(|_| 4.0 * stream.unit() - 2.0).collect();
+        let pairs = [
+            (lu.solve_vec(rhs.clone()), dense_solve(dense, &rhs), "ftran"),
+            (
+                lu.btran_vec(rhs.clone()),
+                dense_solve(&transpose(dense), &rhs),
+                "btran",
+            ),
+        ];
+        for (got, want, kind) in pairs {
+            for (a, b) in got.iter().zip(&want) {
+                assert!(
+                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
+                    "{kind} {a} vs dense {b}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The singleton pass and the bump elimination together solve
+        /// random sparse nonsingular bases exactly as a dense solve does,
+        /// before and after eta updates.
+        #[test]
+        fn random_sparse_bases_solve_like_the_dense_reference(
+            seed in 1u64..u64::MAX,
+            m in 1usize..40,
+            corner_frac in 0.0..1.0f64,
+        ) {
+            let mut stream = Stream(seed);
+            let corner = ((m as f64 * corner_frac * 0.5) as usize).min(m);
+            let mut dense = random_basis(&mut stream, m, corner);
+            let basic: Vec<usize> = (0..m).collect();
+            let mut lu = LuFactor::factorize(&to_csc(&dense), &basic, 0.1).unwrap();
+            assert_solves_match(&lu, &dense, &mut stream);
+            // Column replacements through the eta file, each kept only when
+            // its pivot is well away from zero.
+            for _ in 0..3 {
+                let slot = stream.below(m);
+                let entering: Vec<f64> = (0..m)
+                    .map(|_| if stream.below(3) == 0 { 2.0 * stream.unit() - 1.0 } else { 0.0 })
+                    .collect();
+                let w = lu.solve_vec(entering.clone());
+                if w[slot].abs() < 0.5 {
+                    continue;
+                }
+                lu.update(slot, &w);
+                for (row, &v) in dense.iter_mut().zip(&entering) {
+                    row[slot] = v;
+                }
+                assert_solves_match(&lu, &dense, &mut stream);
+            }
+        }
+
+        /// Structurally singular bases (an empty column, an empty row, two
+        /// columns confined to one row) and numerically singular ones (one
+        /// column the sum of two others) are rejected.
+        #[test]
+        fn singular_bases_are_rejected(seed in 1u64..u64::MAX, m in 3usize..30) {
+            let mut stream = Stream(seed);
+            let corner = stream.below(m / 2 + 1);
+            let dense = random_basis(&mut stream, m, corner);
+            let basic: Vec<usize> = (0..m).collect();
+            let (c0, c1, c2) = (stream.below(m), stream.below(m), stream.below(m));
+            let r = stream.below(m);
+            let mut variants = Vec::new();
+            let mut empty_col = dense.clone();
+            empty_col.iter_mut().for_each(|row| row[c0] = 0.0);
+            variants.push(("empty column", empty_col));
+            let mut empty_row = dense.clone();
+            empty_row[r].iter_mut().for_each(|v| *v = 0.0);
+            variants.push(("empty row", empty_row));
+            if c0 != c1 {
+                let mut confined = dense.clone();
+                for (i, row) in confined.iter_mut().enumerate() {
+                    row[c0] = if i == r { 1.5 } else { 0.0 };
+                    row[c1] = if i == r { -2.0 } else { 0.0 };
+                }
+                variants.push(("two columns in one row", confined));
+            }
+            if c0 != c1 && c2 != c0 && c2 != c1 {
+                let mut dependent = dense.clone();
+                for row in dependent.iter_mut() {
+                    row[c2] = row[c0] + row[c1];
+                }
+                variants.push(("dependent column", dependent));
+            }
+            for (kind, variant) in variants {
+                assert!(
+                    LuFactor::factorize(&to_csc(&variant), &basic, 0.1).is_err(),
+                    "{kind} factored"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn factorizations_are_counted_and_timed_only_inside_the_timer() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static TICKS: AtomicU64 = AtomicU64::new(0);
+        fn tick() -> u64 {
+            TICKS.fetch_add(5, Ordering::Relaxed)
+        }
+        let (a, _) = test_matrix(6);
+        let basic: Vec<usize> = (0..6).collect();
+        LuFactor::factorize(&a, &basic, 0.1).unwrap();
+        let (result, timing) = time_factorizations(tick, || {
+            LuFactor::factorize(&a, &basic, 0.1).unwrap();
+            LuFactor::factorize(&a, &[0, 0, 1, 2, 3, 4], 0.1).is_err()
+        });
+        assert!(result);
+        assert_eq!(timing.factorizations, 2);
+        assert_eq!(timing.nanos, 10);
+        assert_eq!(TICKS.load(Ordering::Relaxed), 20);
     }
 }

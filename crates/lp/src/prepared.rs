@@ -80,6 +80,9 @@ pub(crate) struct BasisFactor {
     pub(crate) lu: LuFactor,
     /// Fingerprint of the [`CscMatrix`] the factor belongs to.
     pub(crate) fingerprint: u64,
+    /// Dual steepest-edge weights `‖e_rᵀB⁻¹‖²` per basis row, when they are
+    /// still exact for this basis (see [`crate::revised`]).
+    pub(crate) weights: Option<Vec<f64>>,
 }
 
 impl Basis {

@@ -1,8 +1,8 @@
 //! Sparse bounded-variable revised simplex.
 //!
 //! The solver works on a [`PreparedLp`] in equality form `Ax = b`,
-//! `l ≤ x ≤ u` and maintains the basis as a sparse Markowitz LU
-//! factorization (`crate::lu`) updated across pivots by a bounded eta file,
+//! `l ≤ x ≤ u` and maintains the basis as a sparse LU factorization
+//! (`crate::lu`) updated across pivots by a bounded eta file,
 //! so per-pivot work tracks the factor nonzeros instead of `rows²`.
 //!
 //! The factorization is revalidated every
@@ -22,11 +22,24 @@
 //! optimal basis stays dual feasible when only `b` moved, so a warm solve
 //! first checks every nonbasic, non-fixed reduced cost against the primal
 //! pricing tolerance; if the basis is dual feasible but primal infeasible,
-//! dual pivots restore primal feasibility while keeping optimality: the
-//! basic with the largest bound violation leaves at the bound it violates,
-//! and the dual ratio test over row `r` of `B⁻¹N` picks the entering column
-//! (ties go to the largest `|α|`). The dual reuses the primal path's eta
-//! update, drift check and refactorization. It never issues a verdict: when
+//! dual pivots restore primal feasibility while keeping optimality: a
+//! violated basic leaves at the bound it violates, and the dual ratio test
+//! over row `r` of `B⁻¹N` picks the entering column (ties go to the largest
+//! `|α|`).
+//!
+//! The leaving row is chosen by **dual steepest edge** (Forrest and
+//! Goldfarb, 1992): the row maximising `violation² / β_r`, where
+//! `β_r = ‖e_rᵀB⁻¹‖²`. After each dual pivot one extra FTRAN
+//! `τ = B⁻¹ρ_r` updates every weight, with `β_r` recomputed exactly as
+//! `ρ_r·ρ_r`. The weights travel in [`crate::Basis`] along a chain and
+//! across refactorizations, and are used only while they are exact: they
+//! start at 1 on the all-slack cold start (`B = I`), and any phase-1 or
+//! phase-2 pivot — which has no cheap update — drops them, as does a warm
+//! basis that arrives without them. The dual then falls back to the largest
+//! violation, which is what weights of 1 reduce to.
+//!
+//! The dual reuses the primal path's eta update, drift check and
+//! refactorization. It never issues a verdict: when
 //! its ratio test finds no entering column, or it reaches
 //! [`SimplexOptions::bland_after`] pivots, it hands its current basis to the
 //! composite phase 1 below, which decides the outcome.
@@ -41,7 +54,9 @@
 //!
 //! Pricing is Dantzig's rule with Bland's anti-cycling rule after
 //! [`SimplexOptions::bland_after`] pivots, mirroring the dense oracle in
-//! [`crate::simplex`].
+//! [`crate::simplex`]. Pricing, both ratio tests and the leaving-row choice
+//! count scores within a relative `1e-9` as tied and keep the first
+//! candidate, so a pivot path does not depend on how the LU rounds.
 
 use crate::error::LpError;
 use crate::lu::LuFactor;
@@ -58,6 +73,13 @@ const FEAS_TOL: f64 = 1e-7;
 /// refactorization. Dividing by anything smaller would amplify rounding
 /// errors across the basis representation.
 const PIVOT_TOL: f64 = 1e-7;
+
+/// Relative margin within which two pivot scores count as tied. Pricing,
+/// both ratio tests and the leaving-row choice keep the first candidate on
+/// a tie, so a pivot path does not hinge on the last bits of factorization
+/// rounding: values that are equal in exact arithmetic (±1 coefficients
+/// make many) choose the same way under any LU pivot order.
+const TIE_REL: f64 = 1e-9;
 
 /// Primal residual `‖b − A·x‖∞` above which the periodic drift check
 /// triggers a refactorization (kept below [`FEAS_TOL`] so the factors are
@@ -106,6 +128,22 @@ enum Phase {
     Two,
 }
 
+/// Working vectors reused across pivots, so the hot loop allocates nothing
+/// per pivot.
+#[derive(Default)]
+struct Buffers {
+    /// FTRAN image `B⁻¹a_q` of the entering column.
+    col: Vec<f64>,
+    /// A BTRAN result: the dual vector `y`, or row `ρ_r = e_rᵀB⁻¹`.
+    row: Vec<f64>,
+    /// `τ = B⁻¹ρ_r`, the dual steepest-edge update vector.
+    tau: Vec<f64>,
+    /// Row `r` of `B⁻¹N`, per standardized column.
+    alpha: Vec<f64>,
+    /// Working space of the LU solves.
+    scratch: Vec<f64>,
+}
+
 struct Engine<'a> {
     lp: &'a PreparedLp,
     options: &'a SimplexOptions,
@@ -114,11 +152,16 @@ struct Engine<'a> {
     factor: LuFactor,
     basic: Vec<usize>,
     status: Vec<VarStatus>,
+    /// Dual steepest-edge weights `β_r = ‖e_rᵀB⁻¹‖²` per basis row, while
+    /// they are exact for the current basis; `None` after a primal pivot or
+    /// on a basis that arrived without them.
+    weights: Option<Vec<f64>>,
     /// Current value of every standardized column.
     x: Vec<f64>,
     /// Pivots since the last refactorization.
     since_refactor: usize,
     stats: SolveStats,
+    buf: Buffers,
 }
 
 impl<'a> Engine<'a> {
@@ -134,19 +177,23 @@ impl<'a> Engine<'a> {
         }
         let m = lp.nrows;
         let start = start.filter(|s| basis_is_consistent(lp, s));
-        let (basic, status, inherited_factor) = match start {
+        let (basic, status, inherited_factor, weights) = match start {
             Some(s) => {
                 // Reuse the carried factorization when the basis was produced
                 // against this exact matrix — the common chain case. The
                 // hand-off is O(1): the LU base is shared behind an Arc, so
-                // no O(m²) clone happens here.
-                let factor = s
+                // no O(m²) clone happens here. The steepest-edge weights
+                // describe the same basis matrix, so they travel with it.
+                let carried = s
                     .factor
                     .as_ref()
-                    .filter(|f| f.fingerprint == lp.fingerprint)
-                    .map(|f| f.lu.clone())
-                    .filter(|f| f.dim() == m);
-                (s.basic.clone(), s.status.clone(), factor)
+                    .filter(|f| f.fingerprint == lp.fingerprint && f.lu.dim() == m);
+                (
+                    s.basic.clone(),
+                    s.status.clone(),
+                    carried.map(|f| f.lu.clone()),
+                    carried.and_then(|f| f.weights.clone()),
+                )
             }
             None => {
                 // All-slack basis; structurals at their nearest finite bound.
@@ -159,11 +206,13 @@ impl<'a> Engine<'a> {
                     });
                 }
                 // The all-slack basis matrix is the identity: no
-                // factorization needed.
+                // factorization needed, and every row of B⁻¹ is a unit
+                // vector, so the steepest-edge weights are exactly 1.
                 (
                     (lp.nvars..lp.ncols).collect(),
                     status,
                     Some(LuFactor::identity(m)),
+                    Some(vec![1.0; m]),
                 )
             }
         };
@@ -184,6 +233,7 @@ impl<'a> Engine<'a> {
             factor,
             basic,
             status,
+            weights,
             x: vec![0.0; lp.ncols],
             since_refactor: 0,
             stats: SolveStats {
@@ -193,6 +243,7 @@ impl<'a> Engine<'a> {
                 presolve_cols_removed: lp.presolve_cols_removed(),
                 ..SolveStats::default()
             },
+            buf: Buffers::default(),
         };
         engine.stats.fill_in_nnz = engine.factor.nnz();
         engine.compute_x();
@@ -246,19 +297,20 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let xb = self.factor.solve_vec(r);
+        self.factor.ftran(&mut r, &mut self.buf.scratch);
         for (row, &j) in self.basic.iter().enumerate() {
-            self.x[j] = xb[row];
+            self.x[j] = r[row];
         }
     }
 
-    /// `w = B⁻¹ · a_j` for a standardized column `j`.
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut rhs = vec![0.0; self.m];
+    /// Overwrites `w` with `B⁻¹ · a_j` for a standardized column `j`.
+    fn ftran(&self, j: usize, w: &mut Vec<f64>, scratch: &mut Vec<f64>) {
+        w.clear();
+        w.resize(self.m, 0.0);
         for (r, v) in self.lp.a.col(j) {
-            rhs[r] += v;
+            w[r] += v;
         }
-        self.factor.solve_vec(rhs)
+        self.factor.ftran(w, scratch);
     }
 
     /// `‖b − A·x‖∞` of the current iterate — the cheap (O(nnz)) drift
@@ -276,16 +328,12 @@ impl<'a> Engine<'a> {
         r.iter().fold(0.0f64, |acc, v| acc.max(v.abs()))
     }
 
-    /// `y = (c_B)ᵀ · B⁻¹`.
-    fn btran(&self, cb: &[f64]) -> Vec<f64> {
-        self.factor.btran_vec(cb.to_vec())
-    }
-
-    /// Total bound violation of the basic variables and the phase-1 cost
-    /// vector (−1 below lower, +1 above upper).
-    fn infeasibility(&self) -> (f64, Vec<f64>) {
+    /// Total bound violation of the basic variables; writes the phase-1
+    /// cost vector (−1 below lower, +1 above upper) into `cb`.
+    fn infeasibility(&self, cb: &mut Vec<f64>) -> f64 {
         let mut total = 0.0;
-        let mut cb = vec![0.0; self.m];
+        cb.clear();
+        cb.resize(self.m, 0.0);
         for (row, &j) in self.basic.iter().enumerate() {
             let xj = self.x[j];
             if xj < self.lp.lower[j] - FEAS_TOL {
@@ -296,19 +344,26 @@ impl<'a> Engine<'a> {
                 total += xj - self.lp.upper[j];
             }
         }
-        (total, cb)
+        total
+    }
+
+    /// Overwrites `cb` with the phase-2 costs of the basic columns.
+    fn basic_costs(&self, cb: &mut Vec<f64>) {
+        cb.clear();
+        cb.extend(self.basic.iter().map(|&j| self.lp.cost[j]));
     }
 
     /// Reduced costs `c_j − a_jᵀy` of every column for the phase-2 objective
     /// (0 for basics) — the same arithmetic as phase-2 pricing, so the dual
     /// entry test agrees bit for bit with what pricing would see.
-    fn reduced_costs(&self) -> Vec<f64> {
-        let cb: Vec<f64> = self.basic.iter().map(|&j| self.lp.cost[j]).collect();
-        let y = self.btran(&cb);
+    fn reduced_costs(&self, buf: &mut Buffers) -> Vec<f64> {
+        let y = &mut buf.row;
+        self.basic_costs(y);
+        self.factor.btran(y, &mut buf.scratch);
         (0..self.lp.ncols)
             .map(|j| match self.status[j] {
                 VarStatus::Basic => 0.0,
-                _ => self.lp.cost[j] - self.lp.a.col_dot(j, &y),
+                _ => self.lp.cost[j] - self.lp.a.col_dot(j, y),
             })
             .collect()
     }
@@ -318,11 +373,14 @@ impl<'a> Engine<'a> {
         self.status[j] == VarStatus::Basic || self.lp.lower[j] == self.lp.upper[j]
     }
 
-    /// The basic row with the largest bound violation beyond [`FEAS_TOL`]
-    /// (lowest row on ties), with the bound its variable leaves at.
-    fn most_violated_row(&self) -> Option<(usize, f64, VarStatus)> {
+    /// The dual leaving row among basics violating a bound by more than
+    /// [`FEAS_TOL`], with the bound its variable leaves at: the largest
+    /// `violation² / β_r` while the steepest-edge weights are exact, else
+    /// the largest violation (what weights of 1 reduce to). Lowest row on
+    /// ties.
+    fn leaving_row(&self) -> Option<(usize, f64, VarStatus)> {
         let mut best: Option<(usize, f64, VarStatus)> = None;
-        let mut worst = FEAS_TOL;
+        let mut best_score = 0.0;
         for (row, &j) in self.basic.iter().enumerate() {
             let xj = self.x[j];
             let (violation, target, status) = if xj < self.lp.lower[j] {
@@ -332,8 +390,15 @@ impl<'a> Engine<'a> {
             } else {
                 continue;
             };
-            if violation > worst {
-                worst = violation;
+            if violation <= FEAS_TOL {
+                continue;
+            }
+            let score = match &self.weights {
+                Some(beta) => violation * violation / beta[row],
+                None => violation,
+            };
+            if best.is_none() || score > best_score * (1.0 + TIE_REL) {
+                best_score = score;
                 best = Some((row, target, status));
             }
         }
@@ -350,13 +415,20 @@ impl<'a> Engine<'a> {
     /// [`SimplexOptions::bland_after`] pivots — the composite phase 1 that
     /// follows takes over from whatever basis it leaves.
     fn dual(&mut self) -> Result<usize, LpError> {
+        let mut buf = std::mem::take(&mut self.buf);
+        let result = self.dual_with(&mut buf);
+        self.buf = buf;
+        result
+    }
+
+    fn dual_with(&mut self, buf: &mut Buffers) -> Result<usize, LpError> {
         let tol = self.options.tol;
         let pivot_tol = PIVOT_TOL.max(tol);
         let limit = self.options.bland_after.min(self.options.max_iterations);
-        if limit == 0 || self.most_violated_row().is_none() {
+        if limit == 0 || self.leaving_row().is_none() {
             return Ok(0);
         }
-        let mut d = self.reduced_costs();
+        let mut d = self.reduced_costs(buf);
         let dual_feasible = (0..self.lp.ncols).all(|j| {
             self.is_frozen(j)
                 || match self.status[j] {
@@ -368,29 +440,32 @@ impl<'a> Engine<'a> {
         if !dual_feasible {
             return Ok(0);
         }
+        buf.alpha.resize(self.lp.ncols, 0.0);
         let mut iterations = 0usize;
         while iterations < limit {
-            let Some((r, target, leave_status)) = self.most_violated_row() else {
+            let Some((r, target, leave_status)) = self.leaving_row() else {
                 break;
             };
             // Row r of B⁻¹N. The leaving basic moves down onto its upper
             // bound (sign +1) or up onto its lower bound (sign −1).
-            let mut unit = vec![0.0; self.m];
-            unit[r] = 1.0;
-            let rho = self.btran(&unit);
+            let rho = &mut buf.row;
+            rho.clear();
+            rho.resize(self.m, 0.0);
+            rho[r] = 1.0;
+            self.factor.btran(rho, &mut buf.scratch);
             let sign = if leave_status == VarStatus::AtUpper {
                 1.0
             } else {
                 -1.0
             };
-            let mut alpha = vec![0.0; self.lp.ncols];
+            let alpha = &mut buf.alpha;
             let mut entering: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
             for j in 0..self.lp.ncols {
                 if self.is_frozen(j) {
                     continue;
                 }
-                let aj = self.lp.a.col_dot(j, &rho);
+                let aj = self.lp.a.col_dot(j, rho);
                 alpha[j] = aj;
                 let signed = sign * aj;
                 // Eligible columns are those whose reduced cost moves
@@ -406,7 +481,8 @@ impl<'a> Engine<'a> {
                     None => true,
                     Some(e) => {
                         ratio < best_ratio - tol
-                            || (ratio < best_ratio + tol && aj.abs() > alpha[e].abs())
+                            || (ratio < best_ratio + tol
+                                && aj.abs() > alpha[e].abs() * (1.0 + TIE_REL))
                     }
                 };
                 if accept {
@@ -417,31 +493,63 @@ impl<'a> Engine<'a> {
             let Some(q) = entering else {
                 break;
             };
-            let w = self.ftran(q);
-            if w[r].abs() <= pivot_tol {
+            self.ftran(q, &mut buf.col, &mut buf.scratch);
+            if buf.col[r].abs() <= pivot_tol {
                 break;
             }
+            self.update_weights(r, buf);
             // Move the entering column so the leaving basic lands exactly on
             // its violated bound, then update the reduced costs for the new
             // basis (the leaving column's becomes −θ).
+            let w = &buf.col;
             let step = (self.x[self.basic[r]] - target) / w[r];
-            let theta = d[q] / alpha[q];
-            for j in 0..self.lp.ncols {
+            let theta = d[q] / buf.alpha[q];
+            for (j, (dj, &aj)) in d.iter_mut().zip(&buf.alpha).enumerate() {
                 if !self.is_frozen(j) {
-                    d[j] -= theta * alpha[j];
+                    *dj -= theta * aj;
                 }
             }
             let out = self.basic[r];
-            self.step_basics(step, &w);
-            let refactored = self.swap_in(r, q, leave_status, step, &w)?;
+            self.step_basics(step, w);
+            let refactored = self.swap_in(r, q, leave_status, step, w)?;
             d[q] = 0.0;
             d[out] = -theta;
             if refactored {
-                d = self.reduced_costs();
+                d = self.reduced_costs(buf);
             }
             iterations += 1;
         }
         Ok(iterations)
+    }
+
+    /// Dual steepest-edge update for a pivot on row `r` (Forrest and
+    /// Goldfarb, 1992), before the basis changes: with `ρ_r` in `buf.row`
+    /// and the entering column's image `w` in `buf.col`, one extra FTRAN
+    /// `τ = B⁻¹ρ_r` gives every new weight
+    /// `β_i ← β_i − 2(w_i/w_r)τ_i + (w_i/w_r)²β_r` and `β_r ← β_r/w_r²`,
+    /// with `β_r = ρ_r·ρ_r` recomputed exactly. No-op without weights.
+    fn update_weights(&mut self, r: usize, buf: &mut Buffers) {
+        let Some(beta) = self.weights.as_mut() else {
+            return;
+        };
+        let (rho, w, tau) = (&buf.row, &buf.col, &mut buf.tau);
+        let beta_r: f64 = rho.iter().map(|v| v * v).sum();
+        tau.clear();
+        tau.extend_from_slice(rho);
+        self.factor.ftran(tau, &mut buf.scratch);
+        // The new row i of B⁻¹ has component −w_i/w_r along the leaving
+        // column, so its squared norm is at least (w_i/w_r)²/‖a_out‖²:
+        // a floor that keeps rounding from driving a weight to zero.
+        let out_norm2: f64 = self.lp.a.col(self.basic[r]).map(|(_, v)| v * v).sum();
+        let (inv_wr, inv_norm2) = (1.0 / w[r], 1.0 / out_norm2);
+        for (i, (b, (&wi, &ti))) in beta.iter_mut().zip(w.iter().zip(tau.iter())).enumerate() {
+            if i == r || wi == 0.0 {
+                continue;
+            }
+            let ratio = wi * inv_wr;
+            *b = (*b + ratio * (ratio * beta_r - 2.0 * ti)).max(ratio * ratio * inv_norm2);
+        }
+        beta[r] = beta_r * inv_wr * inv_wr;
     }
 
     fn run(mut self) -> Result<PreparedSolution, LpError> {
@@ -466,6 +574,7 @@ impl<'a> Engine<'a> {
                 factor: Some(BasisFactor {
                     lu: self.factor,
                     fingerprint: self.lp.fingerprint,
+                    weights: self.weights,
                 }),
             },
         })
@@ -473,6 +582,13 @@ impl<'a> Engine<'a> {
 
     /// Runs simplex iterations for one phase; returns the pivot count.
     fn iterate(&mut self, phase: Phase) -> Result<usize, LpError> {
+        let mut buf = std::mem::take(&mut self.buf);
+        let result = self.iterate_with(phase, &mut buf);
+        self.buf = buf;
+        result
+    }
+
+    fn iterate_with(&mut self, phase: Phase, buf: &mut Buffers) -> Result<usize, LpError> {
         let tol = self.options.tol;
         let pivot_tol = PIVOT_TOL.max(tol);
         let mut iterations = 0usize;
@@ -480,23 +596,22 @@ impl<'a> Engine<'a> {
             // Phase-dependent cost of the current basis. Phase-1 costs depend
             // on which basics are out of bounds, so they are recomputed every
             // iteration.
-            let cb: Vec<f64> = match phase {
+            let y = &mut buf.row;
+            match phase {
                 Phase::One => {
-                    let (infeasibility, cb) = self.infeasibility();
-                    if infeasibility <= FEAS_TOL {
+                    if self.infeasibility(y) <= FEAS_TOL {
                         return Ok(iterations);
                     }
-                    cb
                 }
-                Phase::Two => self.basic.iter().map(|&j| self.lp.cost[j]).collect(),
-            };
+                Phase::Two => self.basic_costs(y),
+            }
             if iterations >= self.options.max_iterations {
                 return Err(LpError::IterationLimit {
                     limit: self.options.max_iterations,
                 });
             }
             let use_bland = iterations >= self.options.bland_after;
-            let y = self.btran(&cb);
+            self.factor.btran(y, &mut buf.scratch);
 
             // Pricing: pick an entering nonbasic column whose reduced cost
             // improves the phase objective in its admissible direction.
@@ -510,7 +625,7 @@ impl<'a> Engine<'a> {
                     Phase::One => 0.0,
                     Phase::Two => self.lp.cost[j],
                 };
-                let d = cj - self.lp.a.col_dot(j, &y);
+                let d = cj - self.lp.a.col_dot(j, y);
                 let (score, dir) = match self.status[j] {
                     VarStatus::AtLower => (-d, 1.0),
                     VarStatus::AtUpper => (d, -1.0),
@@ -522,7 +637,7 @@ impl<'a> Engine<'a> {
                         entering = Some((j, dir));
                         break;
                     }
-                    if score > best_score {
+                    if score > best_score * (1.0 + TIE_REL) {
                         best_score = score;
                         entering = Some((j, dir));
                     }
@@ -537,7 +652,8 @@ impl<'a> Engine<'a> {
                 };
             };
 
-            let w = self.ftran(q);
+            self.ftran(q, &mut buf.col, &mut buf.scratch);
+            let w = &buf.col;
 
             // Ratio test. The entering variable moves by `t ≥ 0` in direction
             // `dir`; basic `row` changes as `x − t·dir·w[row]`. The entering
@@ -594,7 +710,7 @@ impl<'a> Engine<'a> {
                                 self.basic[row] < self.basic[l]
                             } else {
                                 // Stability tie-break: larger pivot element.
-                                wi.abs() > w[l].abs()
+                                wi.abs() > w[l].abs() * (1.0 + TIE_REL)
                             }
                         } else {
                             false
@@ -621,7 +737,7 @@ impl<'a> Engine<'a> {
 
             // Apply the step.
             let t = t_best;
-            self.step_basics(t * dir, &w);
+            self.step_basics(t * dir, w);
             match leaving {
                 None => {
                     // Bound flip: the entering variable runs to its opposite
@@ -635,7 +751,11 @@ impl<'a> Engine<'a> {
                     self.stats.bound_flips += 1;
                 }
                 Some((row, leave_status)) => {
-                    self.swap_in(row, q, leave_status, dir * t, &w)?;
+                    // A primal pivot has no cheap steepest-edge update: the
+                    // weights stop being exact, and later dual re-entries
+                    // fall back to the largest violation.
+                    self.weights = None;
+                    self.swap_in(row, q, leave_status, dir * t, w)?;
                 }
             }
             iterations += 1;
@@ -1093,5 +1213,105 @@ mod tests {
                     .saturating_sub(s.stats.bound_flips),
             "every true pivot applies one basis update"
         );
+    }
+
+    /// `‖e_rᵀB⁻¹‖²` for every row, by one BTRAN per row of the carried
+    /// factorization.
+    fn exact_weights(basis: &Basis) -> Vec<f64> {
+        let lu = &basis.factor.as_ref().expect("solves carry factors").lu;
+        let m = lu.dim();
+        (0..m)
+            .map(|r| {
+                let mut rho = vec![0.0; m];
+                rho[r] = 1.0;
+                lu.btran(&mut rho, &mut Vec::new());
+                rho.iter().map(|v| v * v).sum()
+            })
+            .collect()
+    }
+
+    fn weights(basis: &Basis) -> Option<&Vec<f64>> {
+        basis.factor.as_ref().and_then(|f| f.weights.as_ref())
+    }
+
+    #[test]
+    fn a_refactorizing_cold_chain_keeps_exact_weights() {
+        // A one-eta cap refactorizes after every pivot; the weights must
+        // survive each rebuild and stay exact.
+        let options = SimplexOptions {
+            update_cap: 1,
+            ..opts()
+        };
+        let mut prepared = hinge_family(0.0).prepare().unwrap();
+        let first = prepared.solve(&options).unwrap();
+        assert_eq!(first.solution.stats.total_iterations(), 0);
+        assert_eq!(weights(&first.basis), Some(&vec![1.0; prepared.num_rows()]));
+        let mut basis = first.basis;
+        let (mut dual_pivots, mut refactorizations) = (0, 0);
+        for i in 1..=5usize {
+            prepared.set_rhs(0, i as f64);
+            let warm = prepared.solve_warm(&basis, &options).unwrap();
+            let stats = warm.solution.stats;
+            assert_eq!(stats.phase1_iterations + stats.phase2_iterations, 0);
+            dual_pivots += stats.dual_iterations;
+            refactorizations += stats.refactorizations;
+            assert_close(
+                warm.solution.objective,
+                tableau(&hinge_family(i as f64)).objective,
+            );
+            let carried = weights(&warm.basis).expect("dual pivots keep the weights");
+            for (got, want) in carried.iter().zip(exact_weights(&warm.basis)) {
+                assert!(
+                    (got - want).abs() <= 1e-9 * want,
+                    "entry {i}: {got} vs {want}"
+                );
+            }
+            basis = warm.basis;
+        }
+        assert!(dual_pivots > 0 && refactorizations > 0);
+    }
+
+    #[test]
+    fn bases_without_exact_weights_fall_back_to_the_largest_violation() {
+        let options = opts();
+        // A cold solve that needs primal pivots leaves no weights.
+        let prepared = hinge_family(3.0).prepare().unwrap();
+        let primal = prepared.solve(&options).unwrap();
+        assert!(primal.solution.stats.total_iterations() > 0);
+        assert_eq!(weights(&primal.basis), None);
+        // A chain basis with exact weights, then stripped of them.
+        let mut chained = hinge_family(0.0).prepare().unwrap();
+        let start = chained.solve(&options).unwrap().basis;
+        chained.set_rhs(0, 2.0);
+        let mut stripped = chained.solve_warm(&start, &options).unwrap().basis;
+        assert!(weights(&stripped).is_some());
+        if let Some(f) = stripped.factor.as_mut() {
+            f.weights = None;
+        }
+
+        for (mut lp, basis) in [(prepared, primal.basis), (chained, stripped)] {
+            lp.set_rhs(0, 4.0);
+            let engine = Engine::new(&lp, Some(&basis), &options).unwrap();
+            assert!(engine.weights.is_none());
+            // The leaving row is the largest violation, lowest row on ties.
+            let violation = |row: usize| {
+                let j = engine.basic[row];
+                (lp.lower[j] - engine.x[j]).max(engine.x[j] - lp.upper[j])
+            };
+            let largest = (0..lp.num_rows())
+                .filter(|&r| violation(r) > FEAS_TOL)
+                .fold(None, |best: Option<usize>, r| match best {
+                    Some(b) if violation(r) <= violation(b) => Some(b),
+                    _ => Some(r),
+                });
+            assert!(largest.is_some(), "the mass step violates a bound");
+            assert_eq!(engine.leaving_row().map(|(r, _, _)| r), largest);
+
+            let warm = lp.solve_warm(&basis, &options).unwrap();
+            assert!(warm.solution.stats.dual_iterations > 0);
+            assert_eq!(weights(&warm.basis), None);
+            let cold = lp.solve(&options).unwrap();
+            assert_close(warm.solution.objective, cold.solution.objective);
+        }
     }
 }

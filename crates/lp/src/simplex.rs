@@ -60,7 +60,7 @@ impl Default for SimplexOptions {
             tol: 1e-9,
             refactor_every: 64,
             markowitz_threshold: 0.1,
-            update_cap: 64,
+            update_cap: 48,
         }
     }
 }

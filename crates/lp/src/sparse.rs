@@ -89,6 +89,12 @@ impl CscMatrix {
             .zip(self.values[range].iter().copied())
     }
 
+    /// The row indices and values of column `j`, as two parallel slices.
+    pub(crate) fn col_slices(&self, j: usize) -> (&[usize], &[f64]) {
+        let range = self.col_ptr[j]..self.col_ptr[j + 1];
+        (&self.row_idx[range.clone()], &self.values[range])
+    }
+
     /// Dot product of column `j` with a dense vector of length `nrows`.
     pub fn col_dot(&self, j: usize, dense: &[f64]) -> f64 {
         self.col(j).map(|(i, v)| v * dense[i]).sum()

@@ -386,10 +386,18 @@ proptest! {
         lp in bounded_lp(),
         steps in proptest::collection::vec((0usize..5, -2.0..3.0f64), 1..5),
     ) {
-        let options = rmdp_lp::SimplexOptions::default();
-        let mut stepped = lp.clone();
-        let mut prepared = build_bounded(&stepped).prepare().expect("validated by construction");
-        if let Ok(first) = prepared.solve(&options) {
+        // A one-eta cap refactorizes after every pivot, so the steepest-edge
+        // weights must survive rebuilds; 64 is the default.
+        for update_cap in [1, 64] {
+            let options = rmdp_lp::SimplexOptions {
+                update_cap,
+                ..rmdp_lp::SimplexOptions::default()
+            };
+            let mut stepped = lp.clone();
+            let mut prepared = build_bounded(&stepped).prepare().expect("validated by construction");
+            let Ok(first) = prepared.solve(&options) else {
+                continue;
+            };
             let mut basis = first.basis;
             for (k, &(row, rhs)) in steps.iter().enumerate() {
                 let row = row % stepped.constraints.len();
@@ -404,13 +412,13 @@ proptest! {
                 match (verdict(&warm_solution), verdict(&oracle)) {
                     (Some(Ok(a)), Some(Ok(b))) => {
                         prop_assert!((a - b).abs() <= 1e-7 * a.abs().max(b.abs()).max(1.0),
-                            "step {k}: warm {a} vs dense tableau {b}");
+                            "cap {update_cap} step {k}: warm {a} vs dense tableau {b}");
                     }
                     (Some(Err(a)), Some(Err(b))) => {
-                        prop_assert_eq!(a, b, "step {}: verdicts differ", k);
+                        prop_assert_eq!(a, b, "cap {} step {}: verdicts differ", update_cap, k);
                     }
                     (Some(a), Some(b)) => {
-                        prop_assert!(false, "step {k}: warm says {a:?}, tableau says {b:?}");
+                        prop_assert!(false, "cap {update_cap} step {k}: warm says {a:?}, tableau says {b:?}");
                     }
                     _ => {}
                 }
@@ -419,7 +427,6 @@ proptest! {
                     Err(_) => break,
                 }
             }
-
         }
     }
 }
