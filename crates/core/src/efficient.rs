@@ -89,11 +89,11 @@ pub struct LpWorkStats {
     pub warm_start_hits: usize,
     /// Basis-inverse refactorizations across all solves.
     pub refactorizations: usize,
-    /// Eta-file basis updates (one per true pivot).
+    /// Basis updates (one per true pivot).
     pub basis_updates: usize,
     /// Peak stored nonzeros of any one solve's LU factorization (factors
-    /// plus eta file). A *maximum*, not a sum: it bounds the basis memory
-    /// any single solve needed.
+    /// plus their updates). A *maximum*, not a sum: it bounds the basis
+    /// memory any single solve needed.
     pub fill_in_nnz: usize,
     /// Variables fixed by their bounds and substituted out, summed across
     /// solves.

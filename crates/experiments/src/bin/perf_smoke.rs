@@ -5,12 +5,16 @@
 //! entry-by-entry cold solves (`chain_run_len = 1`) and the default
 //! warm-started chains — with wall times and pivot counts, split into
 //! composite phase-1, dual and phase-2 pivots, plus the count and time of
-//! the LU factorizations each precompute ran. Gated on the default chains
+//! the LU factorizations each precompute ran and the count and stored
+//! entries of its basis updates. Gated on the default chains
 //! spending no composite phase-1 pivot: every warm entry must re-enter
 //! through the dual simplex (a silent fallback costs 2–3× and no
-//! correctness test notices it), and on exact pivot limits (pivot counts
+//! correctness test notices it), on exact pivot limits (pivot counts
 //! are deterministic): the default chains may not spend more pivots than
-//! the largest-violation dual did (410 triangle, 1,951 2-star). The same file
+//! the largest-violation dual did (410 triangle, 1,951 2-star), and on an
+//! exact update-size limit: the 2-star warm chain's Forrest–Tomlin updates
+//! may not store more entries per update than when they were introduced
+//! (57.95, against 544.35 for the product-form eta file). The same file
 //! also carries the **basis scaling** section: synthetic 2-star counting
 //! `H`-models from 300 up to 101.5k hinge rows, solved cold and
 //! RHS-stepped warm on the sparse-LU solver (wall time, pivots, peak
@@ -126,6 +130,12 @@ struct WorkloadResult {
 /// are deterministic, so a chain spending more is a regression, not noise.
 const FIG4_WARM_PIVOT_LIMITS: [(&str, usize); 2] = [("triangle", 410), ("2-star", 1951)];
 
+/// Mean entries stored per basis update on a default warm chain, measured
+/// when Forrest–Tomlin updates replaced the product-form eta file (which
+/// stored 544.35 per update on the 2-star chain). Update sizes are
+/// deterministic, so a chain storing more is a regression.
+const FIG4_UPDATE_NNZ_LIMIT: (&str, f64) = ("2-star", 57.95);
+
 /// Pivots of the RHS-stepped warm re-solve per scaling instance, by rows.
 /// The re-entry starts from the cold optimum, whose primal pivots leave no
 /// steepest-edge weights, so it runs the largest-violation rule; the limits
@@ -175,7 +185,12 @@ fn build_env() -> BenchEnv {
     }
 }
 
-/// Serial precompute: wall milliseconds and the LU factorizations it ran.
+/// Mean entries stored per basis update (0 without updates).
+fn mean_update_nnz(factor: &FactorTiming) -> f64 {
+    factor.update_nnz as f64 / factor.updates.max(1) as f64
+}
+
+/// Serial precompute: wall milliseconds and the LU work it ran.
 fn precompute_timed(seq: &mut EfficientSequences) -> (f64, FactorTiming) {
     let watch = Stopwatch::start();
     let ((), factor) = time_factorizations(now_nanos, || {
@@ -223,7 +238,7 @@ struct ScalingResult {
     objective: f64,
     sparse_wall_ms: f64,
     sparse_pivots: usize,
-    /// Peak stored nonzeros of the LU factors plus eta file.
+    /// Peak stored nonzeros of the LU factors plus their updates.
     peak_factor_nnz: usize,
     /// Estimated peak basis memory of the sparse solver
     /// (`peak_factor_nnz × 16` bytes: one f64 + one index per entry).
@@ -1167,10 +1182,12 @@ fn main() {
             concat!(
                 "    {{\"name\": \"{}\", \"participants\": {}, \"lp_solves\": {}, ",
                 "\"cold\": {{\"wall_ms\": {:.3}, \"pivots\": {}, ",
-                "\"factorizations\": {}, \"factor_ms\": {:.3}}}, ",
+                "\"factorizations\": {}, \"factor_ms\": {:.3}, ",
+                "\"updates\": {}, \"update_nnz\": {}}}, ",
                 "\"warm\": {{\"wall_ms\": {:.3}, \"pivots\": {}, \"phase1_pivots\": {}, ",
                 "\"dual_pivots\": {}, \"warm_start_hits\": {}, ",
-                "\"factorizations\": {}, \"factor_ms\": {:.3}}}, ",
+                "\"factorizations\": {}, \"factor_ms\": {:.3}, ",
+                "\"updates\": {}, \"update_nnz\": {}}}, ",
                 "\"pivot_ratio\": {:.4}}}{}\n"
             ),
             r.name,
@@ -1180,6 +1197,8 @@ fn main() {
             r.cold_pivots,
             r.cold_factor.factorizations,
             r.cold_factor.nanos as f64 / 1e6,
+            r.cold_factor.updates,
+            r.cold_factor.update_nnz,
             r.warm_wall_ms,
             r.warm_pivots,
             r.warm_phase1_pivots,
@@ -1187,13 +1206,16 @@ fn main() {
             r.warm_start_hits,
             r.warm_factor.factorizations,
             r.warm_factor.nanos as f64 / 1e6,
+            r.warm_factor.updates,
+            r.warm_factor.update_nnz,
             ratio,
             if k + 1 < results.len() { "," } else { "" },
         ));
         println!(
             "{:>10}: {} LPs over {} participants — cold {} pivots / {:.1} ms, \
              warm {} pivots ({} phase-1, {} dual) / {:.1} ms ({} warm starts, pivot ratio {:.2}); \
-             warm chains ran {} LU factorizations in {:.2} ms",
+             warm chains ran {} LU factorizations in {:.2} ms and {} basis updates \
+             storing {:.1} entries each",
             r.name,
             r.lp_solves,
             r.participants,
@@ -1207,6 +1229,8 @@ fn main() {
             ratio,
             r.warm_factor.factorizations,
             r.warm_factor.nanos as f64 / 1e6,
+            r.warm_factor.updates,
+            mean_update_nnz(&r.warm_factor),
         );
     }
     json.push_str("  ],\n");
@@ -1550,6 +1574,23 @@ fn main() {
                 );
                 failed = true;
             }
+        }
+    }
+    let (name, limit) = FIG4_UPDATE_NNZ_LIMIT;
+    match results.iter().find(|r| r.name == name) {
+        Some(r) if mean_update_nnz(&r.warm_factor) > limit => {
+            eprintln!(
+                "PERF REGRESSION: {} warm chains stored {:.2} entries per basis update \
+                 (limit {limit})",
+                r.name,
+                mean_update_nnz(&r.warm_factor)
+            );
+            failed = true;
+        }
+        Some(_) => {}
+        None => {
+            eprintln!("PERF REGRESSION: no {name} workload to gate update sizes on");
+            failed = true;
         }
     }
     for (rows, limit) in SCALING_WARM_PIVOT_LIMITS {

@@ -7,10 +7,11 @@
 //! bounded-variable **revised simplex** ([`revised`]) over models with boxed
 //! variables and `≤ / ≥ / =` constraints. The basis is maintained as a
 //! sparse **LU factorization** (a singleton pass, then threshold Markowitz
-//! on the remaining bump) updated by a bounded eta file, and warm re-entry
-//! picks its dual leaving rows by steepest edge.
+//! on the remaining bump) kept current by Forrest–Tomlin updates, and warm
+//! re-entry picks its dual leaving rows by steepest edge.
 //! [`time_factorizations`] counts and times the factorizations a closure
-//! runs, on a clock the caller supplies.
+//! runs, on a clock the caller supplies, and counts its basis updates with
+//! the entries they store.
 //! Variables fixed by their bounds are substituted out when a model is
 //! standardized. The original dense two-phase tableau
 //! ([`simplex::solve_dense`]) is retained as the differential-testing

@@ -31,20 +31,43 @@
 //!
 //! `L` is stored as one column of multipliers per eliminating pivot
 //! (`z[target] −= factor · z[pivot_row]`, applied forward for FTRAN,
-//! reversed and transposed for BTRAN); `U` is stored by pivot order as flat
-//! sparse rows over pivot positions plus a diagonal. Both permutations are
-//! plain vectors. Everything is immutable after construction, so a
-//! factorization can be shared across warm-started solves behind an
-//! [`std::sync::Arc`]. FTRAN and BTRAN take a caller-owned scratch vector,
-//! so they allocate nothing.
+//! reversed and transposed for BTRAN). `U` is stored column-wise: pivots
+//! are named by their row, each pivot's column holds `(row, value)` entries
+//! in one flat arena, and a list of pivot rows fixes the triangular order.
+//! Both the basis slot of each pivot and the order are plain vectors.
 //!
-//! Across pivots the factorization is maintained by a **bounded eta file**
-//! (product-form updates, the update scheme Forrest–Tomlin refines): each
-//! basis change appends one sparse [`Eta`] transformation instead of
-//! refactorizing. Applying `k` etas costs `O(Σ nnz(η))`, so the file is
-//! bounded by [`SimplexOptions::update_cap`]; hitting the cap (or the
-//! drift-gated residual check in [`crate::revised`]) triggers a fresh
-//! factorization and an empty eta file.
+//! Across pivots the factorization is kept current by **Forrest–Tomlin
+//! updates** (Forrest and Tomlin, Math. Programming 1972). Replacing the
+//! basic column of slot `r`, whose pivot sits on row `k`:
+//!
+//! * the FTRAN of the entering column saves its **spike** `ŝ`, the image
+//!   after `L` and the earlier row etas but before `U` ([`Spike`]);
+//! * the spike becomes pivot `k`'s new column of `U`, and pivot `k` moves
+//!   to the end of the triangular order;
+//! * the old row `k` of `U` now sits below the diagonal. One **row eta**
+//!   eliminates it (`z[k] −= Σ μ_j·z[j]`). Its multipliers come from the
+//!   partial BTRAN `e_kᵀU⁻¹` over the pivots after `k`: a dual pivot's
+//!   BTRAN of `ρ_r` computes it on the way ([`LuFactor::btran_unit`]),
+//!   otherwise the update does. The new diagonal is `(Rŝ)_k`;
+//! * row `k`'s old entries stay where they are. Both solves write into a
+//!   separate output, so an entry below the diagonal is never read and an
+//!   update deletes nothing.
+//!
+//! An update stores the spike's nonzeros plus the row eta: a few entries
+//! on the mechanism's hinge-row bases, where a product-form eta stores the
+//! whole dense image `B⁻¹a_q`. FTRAN runs `L`, the row etas in order, then
+//! `U` (last pivot first); BTRAN runs `Uᵀ`, the row etas in reverse, then
+//! `Lᵀ`. An update is refused when its new diagonal is below
+//! [`ABS_PIVOT_TOL`] or disagrees with `w_r · u_kk` (the determinant
+//! identity, `w_r = (B⁻¹a_q)_r`) by more than [`UPDATE_REL_TOL`]; the
+//! engine then refactorizes. [`SimplexOptions::update_cap`] bounds the
+//! updates between factorizations, and the drift-gated residual check in
+//! [`crate::revised`] can force a fresh factorization sooner.
+//!
+//! The factors sit behind an [`std::sync::Arc`], so handing a basis on to
+//! the next warm solve copies nothing. The first update after a hand-off
+//! copies them (copy-on-write); later ones work in place. FTRAN and BTRAN
+//! take a caller-owned scratch vector, so they allocate nothing.
 //!
 //! [`SimplexOptions::markowitz_threshold`]: crate::SimplexOptions::markowitz_threshold
 //! [`SimplexOptions::update_cap`]: crate::SimplexOptions::update_cap
@@ -62,11 +85,16 @@ const ABS_PIVOT_TOL: f64 = 1e-9;
 /// examines before settling for the best seen (bounded Markowitz search).
 const MAX_CANDIDATES: usize = 16;
 
-/// End-of-list marker of the count buckets.
+/// End-of-list marker of the count buckets, and a hole in the pivot order.
 const NONE: u32 = u32::MAX;
 
-/// An immutable sparse LU factorization of one basis matrix.
-#[derive(Debug)]
+/// Largest relative gap between an update's new diagonal and the
+/// determinant identity `w_r · u_kk` before the update is refused.
+const UPDATE_REL_TOL: f64 = 1e-8;
+
+/// A sparse LU factorization of one basis matrix, kept current by
+/// Forrest–Tomlin updates.
+#[derive(Clone, Debug)]
 pub(crate) struct LuFactors {
     /// Dimension of the (square) basis.
     m: usize,
@@ -77,17 +105,38 @@ pub(crate) struct LuFactors {
     l_ptr: Vec<u32>,
     /// `(target_row, factor)`: `z[target] −= factor · z[l_pivots[k]]`.
     l_entries: Vec<(u32, f64)>,
-    /// Original row index of the `t`-th pivot.
-    pivot_rows: Vec<u32>,
-    /// Basis-slot (local column) index of the `t`-th pivot.
-    pivot_cols: Vec<u32>,
-    /// `u_ptr[t]..u_ptr[t+1]` indexes the off-diagonal entries of the
-    /// `t`-th row of `U` in `u_entries`.
-    u_ptr: Vec<u32>,
-    /// `(pivot_position, value)` with `pivot_position > t`, sorted per row.
+    /// Basis slot of the pivot on each row.
+    slot_of: Vec<u32>,
+    /// Pivot row of each basis slot (the inverse of `slot_of`).
+    row_of: Vec<u32>,
+    /// Pivot rows in triangular order: the `U` column of `order[t]` has
+    /// entries only on rows `order[..t]`. An update moves its pivot to the
+    /// end and leaves a [`NONE`] hole, so there are at most `update_cap`
+    /// holes until the next factorization.
+    order: Vec<u32>,
+    /// Position of each pivot row in `order`.
+    pos: Vec<u32>,
+    /// `u_start[r]..u_start[r] + u_len[r]` indexes the off-diagonal
+    /// `(row, value)` entries of the `U` column pivoting on row `r`. An
+    /// entry whose row comes later in `order` is stale (its row moved last
+    /// in an update) and is never read: both solves write into a separate
+    /// output, so it only ever meets a finished or a still-zero value.
+    u_start: Vec<u32>,
+    u_len: Vec<u32>,
+    /// The column arena. An updated column is appended, so the arena keeps
+    /// at most `update_cap` dead columns until the next factorization.
     u_entries: Vec<(u32, f64)>,
-    /// Diagonal of `U` in pivot order.
+    /// Diagonal of `U`, by pivot row.
     diag: Vec<f64>,
+    /// Pivot row of each row eta, in the order FTRAN applies them.
+    r_rows: Vec<u32>,
+    /// `r_ptr[k]..r_ptr[k+1]` indexes the multipliers of row eta `k` in
+    /// `r_entries`.
+    r_ptr: Vec<u32>,
+    /// `(row, μ)`: `z[r_rows[k]] −= μ · z[row]`.
+    r_entries: Vec<(u32, f64)>,
+    /// Updates applied since the factorization.
+    updates: usize,
 }
 
 /// The factors under construction, in pivot order.
@@ -98,7 +147,8 @@ struct Builder {
     pivot_rows: Vec<u32>,
     pivot_cols: Vec<u32>,
     u_ptr: Vec<u32>,
-    /// U entries over basis *slots* until [`Builder::finish`] remaps them.
+    /// `(basis_slot, value)` entries of each pivot's row of `U`, until
+    /// [`Builder::finish`] turns them into columns.
     u_entries: Vec<(u32, f64)>,
     diag: Vec<f64>,
 }
@@ -137,29 +187,56 @@ impl Builder {
         }
     }
 
-    /// Remaps U columns from basis slots to pivot positions.
-    fn finish(mut self, m: usize) -> LuFactors {
-        let mut pos = vec![0u32; m];
-        for (t, &c) in self.pivot_cols.iter().enumerate() {
-            pos[c as usize] = t as u32;
+    /// Turns the rows of `U` into columns named by pivot row, by counting
+    /// sort (each column lists its rows in pivot order).
+    fn finish(self, m: usize) -> LuFactors {
+        let mut slot_of = vec![0u32; m];
+        let mut row_of = vec![0u32; m];
+        let mut diag = vec![0.0; m];
+        for ((&r, &c), &d) in self.pivot_rows.iter().zip(&self.pivot_cols).zip(&self.diag) {
+            slot_of[r as usize] = c;
+            row_of[c as usize] = r;
+            diag[r as usize] = d;
         }
-        for t in 0..m {
-            let row = &mut self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize];
-            for e in row.iter_mut() {
-                e.0 = pos[e.0 as usize];
+        let mut u_start = vec![0u32; m + 1];
+        for &(c, _) in &self.u_entries {
+            u_start[row_of[c as usize] as usize + 1] += 1;
+        }
+        for r in 0..m {
+            u_start[r + 1] += u_start[r];
+        }
+        let u_len: Vec<u32> = u_start.windows(2).map(|w| w[1] - w[0]).collect();
+        u_start.truncate(m);
+        let mut next = u_start.clone();
+        let mut u_entries = vec![(0u32, 0.0f64); self.u_entries.len()];
+        for (t, &r) in self.pivot_rows.iter().enumerate() {
+            for &(c, v) in &self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize] {
+                let col = row_of[c as usize] as usize;
+                u_entries[next[col] as usize] = (r, v);
+                next[col] += 1;
             }
-            row.sort_unstable_by_key(|e| e.0);
+        }
+        let mut pos = vec![0u32; m];
+        for (t, &r) in self.pivot_rows.iter().enumerate() {
+            pos[r as usize] = t as u32;
         }
         LuFactors {
             m,
             l_pivots: self.l_pivots,
             l_ptr: self.l_ptr,
             l_entries: self.l_entries,
-            pivot_rows: self.pivot_rows,
-            pivot_cols: self.pivot_cols,
-            u_ptr: self.u_ptr,
-            u_entries: self.u_entries,
-            diag: self.diag,
+            slot_of,
+            row_of,
+            order: self.pivot_rows,
+            pos,
+            u_start,
+            u_len,
+            u_entries,
+            diag,
+            r_rows: Vec::new(),
+            r_ptr: vec![0],
+            r_entries: Vec::new(),
+            updates: 0,
         }
     }
 }
@@ -480,16 +557,24 @@ impl LuFactors {
     /// The factorization of the identity basis (the all-slack cold start):
     /// trivial permutations, unit diagonal, no elimination ops. `O(m)`.
     pub(crate) fn identity(m: usize) -> Self {
+        let trivial: Vec<u32> = (0..m as u32).collect();
         LuFactors {
             m,
             l_pivots: Vec::new(),
             l_ptr: vec![0],
             l_entries: Vec::new(),
-            pivot_rows: (0..m as u32).collect(),
-            pivot_cols: (0..m as u32).collect(),
-            u_ptr: vec![0; m + 1],
+            slot_of: trivial.clone(),
+            row_of: trivial.clone(),
+            pos: trivial.clone(),
+            order: trivial,
+            u_start: vec![0; m],
+            u_len: vec![0; m],
             u_entries: Vec::new(),
             diag: vec![1.0; m],
+            r_rows: Vec::new(),
+            r_ptr: vec![0],
+            r_entries: Vec::new(),
+            updates: 0,
         }
     }
 
@@ -619,15 +704,24 @@ impl LuFactors {
         Ok(out.finish(m))
     }
 
-    /// Stored nonzeros of the factorization (L multipliers + U entries +
-    /// diagonal).
+    /// Stored nonzeros: L multipliers, the entries of the current `U`
+    /// columns with the diagonal, and row-eta multipliers.
     pub(crate) fn nnz(&self) -> usize {
-        self.l_entries.len() + self.u_entries.len() + self.diag.len()
+        let u: u32 = self.u_len.iter().sum();
+        self.l_entries.len() + u as usize + self.m + self.r_entries.len()
+    }
+
+    /// The off-diagonal entries of the `U` column pivoting on row `r`.
+    fn u_col(&self, r: usize) -> &[(u32, f64)] {
+        let s = self.u_start[r] as usize;
+        &self.u_entries[s..s + self.u_len[r] as usize]
     }
 
     /// Solves `B·x = z` in place (`z` enters as the right-hand side, leaves
-    /// as the solution). `scratch` is resized to `m` and overwritten.
-    fn ftran_in_place(&self, z: &mut [f64], scratch: &mut Vec<f64>) {
+    /// as the solution). With `spike`, also saves the image after `L` and
+    /// the row etas for [`LuFactor::update`]. `scratch` is resized to `m`
+    /// and overwritten.
+    fn ftran_in_place(&self, z: &mut [f64], spike: Option<&mut Spike>, scratch: &mut Vec<f64>) {
         debug_assert_eq!(z.len(), self.m);
         for (k, &pr) in self.l_pivots.iter().enumerate() {
             let zp = z[pr as usize];
@@ -638,48 +732,73 @@ impl LuFactors {
                 }
             }
         }
-        // Backward substitution through U, in pivot order.
+        for (k, &r) in self.r_rows.iter().enumerate() {
+            let range = self.r_ptr[k] as usize..self.r_ptr[k + 1] as usize;
+            let s: f64 = self.r_entries[range]
+                .iter()
+                .map(|&(j, mu)| mu * z[j as usize])
+                .sum();
+            z[r as usize] -= s;
+        }
+        if let Some(spike) = spike {
+            spike.0.clear();
+            spike.0.extend(
+                z.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(i, &v)| (i as u32, v)),
+            );
+        }
+        // Back substitution through U by columns, last pivot first, each
+        // result written straight to its basis slot.
         scratch.resize(self.m, 0.0);
-        let xp = &mut scratch[..];
-        for t in (0..self.m).rev() {
-            let mut s = z[self.pivot_rows[t] as usize];
-            for &(sp, v) in &self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize] {
-                let xv = xp[sp as usize];
-                if xv != 0.0 {
-                    s -= v * xv;
+        let x = &mut scratch[..self.m];
+        for &r in self.order.iter().rev().filter(|&&r| r != NONE) {
+            let r = r as usize;
+            let zr = z[r];
+            let xr = if zr != 0.0 {
+                let xr = zr / self.diag[r];
+                for &(i, v) in self.u_col(r) {
+                    z[i as usize] -= v * xr;
                 }
-            }
-            xp[t] = s / self.diag[t];
+                xr
+            } else {
+                0.0
+            };
+            x[self.slot_of[r] as usize] = xr;
         }
-        for (&c, &x) in self.pivot_cols.iter().zip(xp.iter()) {
-            z[c as usize] = x;
-        }
+        z.copy_from_slice(x);
     }
 
-    /// Solves `Bᵀ·y = c` in place. `scratch` is resized to `m` and
-    /// overwritten.
-    fn btran_in_place(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
+    /// Solves `Bᵀ·y = c` in place. With `partial`, also saves the image
+    /// after `Uᵀ` (before the row etas and `Lᵀ`), by row. `scratch` is
+    /// resized to `m` and overwritten.
+    fn btran_in_place(
+        &self,
+        c: &mut [f64],
+        partial: Option<&mut Vec<f64>>,
+        scratch: &mut Vec<f64>,
+    ) {
         debug_assert_eq!(c.len(), self.m);
-        // Gather through the column permutation, then forward-solve Uᵀ by
-        // scattering each pivot's row of U ahead.
+        scratch.clear();
         scratch.resize(self.m, 0.0);
-        let w = &mut scratch[..];
-        for (wt, &pc) in w.iter_mut().zip(&self.pivot_cols) {
-            *wt = c[pc as usize];
+        let w = &mut scratch[..self.m];
+        self.solve_ut(0, w, |r| c[self.slot_of[r] as usize]);
+        if let Some(partial) = partial {
+            partial.clear();
+            partial.extend_from_slice(w);
         }
-        for t in 0..self.m {
-            let wt = w[t] / self.diag[t];
-            w[t] = wt;
-            if wt != 0.0 {
-                for &(sp, v) in &self.u_entries[self.u_ptr[t] as usize..self.u_ptr[t + 1] as usize]
-                {
-                    w[sp as usize] -= v * wt;
+        // Transposed row etas, newest first.
+        for (k, &r) in self.r_rows.iter().enumerate().rev() {
+            let wr = w[r as usize];
+            if wr != 0.0 {
+                let range = self.r_ptr[k] as usize..self.r_ptr[k + 1] as usize;
+                for &(j, mu) in &self.r_entries[range] {
+                    w[j as usize] -= mu * wr;
                 }
             }
         }
-        for (&pr, &wt) in self.pivot_rows.iter().zip(w.iter()) {
-            c[pr as usize] = wt;
-        }
+        c.copy_from_slice(w);
         // Transposed L columns, in reverse order.
         for (k, &pr) in self.l_pivots.iter().enumerate().rev() {
             let range = self.l_ptr[k] as usize..self.l_ptr[k + 1] as usize;
@@ -690,9 +809,98 @@ impl LuFactors {
             c[pr as usize] -= s;
         }
     }
+
+    /// Forward-solves `Uᵀ` column by column in triangular order from order
+    /// position `from` on, into `w` (by row, zero on entry):
+    /// `w_r = (rhs(r) − Σ u_ir·w_i) / u_rr`.
+    fn solve_ut(&self, from: usize, w: &mut [f64], rhs: impl Fn(usize) -> f64) {
+        for &r in self.order[from..].iter().filter(|&&r| r != NONE) {
+            let r = r as usize;
+            let mut s = rhs(r);
+            for &(i, v) in self.u_col(r) {
+                s -= v * w[i as usize];
+            }
+            w[r] = s / self.diag[r];
+        }
+    }
+
+    /// Forrest–Tomlin update replacing the column of `slot` by the entering
+    /// column with spike `spike` and FTRAN pivot `pivot = (B⁻¹a_q)_slot`.
+    /// `partial` is the leaving row's partial BTRAN `e_kᵀU⁻¹` when the
+    /// caller has it (see [`LuFactor::btran_unit`]); otherwise it is
+    /// computed in `v`, which is working space. Returns the entries the
+    /// update stored, or `None` (changing nothing) when it is numerically
+    /// unsafe.
+    fn update(
+        &mut self,
+        slot: usize,
+        pivot: f64,
+        spike: &Spike,
+        partial: Option<&[f64]>,
+        v: &mut Vec<f64>,
+    ) -> Option<usize> {
+        let k = self.row_of[slot] as usize;
+        let (kk, p) = (k as u32, self.pos[k] as usize);
+        let u_kk = self.diag[k];
+        let v: &[f64] = match partial {
+            Some(v) => v,
+            None => {
+                // The Uᵀ stage of the BTRAN of e_slot; nothing before
+                // pivot k can be nonzero.
+                v.clear();
+                v.resize(self.m, 0.0);
+                self.solve_ut(p, v, |r| if r == k { 1.0 } else { 0.0 });
+                v
+            }
+        };
+        // The row eta's multipliers μ_j = −v_j·u_kk over the pivots after
+        // k, in triangular order.
+        let eta_start = self.r_entries.len();
+        for &j in &self.order[p + 1..] {
+            if j != NONE && v[j as usize] != 0.0 {
+                self.r_entries.push((j, -v[j as usize] * u_kk));
+            }
+        }
+        // The new diagonal (Rŝ)_k.
+        let (mut spike_k, mut dot) = (0.0, 0.0);
+        for &(i, s) in &spike.0 {
+            if i == kk {
+                spike_k = s;
+            } else {
+                dot += v[i as usize] * s;
+            }
+        }
+        let new_diag = spike_k + u_kk * dot;
+        let expected = pivot * u_kk;
+        if new_diag.abs() < ABS_PIVOT_TOL
+            || (new_diag - expected).abs() > UPDATE_REL_TOL * expected.abs()
+        {
+            self.r_entries.truncate(eta_start);
+            return None;
+        }
+        let eta_len = self.r_entries.len() - eta_start;
+        if eta_len > 0 {
+            self.r_rows.push(kk);
+            self.r_ptr.push(self.r_entries.len() as u32);
+        }
+        // The spike becomes column k, and pivot k moves last. Row k's old
+        // entries stay in the later columns, now below the diagonal, where
+        // no solve reads them.
+        self.u_start[k] = self.u_entries.len() as u32;
+        self.u_entries
+            .extend(spike.0.iter().filter(|e| e.0 != kk).copied());
+        self.u_len[k] = self.u_entries.len() as u32 - self.u_start[k];
+        self.diag[k] = new_diag;
+        self.order[p] = NONE;
+        self.pos[k] = self.order.len() as u32;
+        self.order.push(kk);
+        self.updates += 1;
+        Some(self.u_len[k] as usize + 1 + eta_len)
+    }
 }
 
-/// Sparse LU factorizations counted and timed by [`time_factorizations`].
+/// Sparse LU work counted by [`time_factorizations`]: factorizations with
+/// their time, and basis updates with the entries they stored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FactorTiming {
     /// From-scratch factorizations run (the identity of a cold all-slack
@@ -700,6 +908,11 @@ pub struct FactorTiming {
     pub factorizations: u64,
     /// Nanoseconds they took, by the caller's clock.
     pub nanos: u64,
+    /// Forrest–Tomlin basis updates applied (refused ones are not).
+    pub updates: u64,
+    /// Entries those updates stored: the new `U` column with its diagonal,
+    /// plus the row eta. Counted without the clock.
+    pub update_nnz: u64,
 }
 
 /// A caller's nanosecond clock and the totals gathered under it.
@@ -711,8 +924,26 @@ thread_local! {
     static FACTOR_TIMER: Cell<Option<Timer>> = const { Cell::new(None) };
 }
 
-/// Runs `f` and returns its result together with the count and total time
-/// of the LU factorizations it ran on this thread. `clock` reads monotonic
+#[cfg(test)]
+thread_local! {
+    /// Test hook: while set, every update on this thread is refused, which
+    /// drives the engine's refactorize-on-refusal path.
+    pub(crate) static REFUSE_UPDATES: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Adds to the totals of the active [`time_factorizations`], if any.
+fn record(f: impl FnOnce(fn() -> u64, &mut FactorTiming)) {
+    FACTOR_TIMER.with(|t| {
+        if let Some((clock, mut timing)) = t.get() {
+            f(clock, &mut timing);
+            t.set(Some((clock, timing)));
+        }
+    });
+}
+
+/// Runs `f` and returns its result together with the LU work it ran on
+/// this thread: the count and total time of its factorizations, and the
+/// count and stored entries of its basis updates. `clock` reads monotonic
 /// nanoseconds; this crate reads no clock of its own, so timing is opt-in
 /// and touches no solver decision.
 pub fn time_factorizations<R>(clock: fn() -> u64, f: impl FnOnce() -> R) -> (R, FactorTiming) {
@@ -724,142 +955,130 @@ pub fn time_factorizations<R>(clock: fn() -> u64, f: impl FnOnce() -> R) -> (R, 
     (result, timing)
 }
 
-/// One product-form update: the sparse elementary transformation `E` with
-/// `B_new⁻¹ = E · B_old⁻¹` after the entering column (FTRAN image `w`)
-/// replaced the basic column of `row`.
-#[derive(Clone, Debug)]
-pub(crate) struct Eta {
-    row: u32,
-    pivot: f64,
-    /// Off-pivot nonzeros of `w`, by row index, sorted.
-    entries: Vec<(u32, f64)>,
-}
+/// The entering column's spike: its FTRAN image after `L` and the row etas
+/// but before `U`, saved by [`LuFactor::ftran_entering`] for the
+/// [`LuFactor::update`] that swaps the column in. Nonzeros by row.
+#[derive(Debug, Default)]
+pub(crate) struct Spike(Vec<(u32, f64)>);
 
-impl Eta {
-    /// Builds the eta from the dense FTRAN image of the entering column.
-    pub(crate) fn from_ftran(row: usize, w: &[f64]) -> Eta {
-        let entries = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != row && v != 0.0)
-            .map(|(i, &v)| (i as u32, v))
-            .collect();
-        Eta {
-            row: row as u32,
-            pivot: w[row],
-            entries,
-        }
-    }
-
-    /// Applies `E` to a column vector: `v_r ← v_r / w_r`, then
-    /// `v_i ← v_i − w_i · v_r` for `i ≠ r`.
-    fn apply_ftran(&self, z: &mut [f64]) {
-        let zr = z[self.row as usize];
-        if zr == 0.0 {
-            return;
-        }
-        let t = zr / self.pivot;
-        z[self.row as usize] = t;
-        for &(i, wi) in &self.entries {
-            z[i as usize] -= wi * t;
-        }
-    }
-
-    /// Applies `Eᵀ` to a row vector:
-    /// `c_r ← (c_r − Σ_{i≠r} c_i·w_i) / w_r`.
-    fn apply_btran(&self, y: &mut [f64]) {
-        let mut s = y[self.row as usize];
-        for &(i, wi) in &self.entries {
-            s -= wi * y[i as usize];
-        }
-        y[self.row as usize] = s / self.pivot;
-    }
-
-    /// Stored nonzeros.
-    fn nnz(&self) -> usize {
-        self.entries.len() + 1
-    }
-}
-
-/// The sparse-LU basis representation carried through solves: an immutable
-/// shared base factorization plus this solve's private eta file. Cloning is
-/// `O(etas)` — the base is behind an [`Arc`] — which is what makes `Basis`
-/// hand-off along a warm-started chain O(1) instead of O(m²).
+/// The sparse-LU basis representation carried through solves. Cloning
+/// shares the factors behind an [`Arc`], which is what makes `Basis`
+/// hand-off along a warm-started chain O(1); the first update after a
+/// hand-off copies them.
 #[derive(Clone, Debug)]
 pub(crate) struct LuFactor {
-    base: Arc<LuFactors>,
-    etas: Vec<Eta>,
+    factors: Arc<LuFactors>,
 }
 
 impl LuFactor {
     /// Identity basis (cold start).
     pub(crate) fn identity(m: usize) -> Self {
         LuFactor {
-            base: Arc::new(LuFactors::identity(m)),
-            etas: Vec::new(),
+            factors: Arc::new(LuFactors::identity(m)),
         }
     }
 
-    /// Fresh factorization of the given basis columns; empty eta file.
+    /// Fresh factorization of the given basis columns.
     pub(crate) fn factorize(a: &CscMatrix, basic: &[usize], threshold: f64) -> Result<Self, ()> {
-        let timer = FACTOR_TIMER.with(Cell::get);
-        let start = timer.map(|(clock, _)| clock());
-        let base = LuFactors::factorize(a, basic, threshold);
-        if let (Some((clock, mut timing)), Some(start)) = (timer, start) {
-            timing.factorizations += 1;
-            timing.nanos += clock().saturating_sub(start);
-            FACTOR_TIMER.with(|t| t.set(Some((clock, timing))));
+        let start = FACTOR_TIMER.with(Cell::get).map(|(clock, _)| clock());
+        let factors = LuFactors::factorize(a, basic, threshold);
+        if let Some(start) = start {
+            record(|clock, timing| {
+                timing.factorizations += 1;
+                timing.nanos += clock().saturating_sub(start);
+            });
         }
         Ok(LuFactor {
-            base: Arc::new(base?),
-            etas: Vec::new(),
+            factors: Arc::new(factors?),
         })
     }
 
     /// Dimension of the factored basis.
     pub(crate) fn dim(&self) -> usize {
-        self.base.m
+        self.factors.m
     }
 
     /// Overwrites `z` with `B⁻¹ · z` (FTRAN). `scratch` is caller-owned
     /// working space of any length; its contents are overwritten.
     pub(crate) fn ftran(&self, z: &mut [f64], scratch: &mut Vec<f64>) {
-        self.base.ftran_in_place(z, scratch);
-        for eta in &self.etas {
-            eta.apply_ftran(z);
-        }
+        self.factors.ftran_in_place(z, None, scratch);
+    }
+
+    /// [`LuFactor::ftran`] of an entering column, saving its spike for the
+    /// [`LuFactor::update`] that swaps it in.
+    pub(crate) fn ftran_entering(&self, z: &mut [f64], spike: &mut Spike, scratch: &mut Vec<f64>) {
+        self.factors.ftran_in_place(z, Some(spike), scratch);
     }
 
     /// Overwrites `c` with `cᵀ · B⁻¹` (BTRAN). `scratch` is caller-owned
     /// working space of any length; its contents are overwritten.
     pub(crate) fn btran(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(c);
+        self.factors.btran_in_place(c, None, scratch);
+    }
+
+    /// Overwrites `rho` with row `slot` of `B⁻¹` (the BTRAN of `e_slot`).
+    /// Saves in `partial` its image after `Uᵀ`, the partial BTRAN
+    /// `e_kᵀU⁻¹` that an [`LuFactor::update`] of the same slot on this
+    /// factor would otherwise recompute.
+    pub(crate) fn btran_unit(
+        &self,
+        slot: usize,
+        rho: &mut Vec<f64>,
+        partial: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
+    ) {
+        rho.clear();
+        rho.resize(self.dim(), 0.0);
+        rho[slot] = 1.0;
+        self.factors.btran_in_place(rho, Some(partial), scratch);
+    }
+
+    /// Forrest–Tomlin update for the entering column whose
+    /// [`LuFactor::ftran_entering`] gave `spike` and pivot
+    /// `pivot = (B⁻¹a_q)_slot`, replacing the basic column of `slot`.
+    /// `partial` is what [`LuFactor::btran_unit`] of `slot` saved on this
+    /// factor, if the caller ran it; without it the update recomputes it.
+    /// `Err` (nothing changed) when the update is numerically unsafe; the
+    /// caller must then refactorize the new basis.
+    pub(crate) fn update(
+        &mut self,
+        slot: usize,
+        pivot: f64,
+        spike: &Spike,
+        partial: Option<&[f64]>,
+        scratch: &mut Vec<f64>,
+    ) -> Result<(), ()> {
+        #[cfg(test)]
+        if REFUSE_UPDATES.with(Cell::get) {
+            return Err(());
         }
-        self.base.btran_in_place(c, scratch);
+        // Copy-on-write: a refused update may copy for nothing, but it is
+        // followed by a refactorization anyway.
+        let stored = Arc::make_mut(&mut self.factors)
+            .update(slot, pivot, spike, partial, scratch)
+            .ok_or(())?;
+        record(|_, timing| {
+            timing.updates += 1;
+            timing.update_nnz += stored as u64;
+        });
+        Ok(())
     }
 
-    /// Appends the product-form update for a pivot on `row` with FTRAN
-    /// image `w`.
-    pub(crate) fn update(&mut self, row: usize, w: &[f64]) {
-        self.etas.push(Eta::from_ftran(row, w));
-    }
-
-    /// Etas accumulated since the base factorization.
+    /// Updates applied since the factorization.
     pub(crate) fn pending_updates(&self) -> usize {
-        self.etas.len()
+        self.factors.updates
     }
 
-    /// Total stored nonzeros (base factors + eta file).
+    /// Total stored nonzeros (factors, updated columns and row etas).
     pub(crate) fn nnz(&self) -> usize {
-        self.base.nnz() + self.etas.iter().map(Eta::nnz).sum::<usize>()
+        self.factors.nnz()
     }
 
-    /// Whether two factors share the same base factorization (used by the
-    /// O(1) hand-off regression tests).
+    /// Whether two factors share the same factor storage (used by the O(1)
+    /// hand-off regression tests).
     #[cfg(test)]
     pub(crate) fn shares_base_with(&self, other: &LuFactor) -> bool {
-        Arc::ptr_eq(&self.base, &other.base)
+        Arc::ptr_eq(&self.factors, &other.factors)
     }
 }
 
@@ -876,6 +1095,17 @@ mod tests {
         fn btran_vec(&self, mut c: Vec<f64>) -> Vec<f64> {
             self.btran(&mut c, &mut Vec::new());
             c
+        }
+
+        /// Swaps `entering` into `slot` the way the engine does: the
+        /// entering FTRAN saves the spike, then the update takes the FTRAN
+        /// pivot. Returns `(w, result)` with `w = B⁻¹·entering` before the
+        /// swap.
+        fn replace(&mut self, slot: usize, entering: &[f64]) -> (Vec<f64>, Result<(), ()>) {
+            let (mut w, mut spike) = (entering.to_vec(), Spike::default());
+            self.ftran_entering(&mut w, &mut spike, &mut Vec::new());
+            let result = self.update(slot, w[slot], &spike, None, &mut Vec::new());
+            (w, result)
         }
     }
 
@@ -976,39 +1206,169 @@ mod tests {
     }
 
     #[test]
-    fn eta_updates_track_a_column_replacement() {
+    fn forrest_tomlin_updates_track_a_column_replacement() {
         let m = 7;
         let (a, mut dense) = test_matrix(m);
         let basic: Vec<usize> = (0..m).collect();
         let mut lu = LuFactor::factorize(&a, &basic, 0.1).unwrap();
 
-        // Replace the basic column of row 3 with a new column: B_new differs
-        // from B in column 3 only. The entering column in basis coordinates
-        // is w = B⁻¹·a_new.
+        // Replace the basic column of slot 3 with a new column: B_new
+        // differs from B in column 3 only.
         let entering: Vec<f64> = (0..m)
             .map(|i| if i % 2 == 0 { 1.0 } else { -0.5 })
             .collect();
-        let w = lu.solve_vec(entering.clone());
-        lu.update(3, &w);
+        let before = lu.nnz();
+        lu.replace(3, &entering).1.unwrap();
         assert_eq!(lu.pending_updates(), 1);
         for (i, row) in dense.iter_mut().enumerate() {
             row[3] = entering[i];
         }
+        // The update stores the spike and one row eta, not a dense image:
+        // at most the spike's m entries plus the row's.
+        assert!(lu.nnz() <= before + 2 * m, "{} vs {before}", lu.nnz());
 
         let rhs: Vec<f64> = (0..m).map(|i| 1.0 + i as f64).collect();
         let x = lu.solve_vec(rhs.clone());
         let x_ref = dense_solve(&dense, &rhs);
         for (a, b) in x.iter().zip(&x_ref) {
-            assert!((a - b).abs() < 1e-8, "eta ftran {a} vs dense {b}");
+            assert!((a - b).abs() < 1e-8, "updated ftran {a} vs dense {b}");
         }
         let y = lu.btran_vec(rhs.clone());
-        let transposed: Vec<Vec<f64>> = (0..m)
-            .map(|i| (0..m).map(|j| dense[j][i]).collect())
-            .collect();
-        let y_ref = dense_solve(&transposed, &rhs);
+        let y_ref = dense_solve(&transpose(&dense), &rhs);
         for (a, b) in y.iter().zip(&y_ref) {
-            assert!((a - b).abs() < 1e-8, "eta btran {a} vs dense {b}");
+            assert!((a - b).abs() < 1e-8, "updated btran {a} vs dense {b}");
         }
+    }
+
+    #[test]
+    fn replacing_the_first_and_the_last_pivot_matches_the_dense_reference() {
+        // The first pivot's row of U reaches every later column, so its
+        // update drops the longest row and stores the longest row eta; the
+        // last pivot's row is empty and needs no row eta at all.
+        let m = 9;
+        let mut stream = Stream(0x5eed_f00d);
+        for first in [true, false] {
+            let mut dense = random_basis(&mut stream, m, 4);
+            let basic: Vec<usize> = (0..m).collect();
+            let mut lu = LuFactor::factorize(&to_csc(&dense), &basic, 0.1).unwrap();
+            for _ in 0..4 {
+                let order: Vec<u32> = lu
+                    .factors
+                    .order
+                    .iter()
+                    .copied()
+                    .filter(|&r| r != NONE)
+                    .collect();
+                let row = if first { order[0] } else { order[m - 1] };
+                let slot = lu.factors.slot_of[row as usize] as usize;
+                let etas = lu.factors.r_rows.len();
+                let entering: Vec<f64> = (0..m).map(|_| 2.0 * stream.unit() - 1.0).collect();
+                if lu.solve_vec(entering.clone())[slot].abs() < 0.5 {
+                    continue;
+                }
+                lu.replace(slot, &entering).1.unwrap();
+                if !first {
+                    assert_eq!(lu.factors.r_rows.len(), etas, "the last pivot needs no eta");
+                }
+                assert_eq!(lu.factors.order.last(), Some(&row), "the pivot moves last");
+                for (r, &v) in dense.iter_mut().zip(&entering) {
+                    r[slot] = v;
+                }
+                assert_solves_match(&lu, &dense, &mut stream);
+            }
+        }
+    }
+
+    #[test]
+    fn a_saved_partial_btran_updates_bit_identically() {
+        // The dual pivot hands the update the partial BTRAN it saved with
+        // ρ_r; the primal pivot lets the update recompute it. Both must
+        // build the same factors, or pivot paths would depend on the path.
+        let m = 12;
+        let mut stream = Stream(0xbead);
+        let dense = random_basis(&mut stream, m, 5);
+        let basic: Vec<usize> = (0..m).collect();
+        let mut saved = LuFactor::factorize(&to_csc(&dense), &basic, 0.1).unwrap();
+        let mut recomputed = saved.clone();
+        for slot in [3, 7, 0, 3, 11, 5] {
+            let entering: Vec<f64> = (0..m).map(|_| 2.0 * stream.unit() - 1.0).collect();
+            let (mut w, mut spike) = (entering.clone(), Spike::default());
+            saved.ftran_entering(&mut w, &mut spike, &mut Vec::new());
+            if w[slot].abs() < 0.5 {
+                continue;
+            }
+            let (mut rho, mut partial) = (Vec::new(), Vec::new());
+            saved.btran_unit(slot, &mut rho, &mut partial, &mut Vec::new());
+            assert_eq!(rho, recomputed.btran_vec(unit(m, slot)));
+            saved
+                .update(slot, w[slot], &spike, Some(&partial), &mut Vec::new())
+                .unwrap();
+            recomputed
+                .update(slot, w[slot], &spike, None, &mut Vec::new())
+                .unwrap();
+            let rhs: Vec<f64> = (0..m).map(|_| stream.unit()).collect();
+            assert_eq!(
+                saved.solve_vec(rhs.clone()),
+                recomputed.solve_vec(rhs.clone())
+            );
+            assert_eq!(saved.btran_vec(rhs.clone()), recomputed.btran_vec(rhs));
+        }
+        assert!(saved.pending_updates() > 0);
+    }
+
+    fn unit(m: usize, slot: usize) -> Vec<f64> {
+        let mut e = vec![0.0; m];
+        e[slot] = 1.0;
+        e
+    }
+
+    #[test]
+    fn an_unstable_update_is_refused_and_changes_nothing() {
+        let m = 7;
+        let (a, dense) = test_matrix(m);
+        let basic: Vec<usize> = (0..m).collect();
+        let mut lu = LuFactor::factorize(&a, &basic, 0.1).unwrap();
+        let entering: Vec<f64> = (0..m).map(|i| 0.25 * i as f64 - 0.5).collect();
+        let (mut w, mut spike) = (entering.clone(), Spike::default());
+        lu.ftran_entering(&mut w, &mut spike, &mut Vec::new());
+        // A pivot that disagrees with the spike beyond the tolerance (as a
+        // drifted FTRAN would) fails the determinant check; so does a
+        // replacement that makes the basis singular.
+        let drifted = w[2] * (1.0 + 1e-6);
+        assert!(lu
+            .update(2, drifted, &spike, None, &mut Vec::new())
+            .is_err());
+        let singular = Spike(Vec::new());
+        assert!(lu.update(2, 0.0, &singular, None, &mut Vec::new()).is_err());
+        assert_eq!(lu.pending_updates(), 0);
+        let mut stream = Stream(17);
+        assert_solves_match(&lu, &dense, &mut stream);
+        // The honest pivot goes through.
+        assert!(lu.update(2, w[2], &spike, None, &mut Vec::new()).is_ok());
+        assert_eq!(lu.pending_updates(), 1);
+    }
+
+    #[test]
+    fn updates_copy_shared_factors_and_leave_the_original_intact() {
+        let m = 7;
+        let (a, dense) = test_matrix(m);
+        let basic: Vec<usize> = (0..m).collect();
+        let original = LuFactor::factorize(&a, &basic, 0.1).unwrap();
+        let mut branch = original.clone();
+        assert!(branch.shares_base_with(&original));
+        let entering: Vec<f64> = (0..m).map(|i| 1.0 - 0.3 * i as f64).collect();
+        branch.replace(0, &entering).1.unwrap();
+        assert!(!branch.shares_base_with(&original), "the update copied");
+        assert_eq!(original.pending_updates(), 0);
+        let mut stream = Stream(99);
+        assert_solves_match(&original, &dense, &mut stream);
+        // A branch that owns its factors updates them in place.
+        let before = Arc::as_ptr(&branch.factors);
+        branch
+            .replace(1, &entering.iter().rev().copied().collect::<Vec<_>>())
+            .1
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&branch.factors), before);
     }
 
     #[test]
@@ -1167,7 +1527,7 @@ mod tests {
     proptest::proptest! {
         /// The singleton pass and the bump elimination together solve
         /// random sparse nonsingular bases exactly as a dense solve does,
-        /// before and after eta updates.
+        /// before and after each of up to 48 Forrest–Tomlin updates.
         #[test]
         fn random_sparse_bases_solve_like_the_dense_reference(
             seed in 1u64..u64::MAX,
@@ -1180,9 +1540,11 @@ mod tests {
             let basic: Vec<usize> = (0..m).collect();
             let mut lu = LuFactor::factorize(&to_csc(&dense), &basic, 0.1).unwrap();
             assert_solves_match(&lu, &dense, &mut stream);
-            // Column replacements through the eta file, each kept only when
-            // its pivot is well away from zero.
-            for _ in 0..3 {
+            // Column replacements through Forrest–Tomlin updates, each kept
+            // only when its pivot is well away from zero (as the ratio
+            // tests ensure); a refused update refactorizes, as the engine
+            // does.
+            for _ in 0..48 {
                 let slot = stream.below(m);
                 let entering: Vec<f64> = (0..m)
                     .map(|_| if stream.below(3) == 0 { 2.0 * stream.unit() - 1.0 } else { 0.0 })
@@ -1191,9 +1553,11 @@ mod tests {
                 if w[slot].abs() < 0.5 {
                     continue;
                 }
-                lu.update(slot, &w);
                 for (row, &v) in dense.iter_mut().zip(&entering) {
                     row[slot] = v;
+                }
+                if lu.replace(slot, &entering).1.is_err() {
+                    lu = LuFactor::factorize(&to_csc(&dense), &basic, 0.1).unwrap();
                 }
                 assert_solves_match(&lu, &dense, &mut stream);
             }
@@ -1251,13 +1615,22 @@ mod tests {
         let (a, _) = test_matrix(6);
         let basic: Vec<usize> = (0..6).collect();
         LuFactor::factorize(&a, &basic, 0.1).unwrap();
+        let entering = [0.0, 0.5, 0.0, 0.0, 5.0, 0.0];
         let (result, timing) = time_factorizations(tick, || {
-            LuFactor::factorize(&a, &basic, 0.1).unwrap();
+            let mut lu = LuFactor::factorize(&a, &basic, 0.1).unwrap();
+            // Updates are counted with the entries they store, but read no
+            // clock; a refused one counts nothing.
+            lu.replace(4, &entering).1.unwrap();
+            assert!(lu
+                .update(1, 0.0, &Spike::default(), None, &mut Vec::new())
+                .is_err());
             LuFactor::factorize(&a, &[0, 0, 1, 2, 3, 4], 0.1).is_err()
         });
         assert!(result);
         assert_eq!(timing.factorizations, 2);
         assert_eq!(timing.nanos, 10);
+        assert_eq!(timing.updates, 1);
+        assert!(timing.update_nnz >= 1, "the new diagonal at least");
         assert_eq!(TICKS.load(Ordering::Relaxed), 20);
     }
 }

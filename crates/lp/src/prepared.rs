@@ -61,7 +61,8 @@ pub enum VarStatus {
 /// objective mutations keep it valid; the factor is fingerprinted against
 /// the matrix so a basis fed to a *different* prepared LP silently falls
 /// back to refactorizing). The hand-off is O(1): the factorization shares
-/// its bulk behind an `Arc`.
+/// its bulk behind an `Arc`, and a solve that pivots from it copies the
+/// factors before its first update, so the basis handed in stays valid.
 #[derive(Clone, Debug)]
 pub struct Basis {
     /// Basic column of each row (length = number of rows).
@@ -76,7 +77,9 @@ pub struct Basis {
 /// factored against.
 #[derive(Clone, Debug)]
 pub(crate) struct BasisFactor {
-    /// Sparse Markowitz LU plus eta file.
+    /// Sparse Markowitz LU with its Forrest–Tomlin updates, shared
+    /// copy-on-write: cloning it copies nothing, and the first update of a
+    /// clone copies the factors.
     pub(crate) lu: LuFactor,
     /// Fingerprint of the [`CscMatrix`] the factor belongs to.
     pub(crate) fingerprint: u64,

@@ -2,13 +2,16 @@
 //!
 //! The solver works on a [`PreparedLp`] in equality form `Ax = b`,
 //! `l ≤ x ≤ u` and maintains the basis as a sparse LU factorization
-//! (`crate::lu`) updated across pivots by a bounded eta file,
-//! so per-pivot work tracks the factor nonzeros instead of `rows²`.
+//! (`crate::lu`) kept current across pivots by Forrest–Tomlin updates, so
+//! per-pivot work tracks the factor nonzeros instead of `rows²`. The FTRAN
+//! of each entering column saves its spike `L⁻¹a_q`, and the basis change
+//! swaps that spike into `U` with one sparse row eta.
 //!
 //! The factorization is revalidated every
 //! [`SimplexOptions::refactor_every`] pivots by an O(nnz) primal-residual
-//! drift check that gates a from-scratch refactorization, and is rebuilt
-//! unconditionally when its eta file reaches [`SimplexOptions::update_cap`].
+//! drift check that gates a from-scratch refactorization. It is rebuilt
+//! unconditionally after [`SimplexOptions::update_cap`] updates, and when
+//! an update is refused as numerically unsafe.
 //! Bounds are handled natively:
 //!
 //! * nonbasic variables sit at a finite bound (or at 0 when free) and may
@@ -38,7 +41,7 @@
 //! basis that arrives without them. The dual then falls back to the largest
 //! violation, which is what weights of 1 reduce to.
 //!
-//! The dual reuses the primal path's eta update, drift check and
+//! The dual reuses the primal path's basis update, drift check and
 //! refactorization. It never issues a verdict: when
 //! its ratio test finds no entering column, or it reaches
 //! [`SimplexOptions::bland_after`] pivots, it hands its current basis to the
@@ -59,7 +62,7 @@
 //! candidate, so a pivot path does not depend on how the LU rounds.
 
 use crate::error::LpError;
-use crate::lu::LuFactor;
+use crate::lu::{LuFactor, Spike};
 use crate::model::Model;
 use crate::prepared::{Basis, BasisFactor, PreparedLp, PreparedSolution, VarStatus};
 use crate::simplex::SimplexOptions;
@@ -98,10 +101,10 @@ pub(crate) fn solve_model(model: &Model, options: &SimplexOptions) -> Result<Sol
 ///
 /// Iteration-limit stalls and Unbounded verdicts are retried once under
 /// maximum-robustness settings — Bland's rule from the first pivot, a drift
-/// check after every pivot and a single-eta cap — because on heavily
-/// degenerate instances accumulated rounding can empty a pivot column and
-/// fake an unbounded ray (the dense oracle guards the same failure mode
-/// with its RHS-perturbation retry).
+/// check after every pivot and a refactorization after every update —
+/// because on heavily degenerate instances accumulated rounding can empty
+/// a pivot column and fake an unbounded ray (the dense oracle guards the
+/// same failure mode with its RHS-perturbation retry).
 pub(crate) fn solve_prepared(
     lp: &PreparedLp,
     start: Option<&Basis>,
@@ -134,14 +137,20 @@ enum Phase {
 struct Buffers {
     /// FTRAN image `B⁻¹a_q` of the entering column.
     col: Vec<f64>,
+    /// The entering column's spike, for the basis update.
+    spike: Spike,
     /// A BTRAN result: the dual vector `y`, or row `ρ_r = e_rᵀB⁻¹`.
     row: Vec<f64>,
+    /// The partial BTRAN saved with `ρ_r`, for the dual pivot's update.
+    partial: Vec<f64>,
     /// `τ = B⁻¹ρ_r`, the dual steepest-edge update vector.
     tau: Vec<f64>,
     /// Row `r` of `B⁻¹N`, per standardized column.
     alpha: Vec<f64>,
     /// Working space of the LU solves.
     scratch: Vec<f64>,
+    /// `b − N·x_N` or `b − A·x`, for `compute_x` and the drift check.
+    rhs: Vec<f64>,
 }
 
 struct Engine<'a> {
@@ -246,8 +255,9 @@ impl<'a> Engine<'a> {
             buf: Buffers::default(),
         };
         engine.stats.fill_in_nnz = engine.factor.nnz();
-        engine.compute_x();
-        if inherited && engine.primal_residual() > REFRESH_TOL {
+        let mut buf = std::mem::take(&mut engine.buf);
+        engine.compute_x(&mut buf);
+        if inherited && engine.primal_residual(&mut buf) > REFRESH_TOL {
             // The per-solve pivot counts inside a chain rarely reach the
             // periodic drift check, so an inherited factorization is
             // validated here instead: accumulated update error across the
@@ -257,8 +267,9 @@ impl<'a> Engine<'a> {
                 return Engine::new(lp, None, options);
             }
             engine.stats.refactorizations += 1;
-            engine.compute_x();
+            engine.compute_x(&mut buf);
         }
+        engine.buf = buf;
         Ok(engine)
     }
 
@@ -283,8 +294,10 @@ impl<'a> Engine<'a> {
 
     /// Recomputes every `x` from the basis: nonbasics at their bound, basics
     /// as `B⁻¹(b − N x_N)`.
-    fn compute_x(&mut self) {
-        let mut r = self.lp.b.clone();
+    fn compute_x(&mut self, buf: &mut Buffers) {
+        let r = &mut buf.rhs;
+        r.clear();
+        r.extend_from_slice(&self.lp.b);
         for j in 0..self.lp.ncols {
             if self.status[j] == VarStatus::Basic {
                 continue;
@@ -297,26 +310,31 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.factor.ftran(&mut r, &mut self.buf.scratch);
+        self.factor.ftran(r, &mut buf.scratch);
         for (row, &j) in self.basic.iter().enumerate() {
             self.x[j] = r[row];
         }
     }
 
-    /// Overwrites `w` with `B⁻¹ · a_j` for a standardized column `j`.
-    fn ftran(&self, j: usize, w: &mut Vec<f64>, scratch: &mut Vec<f64>) {
+    /// Overwrites `buf.col` with `B⁻¹ · a_j` for the entering column `j`,
+    /// saving its spike in `buf.spike` for the basis update.
+    fn ftran_entering(&self, j: usize, buf: &mut Buffers) {
+        let w = &mut buf.col;
         w.clear();
         w.resize(self.m, 0.0);
         for (r, v) in self.lp.a.col(j) {
             w[r] += v;
         }
-        self.factor.ftran(w, scratch);
+        self.factor
+            .ftran_entering(w, &mut buf.spike, &mut buf.scratch);
     }
 
     /// `‖b − A·x‖∞` of the current iterate — the cheap (O(nnz)) drift
     /// signal deciding whether the basis representation needs a rebuild.
-    fn primal_residual(&self) -> f64 {
-        let mut r = self.lp.b.clone();
+    fn primal_residual(&self, buf: &mut Buffers) -> f64 {
+        let r = &mut buf.rhs;
+        r.clear();
+        r.extend_from_slice(&self.lp.b);
         for j in 0..self.lp.ncols {
             let xj = self.x[j];
             if xj != 0.0 {
@@ -449,10 +467,8 @@ impl<'a> Engine<'a> {
             // Row r of B⁻¹N. The leaving basic moves down onto its upper
             // bound (sign +1) or up onto its lower bound (sign −1).
             let rho = &mut buf.row;
-            rho.clear();
-            rho.resize(self.m, 0.0);
-            rho[r] = 1.0;
-            self.factor.btran(rho, &mut buf.scratch);
+            self.factor
+                .btran_unit(r, rho, &mut buf.partial, &mut buf.scratch);
             let sign = if leave_status == VarStatus::AtUpper {
                 1.0
             } else {
@@ -493,7 +509,7 @@ impl<'a> Engine<'a> {
             let Some(q) = entering else {
                 break;
             };
-            self.ftran(q, &mut buf.col, &mut buf.scratch);
+            self.ftran_entering(q, buf);
             if buf.col[r].abs() <= pivot_tol {
                 break;
             }
@@ -501,8 +517,7 @@ impl<'a> Engine<'a> {
             // Move the entering column so the leaving basic lands exactly on
             // its violated bound, then update the reduced costs for the new
             // basis (the leaving column's becomes −θ).
-            let w = &buf.col;
-            let step = (self.x[self.basic[r]] - target) / w[r];
+            let step = (self.x[self.basic[r]] - target) / buf.col[r];
             let theta = d[q] / buf.alpha[q];
             for (j, (dj, &aj)) in d.iter_mut().zip(&buf.alpha).enumerate() {
                 if !self.is_frozen(j) {
@@ -510,8 +525,8 @@ impl<'a> Engine<'a> {
                 }
             }
             let out = self.basic[r];
-            self.step_basics(step, w);
-            let refactored = self.swap_in(r, q, leave_status, step, w)?;
+            self.step_basics(step, &buf.col);
+            let refactored = self.swap_in(r, q, leave_status, step, buf, true)?;
             d[q] = 0.0;
             d[out] = -theta;
             if refactored {
@@ -652,7 +667,7 @@ impl<'a> Engine<'a> {
                 };
             };
 
-            self.ftran(q, &mut buf.col, &mut buf.scratch);
+            self.ftran_entering(q, buf);
             let w = &buf.col;
 
             // Ratio test. The entering variable moves by `t ≥ 0` in direction
@@ -755,7 +770,7 @@ impl<'a> Engine<'a> {
                     // weights stop being exact, and later dual re-entries
                     // fall back to the largest violation.
                     self.weights = None;
-                    self.swap_in(row, q, leave_status, dir * t, w)?;
+                    self.swap_in(row, q, leave_status, dir * t, buf, false)?;
                 }
             }
             iterations += 1;
@@ -774,15 +789,18 @@ impl<'a> Engine<'a> {
 
     /// Swaps entering column `q` (moved by `step` from its resting value)
     /// into the basis at `row`, whose basic leaves at `leave_status`. Applies
-    /// the eta update and the drift-gated refactorization; returns whether
-    /// the basis was refactorized (which recomputes `x`).
+    /// the Forrest–Tomlin update from the entering FTRAN in `buf` (and,
+    /// when `with_partial`, the partial BTRAN saved with `ρ_row`) and the
+    /// drift-gated refactorization; returns whether the basis was
+    /// refactorized (which recomputes `x`).
     fn swap_in(
         &mut self,
         row: usize,
         q: usize,
         leave_status: VarStatus,
         step: f64,
-        w: &[f64],
+        buf: &mut Buffers,
+        with_partial: bool,
     ) -> Result<bool, LpError> {
         let out = self.basic[row];
         self.x[q] = self.nonbasic_value(q) + step;
@@ -796,27 +814,32 @@ impl<'a> Engine<'a> {
         };
         self.basic[row] = q;
         self.status[q] = VarStatus::Basic;
-        self.factor.update(row, w);
+        let partial = with_partial.then_some(&buf.partial[..]);
+        let refused = self
+            .factor
+            .update(row, buf.col[row], &buf.spike, partial, &mut buf.scratch)
+            .is_err();
         self.stats.basis_updates += 1;
         self.since_refactor += 1;
-        // The eta file is bounded: hitting the cap forces a refactorization
-        // regardless of drift (applying a long eta file costs more than
-        // refactorizing, and its error compounds).
-        let cap_hit = self.factor.pending_updates() >= self.options.update_cap.max(1);
-        if cap_hit || self.since_refactor >= self.options.refactor_every.max(1) {
+        // Updates are bounded: hitting the cap forces a refactorization
+        // regardless of drift (the row etas and the updated columns grow,
+        // and their error compounds). A refused update leaves the factor on
+        // the old basis, so it forces one too.
+        let forced = refused || self.factor.pending_updates() >= self.options.update_cap.max(1);
+        if forced || self.since_refactor >= self.options.refactor_every.max(1) {
             self.since_refactor = 0;
             // Refactorizing from scratch is expensive, so outside the cap it
             // is gated on an O(nnz) drift check: only a primal residual above
             // tolerance triggers the rebuild. Well-scaled instances (the
             // mechanism's ±1-coefficient LPs) essentially never pay it.
-            if cap_hit || self.primal_residual() > REFRESH_TOL {
+            if forced || self.primal_residual(buf) > REFRESH_TOL {
                 if self.refactorize().is_err() {
                     return Err(LpError::IterationLimit {
                         limit: self.options.max_iterations,
                     });
                 }
                 self.stats.refactorizations += 1;
-                self.compute_x();
+                self.compute_x(buf);
                 return Ok(true);
             }
         }
@@ -1116,7 +1139,7 @@ mod tests {
     }
 
     #[test]
-    fn a_tight_eta_cap_does_not_change_the_optimum() {
+    fn a_tight_update_cap_does_not_change_the_optimum() {
         let m = hinge_family(3.5);
         let baseline = m.solve().unwrap();
         let capped = m
@@ -1184,6 +1207,88 @@ mod tests {
     }
 
     #[test]
+    fn warm_solves_branching_from_one_basis_leave_it_intact() {
+        // A family run keeps its first basis (for refresh seeds) while the
+        // chain re-enters from the same basis: the first update of each
+        // branch must copy the shared factors, not write through them.
+        let options = opts();
+        let mut prepared = hinge_family(0.0).prepare().unwrap();
+        let cold = prepared.solve(&options).unwrap();
+        prepared.set_rhs(0, 1.0);
+        let root = prepared.solve_warm(&cold.basis, &options).unwrap();
+        let root_lu = &root.basis.factor.as_ref().unwrap().lu;
+        let root_updates = root_lu.pending_updates();
+        assert!(root_updates > 0, "the root basis carries updates");
+        for mass in [2.0, 4.0] {
+            prepared.set_rhs(0, mass);
+            let branch = prepared.solve_warm(&root.basis, &options).unwrap();
+            assert!(branch.solution.stats.dual_iterations > 0);
+            assert_close(
+                branch.solution.objective,
+                tableau(&hinge_family(mass)).objective,
+            );
+            assert!(!branch.basis.factor.unwrap().lu.shares_base_with(root_lu));
+        }
+        // The root still factors its own basis: B⁻¹·a_basic[k] = e_k.
+        assert_eq!(root_lu.pending_updates(), root_updates);
+        let m = prepared.num_rows();
+        for (k, &j) in root.basis.basic.iter().enumerate() {
+            let mut col = vec![0.0; m];
+            for (i, v) in prepared.a.col(j) {
+                col[i] += v;
+            }
+            root_lu.ftran(&mut col, &mut Vec::new());
+            for (i, x) in col.iter().enumerate() {
+                assert_close(*x, if i == k { 1.0 } else { 0.0 });
+            }
+        }
+        prepared.set_rhs(0, 1.0);
+        let again = prepared.solve_warm(&root.basis, &options).unwrap();
+        assert_eq!(again.solution.stats.total_iterations(), 0);
+        assert_close(again.solution.objective, root.solution.objective);
+    }
+
+    /// Refuses every basis update on this thread while alive.
+    struct RefuseUpdates;
+
+    impl RefuseUpdates {
+        fn new() -> Self {
+            crate::lu::REFUSE_UPDATES.with(|r| r.set(true));
+            RefuseUpdates
+        }
+    }
+
+    impl Drop for RefuseUpdates {
+        fn drop(&mut self) {
+            crate::lu::REFUSE_UPDATES.with(|r| r.set(false));
+        }
+    }
+
+    #[test]
+    fn refused_updates_refactorize_and_still_match_the_tableau() {
+        let _refuse = RefuseUpdates::new();
+        let options = opts();
+        // Primal pivots (a cold solve) and dual pivots (a chain step).
+        let primal = hinge_family(3.0).solve().unwrap();
+        let mut prepared = hinge_family(0.0).prepare().unwrap();
+        let mut basis = prepared.solve(&options).unwrap().basis;
+        prepared.set_rhs(0, 3.0);
+        let dual = prepared.solve_warm(&basis, &options).unwrap();
+        assert!(dual.solution.stats.dual_iterations > 0);
+        basis = dual.basis;
+        for stats in [primal.stats, dual.solution.stats] {
+            assert!(stats.basis_updates > 0);
+            // Every refused update forces a counted refactorization.
+            assert!(stats.refactorizations >= stats.basis_updates, "{stats:?}");
+        }
+        let oracle = tableau(&hinge_family(3.0)).objective;
+        assert_close(primal.objective, oracle);
+        assert_close(dual.solution.objective, oracle);
+        // The refactorized basis carries a fresh factor with no updates.
+        assert_eq!(basis.factor.unwrap().lu.pending_updates(), 0);
+    }
+
+    #[test]
     fn a_warm_basis_without_a_factor_is_refactorized_on_entry() {
         let options = opts();
         let mut prepared = hinge_family(1.0).prepare().unwrap();
@@ -1236,7 +1341,7 @@ mod tests {
 
     #[test]
     fn a_refactorizing_cold_chain_keeps_exact_weights() {
-        // A one-eta cap refactorizes after every pivot; the weights must
+        // A one-update cap refactorizes after every pivot; the weights must
         // survive each rebuild and stay exact.
         let options = SimplexOptions {
             update_cap: 1,

@@ -46,9 +46,10 @@ pub struct SimplexOptions {
     /// magnitude in its column. Larger values favour stability, smaller
     /// values favour sparsity; clamped to `[0, 1]`.
     pub markowitz_threshold: f64,
-    /// Revised solver only: maximum eta-file (product-form update) length
-    /// before a forced refactorization. Bounds both the per-solve cost of
-    /// applying updates and the error they can accumulate.
+    /// Revised solver only: Forrest–Tomlin basis updates applied before a
+    /// forced refactorization. Bounds the row etas and updated `U` columns
+    /// every FTRAN and BTRAN replays, and the error they can accumulate.
+    /// (An update that fails its stability check forces one sooner.)
     pub update_cap: usize,
 }
 

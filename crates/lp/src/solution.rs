@@ -22,18 +22,18 @@ pub struct SolveStats {
     /// so this is `kept model vars + rows`; the dense oracle is wider
     /// (free-var splits and explicit upper-bound rows).
     pub cols: usize,
-    /// From-scratch basis factorizations triggered after entry (drift check
-    /// or eta-file cap; revised solver only).
+    /// From-scratch basis factorizations triggered after entry (drift check,
+    /// update cap or a refused update; revised solver only).
     pub refactorizations: usize,
     /// Bound flips — iterations that moved a nonbasic variable to its other
     /// bound without touching the basis (revised solver only).
     pub bound_flips: usize,
-    /// Eta-file basis updates applied (one per true pivot; revised solver
-    /// only).
+    /// Basis changes, each applied as a Forrest–Tomlin update unless the
+    /// update was refused (one per true pivot; revised solver only).
     pub basis_updates: usize,
     /// Peak stored nonzeros of the sparse LU factorization (factors plus
-    /// eta file) across the solve; 0 on the dense oracle, which does not
-    /// track fill-in.
+    /// their updates) across the solve; 0 on the dense oracle, which does
+    /// not track fill-in.
     pub fill_in_nnz: usize,
     /// Variables fixed by their bounds (`l = u`) and substituted out before
     /// the solve (revised solver only). `cols` reports the *reduced* system.

@@ -7,7 +7,9 @@
 //! column-wise access with the column's nonzeros packed together. The LPs the
 //! mechanism produces are extremely sparse — a hinge row touches only the
 //! participants of one annotation — so CSC keeps the per-iteration cost at
-//! `O(m² + nnz)` instead of the dense tableau's `O(m·n)` touched-and-written.
+//! `O(m + nnz(A) + nnz(LU))` (dense `m`-vectors, one pass over `A` to
+//! price, and the sparse factors with their updates) instead of the dense
+//! tableau's `O(m·n)` touched-and-written.
 
 /// A read-only sparse matrix in compressed-sparse-column form.
 #[derive(Clone, Debug)]

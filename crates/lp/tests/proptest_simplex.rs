@@ -386,7 +386,7 @@ proptest! {
         lp in bounded_lp(),
         steps in proptest::collection::vec((0usize..5, -2.0..3.0f64), 1..5),
     ) {
-        // A one-eta cap refactorizes after every pivot, so the steepest-edge
+        // A one-update cap refactorizes after every pivot, so the steepest-edge
         // weights must survive rebuilds; 64 is the default.
         for update_cap in [1, 64] {
             let options = rmdp_lp::SimplexOptions {

@@ -58,7 +58,7 @@ pub struct LpSummary {
     pub warm_start_hits: u64,
     /// Basis refactorizations.
     pub refactorizations: u64,
-    /// Product-form basis updates (one per true pivot).
+    /// Basis updates (one per true pivot).
     pub basis_updates: u64,
     /// Peak stored nonzeros of any single solve's LU factorization
     /// (a maximum across solves, not a sum).
