@@ -147,10 +147,17 @@ where
         }
     }
 
-    for (t1, e1) in r1.iter() {
-        let key: Option<Vec<Value>> = on.iter().map(|(a, _)| t1.get(a).cloned()).collect();
-        let Some(key) = key else { continue };
-        if let Some(matches) = index.get(&key) {
+    // Probe side: one key buffer, refilled per left tuple.
+    let mut key: Vec<Value> = Vec::with_capacity(on.len());
+    'probe: for (t1, e1) in r1.iter() {
+        key.clear();
+        for (a, _) in on {
+            match t1.get(a) {
+                Some(v) => key.push(v.clone()),
+                None => continue 'probe,
+            }
+        }
+        if let Some(matches) = index.get(key.as_slice()) {
             for (t2, e2) in matches {
                 if let Some(joined) = t1.join(t2) {
                     if residual(&joined) {

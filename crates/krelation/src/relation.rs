@@ -10,6 +10,7 @@ use crate::expr::Expr;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::participant::ParticipantId;
 use crate::tuple::{Attr, Tuple};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -55,14 +56,17 @@ impl KRelation {
             return;
         }
         for a in tuple.attrs() {
-            self.schema.insert(a.clone());
-        }
-        match self.tuples.remove(&tuple) {
-            Some(existing) => {
-                self.tuples.insert(tuple, Expr::or2(existing, annotation));
+            if !self.schema.contains(a) {
+                self.schema.insert(a.clone());
             }
-            None => {
-                self.tuples.insert(tuple, annotation);
+        }
+        match self.tuples.entry(tuple) {
+            Entry::Occupied(mut slot) => {
+                let existing = slot.get_mut();
+                *existing = Expr::or2(std::mem::replace(existing, Expr::False), annotation);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(annotation);
             }
         }
     }

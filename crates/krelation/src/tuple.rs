@@ -225,15 +225,31 @@ impl Tuple {
     /// Merges two tuples with compatible shared attributes (natural-join
     /// semantics). Returns `None` when a shared attribute disagrees.
     pub fn join(&self, other: &Tuple) -> Option<Tuple> {
-        let mut t = self.clone();
-        for (a, v) in &other.entries {
-            match t.get(a) {
-                Some(existing) if existing != v => return None,
-                Some(_) => {}
-                None => t.set(a.clone(), v.clone()),
+        // Both entry lists are sorted by attribute: merge them in one pass.
+        let (left, right) = (&self.entries, &other.entries);
+        let mut entries = Vec::with_capacity(left.len() + right.len());
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            match left[i].0.cmp(&right[j].0) {
+                std::cmp::Ordering::Less => {
+                    entries.push(left[i].clone());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    entries.push(right[j].clone());
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal if left[i].1 != right[j].1 => return None,
+                std::cmp::Ordering::Equal => {
+                    entries.push(left[i].clone());
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        Some(t)
+        entries.extend_from_slice(&left[i..]);
+        entries.extend_from_slice(&right[j..]);
+        Some(Tuple { entries })
     }
 }
 

@@ -1,17 +1,21 @@
 //! Plan execution over an [`AnnotatedDatabase`].
 //!
-//! Executing a [`QueryPlan`] produces the annotated output relation: scans
-//! are renamed with `ρ`, joins run through the algebra layer's hash
-//! theta-join, and residual/`WHERE` predicates run as selections `σ`. The
+//! Executing a [`QueryPlan`] produces the annotated output relation. Each
+//! scan renames (`ρ`) and filters (`σ`) its base tuples in one pass, so only
+//! the tuples its [`ScanStep::filter`] accepts are built; each join runs
+//! through the algebra layer's hash theta-join with the step's residual
+//! conjuncts. The planner has already placed every conjunct where its
+//! columns are first bound, so no selection runs after the last join. The
 //! annotations of the output tuples are exactly the provenance expressions
 //! the recursive mechanism aggregates — see [`crate::session::SqlSession`]
 //! for the private release.
 
 use crate::error::SqlError;
-use crate::plan::{GroupedQueryPlan, PlanAggregate, QueryPlan, ScanStep};
-use rmdp_krelation::algebra::{rename, select, theta_join};
+use crate::plan::{CompiledOperand, CompiledPredicate, GroupedQueryPlan, PlanAggregate};
+use crate::plan::{QueryPlan, ScanStep};
+use rmdp_krelation::algebra::theta_join;
 use rmdp_krelation::annotate::AnnotatedDatabase;
-use rmdp_krelation::tuple::{Tuple, Value};
+use rmdp_krelation::tuple::{Attr, Tuple, Value};
 use rmdp_krelation::KRelation;
 
 /// Evaluates `plan` against `db`, returning the annotated output relation.
@@ -23,13 +27,9 @@ pub fn execute(db: &AnnotatedDatabase, plan: &QueryPlan) -> Result<KRelation, Sq
     let mut acc = scan(db, &plan.from)?;
     for step in &plan.joins {
         let right = scan(db, &step.scan)?;
-        let joined = theta_join(&acc, &right, &step.equi, |t| {
+        acc = theta_join(&acc, &right, &step.equi, |t| {
             step.residual.iter().all(|p| p.matches(t))
         });
-        acc = joined;
-    }
-    if !plan.filter.is_empty() {
-        acc = select(&acc, |t| plan.filter.iter().all(|p| p.matches(t)));
     }
     Ok(acc)
 }
@@ -87,11 +87,38 @@ fn scan(db: &AnnotatedDatabase, step: &ScanStep) -> Result<KRelation, SqlError> 
             available: db.table_names().into_iter().map(str::to_owned).collect(),
         });
     };
-    Ok(rename(table, |attr| {
+    let to_qualified = |attr: &Attr| {
         step.renames
             .iter()
             .find(|(base, _)| base == attr)
-            .map(|(_, qualified)| qualified.clone())
-            .unwrap_or_else(|| attr.clone())
-    }))
+            .map_or_else(|| attr.clone(), |(_, qualified)| qualified.clone())
+    };
+    // The filter rewritten over base attributes, so it runs before a tuple
+    // is renamed and only survivors are built.
+    let to_base = |op: &CompiledOperand| match op {
+        CompiledOperand::Column(attr) => CompiledOperand::Column(
+            step.renames
+                .iter()
+                .find(|(_, qualified)| qualified == attr)
+                .map_or_else(|| attr.clone(), |(base, _)| base.clone()),
+        ),
+        CompiledOperand::Literal(_) => op.clone(),
+    };
+    let filter: Vec<CompiledPredicate> = step
+        .filter
+        .iter()
+        .map(|p| CompiledPredicate {
+            lhs: to_base(&p.lhs),
+            op: p.op,
+            rhs: to_base(&p.rhs),
+        })
+        .collect();
+
+    let mut out = KRelation::new(table.schema().iter().map(to_qualified));
+    for (tuple, annotation) in table.iter() {
+        if filter.iter().all(|p| p.matches(tuple)) {
+            out.insert(tuple.rename(to_qualified), annotation.clone());
+        }
+    }
+    Ok(out)
 }

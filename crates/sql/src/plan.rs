@@ -9,8 +9,15 @@
 //! 2. every `JOIN … ON` becomes a **theta-join**: the `ON` conjuncts that
 //!    equate a column of the new table with a column of the accumulated
 //!    relation become hash-join keys ([`rmdp_krelation::algebra::theta_join`]);
-//!    the remaining conjuncts become a residual selection `σ`;
-//! 3. the `WHERE` conjuncts become a final selection `σ`.
+//!    the remaining conjuncts join the `WHERE` conjuncts;
+//! 3. every other conjunct becomes a selection `σ` **placed at the earliest
+//!    point where all its columns are bound**: a conjunct over one alias (or
+//!    none — a literal-only conjunct goes to the `FROM` scan) filters that
+//!    alias's scan ([`ScanStep::filter`]), and a conjunct over several
+//!    aliases is a residual of the join step that binds the last of them
+//!    ([`JoinStep::residual`]). Inner-join semantics make `σ` commute with
+//!    `⋈` tuple by tuple, so placement changes what the executor
+//!    materialises, never which tuples or annotations come out.
 //!
 //! Because only `ρ`, `⋈` and `σ` are emitted, the provenance annotations of
 //! the output are conjunctions/disjunctions of base-table annotations —
@@ -27,7 +34,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// A scan of one base table under an alias; `renames` maps every base
-/// attribute to its alias-qualified name.
+/// attribute to its alias-qualified name, and `filter` keeps only the base
+/// tuples the conjuncts over this alias alone accept.
 #[derive(Clone, Debug)]
 pub struct ScanStep {
     /// The base table.
@@ -36,6 +44,9 @@ pub struct ScanStep {
     pub alias: String,
     /// `(base, qualified)` attribute pairs, sorted by base attribute.
     pub renames: Vec<(Attr, Attr)>,
+    /// Conjuncts whose columns all belong to this alias (the `FROM` scan
+    /// also holds the literal-only ones), over qualified attributes.
+    pub filter: Vec<CompiledPredicate>,
 }
 
 /// A comparison compiled against qualified attribute names.
@@ -58,22 +69,26 @@ pub enum CompiledOperand {
     Literal(Value),
 }
 
+impl CompiledOperand {
+    /// The operand's value on `tuple`, borrowed from the tuple or the literal.
+    fn value<'a>(&'a self, tuple: &'a Tuple) -> Option<&'a Value> {
+        match self {
+            CompiledOperand::Column(attr) => tuple.get(attr),
+            CompiledOperand::Literal(v) => Some(v),
+        }
+    }
+}
+
 impl CompiledPredicate {
     /// Evaluates the predicate on a merged tuple. Comparisons between values
     /// of different types (or on absent attributes) are `false`, mirroring
     /// SQL's "unknown is not true".
     pub fn matches(&self, tuple: &Tuple) -> bool {
-        let lookup = |op: &CompiledOperand| -> Option<Value> {
-            match op {
-                CompiledOperand::Column(attr) => tuple.get(attr).cloned(),
-                CompiledOperand::Literal(v) => Some(v.clone()),
-            }
-        };
-        let (Some(lhs), Some(rhs)) = (lookup(&self.lhs), lookup(&self.rhs)) else {
+        let (Some(lhs), Some(rhs)) = (self.lhs.value(tuple), self.rhs.value(tuple)) else {
             return false;
         };
         let comparable = matches!(
-            (&lhs, &rhs),
+            (lhs, rhs),
             (Value::Int(_), Value::Int(_))
                 | (Value::Str(_), Value::Str(_))
                 | (Value::Bool(_), Value::Bool(_))
@@ -89,6 +104,16 @@ impl CompiledPredicate {
             Comparison::Le => lhs <= rhs,
             Comparison::Ge => lhs >= rhs,
         }
+    }
+
+    /// The attributes the predicate reads, in operand order.
+    fn columns(&self) -> impl Iterator<Item = &Attr> + '_ {
+        [&self.lhs, &self.rhs]
+            .into_iter()
+            .filter_map(|op| match op {
+                CompiledOperand::Column(attr) => Some(attr),
+                CompiledOperand::Literal(_) => None,
+            })
     }
 }
 
@@ -115,7 +140,8 @@ pub struct JoinStep {
     pub scan: ScanStep,
     /// `(accumulated, new)` qualified attribute pairs joined with `=`.
     pub equi: Vec<(Attr, Attr)>,
-    /// `ON` conjuncts that are not equi-join keys.
+    /// Conjuncts (from `ON` or `WHERE`) over several aliases, the last of
+    /// which this step binds.
     pub residual: Vec<CompiledPredicate>,
 }
 
@@ -139,21 +165,52 @@ pub struct QueryPlan {
     pub from: ScanStep,
     /// The join chain in execution order.
     pub joins: Vec<JoinStep>,
-    /// The `WHERE` conjuncts.
-    pub filter: Vec<CompiledPredicate>,
+}
+
+impl QueryPlan {
+    /// Every scan in execution order: the `FROM` scan, then each join's.
+    pub(crate) fn scans(&self) -> impl Iterator<Item = &ScanStep> + '_ {
+        std::iter::once(&self.from).chain(self.joins.iter().map(|j| &j.scan))
+    }
+
+    /// Adds a conjunct at the earliest point where all its columns are
+    /// bound: the filter of the one scan it reads (the `FROM` scan when it
+    /// reads none), or else the residual of the join step binding the last
+    /// alias it reads. A column no scan binds counts as bound by the last
+    /// scan, where it fails every tuple, as it would after the last join.
+    fn place(&mut self, pred: CompiledPredicate) {
+        let last_scan = self.joins.len();
+        let binders: Vec<usize> = pred
+            .columns()
+            .map(|attr| {
+                self.scans()
+                    .position(|s| s.renames.iter().any(|(_, q)| q == attr))
+                    .unwrap_or(last_scan)
+            })
+            .collect();
+        let last = binders.iter().copied().max().unwrap_or(0);
+        if binders.iter().all(|&b| b == last) {
+            match last {
+                0 => self.from.filter.push(pred),
+                k => self.joins[k - 1].scan.filter.push(pred),
+            }
+        } else {
+            self.joins[last - 1].residual.push(pred);
+        }
+    }
 }
 
 /// A grouped report plan: one scalar template plus the declared public key
 /// domain it fans out over.
 ///
 /// The group key is **dissolved into an equality conjunct**: the per-group
-/// plan for key value `v` is the template with `key = v` appended to its
-/// `WHERE` conjuncts — a plain monotone scalar plan, indistinguishable from
-/// the hand-written `… WHERE key = v` query. That is what makes grouped
-/// releases compose with every scalar facility for free: each group runs
-/// through the same executor, the same sequence LPs, and the same
-/// [`SequenceCache`](rmdp_core::SequenceCache) keys (a grouped report and
-/// the equivalent hand-written per-key queries share cache entries).
+/// plan for key value `v` is the template with `key = v` appended to the
+/// filter of the scan that owns `key` — a plain monotone scalar plan,
+/// indistinguishable from the hand-written `… WHERE key = v` query. That is
+/// what makes grouped releases compose with every scalar facility for free:
+/// each group runs through the same executor, the same sequence LPs, and the
+/// same [`SequenceCache`](rmdp_core::SequenceCache) keys (a grouped report
+/// and the equivalent hand-written per-key queries share cache entries).
 #[derive(Clone, Debug)]
 pub struct GroupedQueryPlan {
     /// The qualified grouping-key attribute (`alias.column`).
@@ -176,10 +233,10 @@ impl GroupedQueryPlan {
     }
 
     /// The monotone scalar plan of one group: the template plus the
-    /// dissolved key conjunct `key = value`.
+    /// dissolved key conjunct `key = value` on the scan that owns `key`.
     pub fn group_plan(&self, value: &Value) -> QueryPlan {
         let mut plan = self.template.clone();
-        plan.filter.push(CompiledPredicate {
+        plan.place(CompiledPredicate {
             lhs: CompiledOperand::Column(self.key.clone()),
             op: Comparison::Eq,
             rhs: CompiledOperand::Literal(value.clone()),
@@ -252,9 +309,18 @@ impl fmt::Display for AnyPlan {
 }
 
 impl fmt::Display for QueryPlan {
-    /// Renders the plan as an algebra pipeline, one operator per line.
+    /// Renders the plan as an algebra pipeline, one operator per line. Each
+    /// `σ` sits under the step where it runs: `σ_alias` lines filter that
+    /// alias's scan, plain `σ` lines filter the join above them.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let scan_filter = |f: &mut fmt::Formatter<'_>, scan: &ScanStep| -> fmt::Result {
+            for r in &scan.filter {
+                writeln!(f, "  σ_{} {r}", scan.alias)?;
+            }
+            Ok(())
+        };
         writeln!(f, "ρ_{} (scan {})", self.from.alias, self.from.table)?;
+        scan_filter(f, &self.from)?;
         for step in &self.joins {
             let keys: Vec<String> = step
                 .equi
@@ -268,12 +334,10 @@ impl fmt::Display for QueryPlan {
                 step.scan.table,
                 keys.join(", ")
             )?;
+            scan_filter(f, &step.scan)?;
             for r in &step.residual {
                 writeln!(f, "  σ {r}")?;
             }
-        }
-        for r in &self.filter {
-            writeln!(f, "σ {r}")?;
         }
         match &self.aggregate {
             PlanAggregate::CountStar => write!(f, "Σ count(*)"),
@@ -324,32 +388,31 @@ impl Planner<'_> {
             resolved.push(r);
         }
 
-        // Lower the join chain. `visible` grows one alias per step.
+        // Lower the join chain. `visible` grows one alias per step; the `ON`
+        // conjuncts that are not equi keys are placed with the WHERE ones.
         let mut joins = Vec::new();
+        let mut conjuncts = Vec::new();
         for (k, join) in query.joins.iter().enumerate() {
             let visible = &resolved[..k + 2]; // FROM + joins up to and including this one
             let new_alias = &resolved[k + 1].scan.alias;
             let mut equi = Vec::new();
-            let mut residual = Vec::new();
             for pred in &join.on {
                 match self.as_equi_key(pred, visible, new_alias)? {
                     Some(pair) => equi.push(pair),
-                    None => residual.push(self.compile_predicate(pred, visible)?),
+                    None => conjuncts.push(self.compile_predicate(pred, visible)?),
                 }
             }
             joins.push(JoinStep {
                 scan: resolved[k + 1].scan.clone(),
                 equi,
-                residual,
+                residual: Vec::new(),
             });
         }
 
         // WHERE sees every alias.
-        let filter = query
-            .filter
-            .iter()
-            .map(|p| self.compile_predicate(p, &resolved))
-            .collect::<Result<Vec<_>, _>>()?;
+        for pred in &query.filter {
+            conjuncts.push(self.compile_predicate(pred, &resolved)?);
+        }
 
         let aggregate = match &query.aggregate {
             Aggregate::CountStar => PlanAggregate::CountStar,
@@ -363,13 +426,15 @@ impl Planner<'_> {
             None => None,
         };
 
-        let template = QueryPlan {
+        let mut template = QueryPlan {
             aggregate,
             aggregate_span: query.aggregate_span,
             from: resolved.swap_remove(0).scan,
             joins,
-            filter,
         };
+        for pred in conjuncts {
+            template.place(pred);
+        }
         Ok(match grouping {
             None => AnyPlan::Scalar(template),
             Some((key, domain, gb)) => AnyPlan::Grouped(GroupedQueryPlan {
@@ -446,6 +511,7 @@ impl Planner<'_> {
                 table: table_ref.table.clone(),
                 alias: table_ref.alias.clone(),
                 renames,
+                filter: Vec::new(),
             },
             columns,
         })
@@ -571,6 +637,18 @@ mod tests {
         db
     }
 
+    /// The schema of the benchmark graph: one directed `edges(src, dst)`.
+    fn edges_db() -> AnnotatedDatabase {
+        let mut db = AnnotatedDatabase::new();
+        db.insert_table("edges", KRelation::new(["src", "dst"]));
+        db
+    }
+
+    /// The rendered conjuncts of a filter or residual list.
+    fn shown(preds: &[CompiledPredicate]) -> Vec<String> {
+        preds.iter().map(ToString::to_string).collect()
+    }
+
     #[test]
     fn equality_on_the_new_table_becomes_a_join_key() {
         let db = db();
@@ -608,7 +686,7 @@ mod tests {
         let plan = plan(&db, "SELECT COUNT(*) FROM residents WHERE city = 'rome'")
             .unwrap()
             .expect_scalar();
-        match &plan.filter[0].lhs {
+        match &plan.from.filter[0].lhs {
             CompiledOperand::Column(attr) => assert_eq!(attr.name(), "residents.city"),
             other => panic!("expected column, got {other:?}"),
         }
@@ -686,7 +764,86 @@ mod tests {
         let shown = plan.to_string();
         assert!(shown.contains("ρ_v1 (scan visits)"));
         assert!(shown.contains("⋈ ρ_r1 (scan residents) on [v1.person = r1.person]"));
-        assert!(shown.contains("σ r1.city <> \"rome\""));
+        assert!(shown.contains("  σ_r1 r1.city <> \"rome\""));
         assert!(shown.ends_with("Σ count(*)"));
+    }
+
+    #[test]
+    fn triangle_conjuncts_land_on_the_scans_that_bind_them() {
+        let plan = plan(
+            &edges_db(),
+            "SELECT COUNT(*) FROM edges e1 JOIN edges e2 ON e1.dst = e2.src \
+             JOIN edges e3 ON e2.dst = e3.src AND e3.dst = e1.src \
+             WHERE e1.src < e1.dst AND e2.src < e2.dst AND e1.src >= 3 AND e2.dst < 20 \
+             AND e1.dst <> 5 AND e2.dst <> 7",
+        )
+        .unwrap()
+        .expect_scalar();
+        assert_eq!(
+            shown(&plan.from.filter),
+            ["e1.src < e1.dst", "e1.src >= 3", "e1.dst <> 5"]
+        );
+        assert_eq!(
+            shown(&plan.joins[0].scan.filter),
+            ["e2.src < e2.dst", "e2.dst < 20", "e2.dst <> 7"]
+        );
+        assert!(plan.joins[1].scan.filter.is_empty());
+        // Both `ON` conjuncts of the closing join are its hash keys, so no
+        // step filters a join result.
+        assert_eq!(plan.joins[1].equi.len(), 2);
+        assert!(plan.joins.iter().all(|j| j.residual.is_empty()));
+    }
+
+    #[test]
+    fn multi_alias_conjuncts_become_residuals_of_the_step_binding_the_last_alias() {
+        let two_path = plan(
+            &edges_db(),
+            "SELECT COUNT(*) FROM edges e1 JOIN edges e2 ON e1.dst = e2.src \
+             WHERE e1.src < e2.dst",
+        )
+        .unwrap()
+        .expect_scalar();
+        assert_eq!(shown(&two_path.joins[0].residual), ["e1.src < e2.dst"]);
+        assert!(two_path.from.filter.is_empty() && two_path.joins[0].scan.filter.is_empty());
+
+        // An `ON` conjunct over earlier aliases only runs at the join that
+        // binds them, and one over the new alias alone filters its scan.
+        let chain = plan(
+            &db(),
+            "SELECT COUNT(*) FROM visits v1 JOIN visits v2 ON v1.place = v2.place \
+             JOIN residents r1 ON r1.person = v1.person AND v1.person < v2.person \
+             AND r1.city <> 'oslo' WHERE 1 = 1",
+        )
+        .unwrap()
+        .expect_scalar();
+        assert_eq!(shown(&chain.joins[0].residual), ["v1.person < v2.person"]);
+        assert_eq!(shown(&chain.joins[1].scan.filter), ["r1.city <> \"oslo\""]);
+        assert!(chain.joins[1].residual.is_empty());
+        // A literal-only conjunct filters the FROM scan.
+        assert_eq!(shown(&chain.from.filter), ["1 = 1"]);
+    }
+
+    #[test]
+    fn group_key_conjuncts_land_on_the_owning_scan() {
+        let mut db = db();
+        db.declare_public_domain(
+            "residents",
+            "city",
+            [Value::str("rome"), Value::str("oslo")],
+        );
+        let grouped = match plan(
+            &db,
+            "SELECT r1.city, COUNT(*) FROM visits v1 JOIN residents r1 \
+             ON r1.person = v1.person GROUP BY r1.city",
+        )
+        .unwrap()
+        {
+            AnyPlan::Grouped(g) => g,
+            AnyPlan::Scalar(_) => panic!("expected a grouped plan"),
+        };
+        let group = grouped.group_plan(&Value::str("rome"));
+        assert!(group.from.filter.is_empty());
+        assert_eq!(shown(&group.joins[0].scan.filter), ["r1.city = \"rome\""]);
+        assert!(group.joins[0].residual.is_empty());
     }
 }

@@ -5,11 +5,12 @@
 use proptest::prelude::*;
 use recursive_mechanism_dp::core::sensitive::check_monotonicity_exhaustive;
 use recursive_mechanism_dp::core::{MechanismParams, SensitiveKRelation};
-use recursive_mechanism_dp::krelation::algebra::{natural_join, rename, select};
+use recursive_mechanism_dp::krelation::algebra::{natural_join, rename, select, theta_join};
 use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Attr, Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
-use recursive_mechanism_dp::sql::{parse, SqlError, SqlSession};
+use recursive_mechanism_dp::sql::exec::{execute, execute_grouped};
+use recursive_mechanism_dp::sql::{parse, plan, AnyPlan, SqlError, SqlSession};
 
 /// The residents/visits database of the `sql_unrestricted_join` example.
 fn database() -> AnnotatedDatabase {
@@ -280,13 +281,6 @@ fn assert_positive(expr: &Expr) {
 /// pick the joined table, the earlier alias to connect to, and which column
 /// pair to equate. Always planable; the interesting property is downstream.
 fn build_sql(spec: &[(bool, u8, u8)], with_filter: bool) -> String {
-    let columns_of = |is_visits: bool| -> [&'static str; 2] {
-        if is_visits {
-            ["person", "place"]
-        } else {
-            ["person", "city"]
-        }
-    };
     // Alias 0 is always the FROM table (visits).
     let mut tables = vec![true];
     let mut sql = String::from("SELECT COUNT(*) FROM visits t0");
@@ -336,5 +330,206 @@ proptest! {
             check_monotonicity_exhaustive(&query).is_ok(),
             "non-monotone query answer for {sql:?}"
         );
+    }
+}
+
+/// The columns of a residents/visits table.
+fn columns_of(is_visits: bool) -> [&'static str; 2] {
+    if is_visits {
+        ["person", "place"]
+    } else {
+        ["person", "city"]
+    }
+}
+
+/// One side of a generated comparison: column `col` of alias `t{i}`, or a
+/// literal.
+#[derive(Debug)]
+enum Side {
+    Col(usize, &'static str),
+    Lit(Value),
+}
+
+/// A generated conjunct, evaluated by the oracle with its own reading of
+/// SQL comparison: absent attributes and mismatched types are false.
+#[derive(Debug)]
+struct Cond {
+    lhs: Side,
+    op: &'static str,
+    rhs: Side,
+}
+
+/// Raw conjunct spec: `(kind, a, b, c, op)`.
+type CondSpec = (u8, u8, u8, u8, u8);
+
+impl Cond {
+    /// Interprets `spec` over the aliases `t0..` whose tables `tables`
+    /// lists (`true` = visits). Kinds 0–10 compare a column with a string
+    /// literal, 11–13 two columns (of one alias or two), 14 two literals, 15
+    /// a column with an integer (a type mismatch no tuple satisfies).
+    fn new((kind, a, b, c, op): CondSpec, tables: &[bool]) -> Cond {
+        const STRINGS: [&str; 13] = [
+            "ada", "bo", "cy", "dee", "eli", "museum", "cafe", "park", "rome", "oslo", "lima", "d",
+            "n",
+        ];
+        let column = |pick: u8, col: u8| {
+            let alias = pick as usize % tables.len();
+            Side::Col(alias, columns_of(tables[alias])[col as usize % 2])
+        };
+        let string = |pick: u8| Side::Lit(Value::str(STRINGS[pick as usize % STRINGS.len()]));
+        let any_literal = |pick: u8| match pick % 4 {
+            0 => Side::Lit(Value::Int(i64::from(pick % 3))),
+            _ => string(pick / 4),
+        };
+        let (lhs, rhs) = match kind % 16 {
+            0..=10 => (column(a, b), string(c / 2)),
+            11..=13 => (column(a, c), column(b, c / 2)),
+            14 => (any_literal(a), any_literal(b)),
+            _ => (column(a, b), Side::Lit(Value::Int(i64::from(c % 8)))),
+        };
+        let (lhs, rhs) = if c % 2 == 1 { (rhs, lhs) } else { (lhs, rhs) };
+        let op = ["=", "<>", "<", ">", "<=", ">="][op as usize % 6];
+        Cond { lhs, op, rhs }
+    }
+
+    fn sql(&self) -> String {
+        let side = |s: &Side| match s {
+            Side::Col(alias, col) => format!("t{alias}.{col}"),
+            Side::Lit(Value::Str(v)) => format!("'{v}'"),
+            Side::Lit(v) => format!("{v}"),
+        };
+        format!("{} {} {}", side(&self.lhs), self.op, side(&self.rhs))
+    }
+
+    fn holds(&self, t: &Tuple) -> bool {
+        let value = |s: &Side| match s {
+            Side::Col(alias, col) => t.get_named(&format!("t{alias}.{col}")).cloned(),
+            Side::Lit(v) => Some(v.clone()),
+        };
+        let (Some(l), Some(r)) = (value(&self.lhs), value(&self.rhs)) else {
+            return false;
+        };
+        if std::mem::discriminant(&l) != std::mem::discriminant(&r) {
+            return false;
+        }
+        match self.op {
+            "=" => l == r,
+            "<>" => l != r,
+            "<" => l < r,
+            ">" => l > r,
+            "<=" => l <= r,
+            _ => l >= r,
+        }
+    }
+}
+
+/// Table `name` renamed the way the planner qualifies alias `t{alias}`.
+fn scan_as(db: &AnnotatedDatabase, name: &str, alias: usize) -> KRelation {
+    rename(db.table(name).unwrap(), |a| {
+        Attr::new(&format!("t{alias}.{}", a.name()))
+    })
+}
+
+/// A relation's `(tuple, annotation)` pairs, sorted by tuple.
+fn sorted_pairs(r: &KRelation) -> Vec<(Tuple, Expr)> {
+    let mut pairs: Vec<(Tuple, Expr)> = r.iter().map(|(t, e)| (t.clone(), e.clone())).collect();
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The executor, which runs each conjunct where the planner placed it,
+    /// returns exactly the relation of the unpushed composition: renamed
+    /// scans, hash theta-joins filtered by their `ON` residuals, and one
+    /// final selection of the `WHERE` conjuncts. Grouped plans agree per
+    /// key with that relation restricted to the key.
+    #[test]
+    fn placed_conjuncts_match_the_unpushed_composition(
+        joins in proptest::collection::vec(
+            (
+                any::<bool>(),
+                0u8..8,
+                0u8..4,
+                proptest::collection::vec((0u8..16, any::<u8>(), any::<u8>(), any::<u8>(), 0u8..6), 0..2),
+            ),
+            0..3,
+        ),
+        filter in proptest::collection::vec((0u8..16, any::<u8>(), any::<u8>(), any::<u8>(), 0u8..6), 0..3),
+        group in (any::<bool>(), 0u8..3),
+    ) {
+        let mut db = database();
+        db.declare_public_domain("visits", "place", ["museum", "cafe", "zoo"].map(Value::str));
+        db.declare_public_domain("residents", "city", ["rome", "oslo", "nyc"].map(Value::str));
+
+        let mut tables = vec![true];
+        let mut from = String::from("FROM visits t0");
+        let mut oracle = scan_as(&db, "visits", 0);
+        for (k, (use_visits, prior, cols, on)) in joins.iter().enumerate() {
+            let alias = k + 1;
+            let prior = *prior as usize % tables.len();
+            // Mostly joins on a shared column; one spec in four equates a
+            // non-person column with a person, a join no pair satisfies.
+            let (new_col, prior_col) = match cols {
+                0 | 1 => ("person", "person"),
+                2 if tables[prior] == *use_visits => {
+                    let col = columns_of(*use_visits)[1];
+                    (col, col)
+                }
+                2 => ("person", "person"),
+                _ => (columns_of(*use_visits)[1], "person"),
+            };
+            let table = if *use_visits { "visits" } else { "residents" };
+            tables.push(*use_visits);
+            let on: Vec<Cond> = on.iter().map(|&spec| Cond::new(spec, &tables)).collect();
+            from.push_str(&format!(
+                " JOIN {table} t{alias} ON t{alias}.{new_col} = t{prior}.{prior_col}"
+            ));
+            for cond in &on {
+                from.push_str(&format!(" AND {}", cond.sql()));
+            }
+            let key = (
+                Attr::new(&format!("t{prior}.{prior_col}")),
+                Attr::new(&format!("t{alias}.{new_col}")),
+            );
+            oracle = theta_join(&oracle, &scan_as(&db, table, alias), &[key], |t| {
+                on.iter().all(|c| c.holds(t))
+            });
+        }
+        let filter: Vec<Cond> = filter.iter().map(|&spec| Cond::new(spec, &tables)).collect();
+        if !filter.is_empty() {
+            let conds: Vec<String> = filter.iter().map(Cond::sql).collect();
+            from.push_str(&format!(" WHERE {}", conds.join(" AND ")));
+        }
+        let oracle = select(&oracle, |t| filter.iter().all(|c| c.holds(t)));
+
+        let sql = format!("SELECT COUNT(*) {from}");
+        let scalar = plan(&db, &sql).unwrap().expect_scalar();
+        prop_assert_eq!(
+            sorted_pairs(&execute(&db, &scalar).unwrap()),
+            sorted_pairs(&oracle),
+            "executor and oracle disagree on {sql:?}"
+        );
+
+        let (grouped, g) = group;
+        if grouped {
+            let g = g as usize % tables.len();
+            let key = format!("t{g}.{}", if tables[g] { "place" } else { "city" });
+            let sql = format!("SELECT {key}, COUNT(*) {from} GROUP BY {key}");
+            let AnyPlan::Grouped(grouped) = plan(&db, &sql).unwrap() else {
+                panic!("{sql:?} planned as a scalar query");
+            };
+            let groups = execute_grouped(&db, &grouped).unwrap();
+            prop_assert_eq!(groups.len(), 3);
+            for (value, relation) in groups {
+                let expected = select(&oracle, |t| t.get_named(&key) == Some(&value));
+                prop_assert_eq!(
+                    sorted_pairs(&relation),
+                    sorted_pairs(&expected),
+                    "group {value:?} of {sql:?} disagrees with the oracle"
+                );
+            }
+        }
     }
 }
