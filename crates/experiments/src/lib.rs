@@ -18,12 +18,9 @@
 //! hours for the largest points). `EXPERIMENTS.md` records the
 //! paper-vs-measured comparison for each artefact.
 //!
-//! Criterion benches live under `benches/`: raw simplex (`lp_bench`),
-//! φ-encoding (`phi_bench`), subgraph enumeration (`subgraph_bench`),
-//! end-to-end releases (`mechanism_bench`, `ablation_bench`) and the
-//! serial-vs-parallel sequence precompute on the fig-4 workloads
-//! (`parallel_scaling`, exercising the `Parallelism` knob of
-//! `MechanismParams` at 1/2/4/8 workers).
+//! Performance is measured in two places: the `perf_smoke` binary, whose
+//! exact pivot and update-size gates CI runs, and the repository benchmark
+//! in `perfbench/`, which drives the server end to end over the wire.
 
 #![deny(missing_docs)]
 

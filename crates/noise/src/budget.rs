@@ -195,8 +195,8 @@ impl GroupBudgetPolicy {
 /// The accountant is deliberately sequential (plain sequential composition,
 /// the guarantee the recursive mechanism's per-release `ε₁ + ε₂` costs
 /// compose under); callers that parallelise work must still funnel their
-/// debits through one accountant, which is what `SqlSession::query_batch`
-/// does.
+/// debits through one accountant, which is what `SqlSession`'s single
+/// release pipeline does for every entry point, batches included.
 /// Spend is accumulated with **compensated (Kahan) summation**: a stream of
 /// `N` debits of `ε/N` sums to the correctly rounded total instead of
 /// drifting by an ulp per debit, so the last debit of an exact split is

@@ -44,7 +44,7 @@ use rmdp_krelation::tuple::Tuple;
 use rmdp_noise::{GroupBudgetPolicy, PrivacyBudget};
 use rmdp_observe::{Clock, MetricsRegistry, MonotonicClock, LATENCY_BUCKETS_MS};
 use rmdp_runtime::{AdmissionConfig, AdmissionGate};
-use rmdp_sql::{AnyPlan, CatalogSnapshot, QueryOutput, SqlError, SqlSession};
+use rmdp_sql::{CatalogSnapshot, QueryOutput, SqlError, SqlSession};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// Knobs for one [`DpServer`]. See `docs/TUNING.md` for how each one trades
@@ -208,17 +208,9 @@ impl DpServer {
     }
 
     fn price_over(&self, snapshot: &CatalogSnapshot, sql: &str) -> Result<PrivacyBudget, SqlError> {
-        let per_release = PrivacyBudget {
-            epsilon: snapshot.params().total_epsilon(),
-            delta: 0.0,
-        };
-        Ok(match snapshot.plan(sql)? {
-            AnyPlan::Scalar(_) => per_release,
-            AnyPlan::Grouped(g) => self
-                .config
-                .group_policy
-                .report_cost(per_release, g.num_groups()),
-        })
+        Ok(snapshot
+            .plan(sql)?
+            .cost(&snapshot.params(), self.config.group_policy))
     }
 
     /// Runs one query for `tenant` through the full server path: gate →

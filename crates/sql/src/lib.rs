@@ -68,9 +68,7 @@ pub use error::SqlError;
 pub use fingerprint::{plan_fingerprint, plan_key, PlanKey};
 pub use parser::parse;
 pub use plan::{plan, plan_query, AnyPlan, GroupedQueryPlan, QueryPlan};
-pub use session::{
-    BatchRelease, GroupRelease, GroupedRelease, QueryOutput, SqlSession, TracedOutput,
-};
+pub use session::{GroupRelease, GroupedRelease, QueryOutput, SqlSession, TracedOutput};
 pub use snapshot::CatalogSnapshot;
 pub use token::{Span, Token, TokenKind};
 

@@ -28,8 +28,10 @@ use crate::ast::{Aggregate, ColumnRef, Comparison, GroupBy, Operand, Predicate, 
 use crate::error::SqlError;
 use crate::parser::parse;
 use crate::token::Span;
+use rmdp_core::MechanismParams;
 use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::tuple::{Attr, Tuple, Value};
+use rmdp_noise::{GroupBudgetPolicy, PrivacyBudget};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -286,6 +288,44 @@ impl AnyPlan {
         match self {
             AnyPlan::Scalar(_) => None,
             AnyPlan::Grouped(g) => Some(g),
+        }
+    }
+
+    /// What releasing this plan costs under sequential composition (paper
+    /// Sec. 5): `ε₁ + ε₂` for a scalar release, the policy's report price
+    /// for a grouped one. The one price rule — session admission, the
+    /// server's price quote and a grouped report's `epsilon_spent` all read
+    /// it.
+    pub fn cost(&self, params: &MechanismParams, policy: GroupBudgetPolicy) -> PrivacyBudget {
+        let per_release = PrivacyBudget {
+            epsilon: params.total_epsilon(),
+            delta: 0.0,
+        };
+        match self {
+            AnyPlan::Scalar(_) => per_release,
+            AnyPlan::Grouped(g) => policy.report_cost(per_release, g.num_groups()),
+        }
+    }
+
+    /// The parameters each of this plan's mechanism releases runs with:
+    /// `params` itself for a scalar, the policy's per-group ε split for a
+    /// grouped report. Only ε₁ and ε₂ scale; β and θ — the
+    /// sensitivity-relevant fields the cache keys on — stay put.
+    pub(crate) fn release_params(
+        &self,
+        params: MechanismParams,
+        policy: GroupBudgetPolicy,
+    ) -> MechanismParams {
+        match self {
+            AnyPlan::Scalar(_) => params,
+            AnyPlan::Grouped(g) => {
+                let fraction = policy.per_group_fraction(g.num_groups());
+                MechanismParams {
+                    epsilon1: params.epsilon1 * fraction,
+                    epsilon2: params.epsilon2 * fraction,
+                    ..params
+                }
+            }
         }
     }
 

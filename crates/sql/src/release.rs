@@ -1,18 +1,20 @@
-//! The stateless release core shared by sessions, batches and servers.
+//! The stateless release core under the session's one release pipeline.
 //!
-//! These functions are the execution tail of every release path: they take
-//! *explicit* shared state (database, params, cache handle) and *explicit*
-//! per-release state (the noise RNG), own no session, and debit no budget —
-//! admission and accounting stay with the caller. That split is what lets
-//! [`SqlSession`](crate::SqlSession) methods, [`SqlSession::query_batch`]
-//! workers, grouped fan-out workers and `rmdp-server` request threads all
-//! run the *same* code under their own concurrency regimes.
+//! Every [`SqlSession`](crate::SqlSession) entry point — `query`,
+//! `query_traced`, `query_scalar`, `query_grouped` and `query_batch` —
+//! goes through the session's private `release`, which validates the
+//! params, prices and admits the plans, seeds and runs them, debits, and
+//! folds their statistics once. The functions here are that pipeline's
+//! execution tail: they take *explicit* shared state (database, params,
+//! cache handle) and *explicit* per-release state (the noise RNG), own no
+//! session, and debit no budget. That split is what lets a single inline
+//! release, batch workers and grouped-report workers run the *same* code
+//! under their own concurrency regimes.
 
 use crate::error::SqlError;
 use crate::exec::{execute, weigh};
 use crate::fingerprint::{plan_key, PlanKey};
-use crate::plan::{GroupedQueryPlan, QueryPlan};
-use crate::session::{GroupRelease, GroupedRelease};
+use crate::plan::{AnyPlan, QueryPlan};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rmdp_core::{
@@ -21,9 +23,9 @@ use rmdp_core::{
     SimplexOptions,
 };
 use rmdp_krelation::annotate::AnnotatedDatabase;
-use rmdp_krelation::fingerprint::FingerprintHasher;
+use rmdp_krelation::fingerprint::{Fingerprint, FingerprintHasher};
 use rmdp_krelation::tuple::Value;
-use rmdp_noise::{GroupBudgetPolicy, PrivacyBudget};
+use rmdp_noise::GroupBudgetPolicy;
 use rmdp_observe::{CacheOutcome, NoopRecorder, Recorder, Stage};
 use rmdp_runtime::par_try_map_indexed;
 use std::sync::Arc;
@@ -37,20 +39,6 @@ pub(crate) struct ReleaseOutcome {
     pub(crate) cache: CacheOutcome,
     pub(crate) lp: LpWorkStats,
     pub(crate) refresh: Option<RefreshTier>,
-}
-
-/// The trace-facing facts of one grouped report: aggregate cache behaviour,
-/// the domain-order fold of per-group LP work, and the ε split the policy
-/// chose.
-pub(crate) struct GroupedOutcome {
-    pub(crate) cache: CacheOutcome,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
-    pub(crate) warm_refreshes: u64,
-    pub(crate) lp: LpWorkStats,
-    pub(crate) fraction: f64,
-    pub(crate) group_epsilon1: f64,
-    pub(crate) group_epsilon2: f64,
 }
 
 /// The noise seed of one group: a stable hash of the report-level seed and
@@ -79,8 +67,8 @@ pub(crate) fn group_seed(report_seed: u64, key: &Value) -> u64 {
     hasher.finish().0 as u64
 }
 
-/// Executes a validated plan and releases its aggregate: the shared tail of
-/// `SqlSession::query` and each `SqlSession::query_batch` worker.
+/// Executes a validated scalar plan and releases its aggregate: the tail of
+/// every mechanism release, scalar or per group.
 ///
 /// With a cache handle, a fingerprint hit serves the frozen `H`/`G` table
 /// directly — skipping plan execution *and* every sequence LP — and a miss
@@ -173,50 +161,44 @@ pub(crate) fn release_plan<T: Recorder>(
     })
 }
 
-/// Releases a whole grouped (`GROUP BY`) report: the budget-free core of
-/// `SqlSession::query_grouped`, also run per-item by the mixed batch path
-/// and per-request by `rmdp-server` workers.
+/// Releases one plan of either shape on `rng`: the per-item body of the
+/// session's release pipeline, run inline for a single plan and on each
+/// fan-out worker of a batch. Returns the scalar plan's canonical
+/// fingerprint (a grouped report has one per group and returns none) and
+/// one outcome per mechanism release, in output order (a grouped report's
+/// in domain order).
 ///
-/// `params` is the caller's **full per-release** parameter set; the
-/// policy's per-group ε split is derived here (β and θ — the
-/// sensitivity-relevant fields the cache keys on — stay put, so grouped and
-/// scalar traffic share sequence-cache entries). The `k` per-group sequence
-/// computations fan out across the worker pool and through the shared
-/// [`SequenceCache`] under the session determinism discipline: one seed is
-/// drawn from `rng` per report, and each group's noise stream derives from
-/// that seed **and the key value**, so releases are bit-identical across
-/// `Parallelism` settings, cached/uncached runs, and re-declared domain
-/// orders.
-///
-/// Admission and the debit of the report's cost stay with the caller; the
-/// returned report's `epsilon_spent` is the policy's report price, computed
-/// here so callers debit exactly what the report says it spent.
-pub(crate) fn release_grouped_plan<T: Recorder>(
+/// `params` is the caller's **full per-release** parameter set. A grouped
+/// report releases each group with the policy's per-group ε split
+/// ([`AnyPlan::release_params`]); β and θ — the sensitivity-relevant fields
+/// the cache keys on — stay put, so grouped and scalar traffic share
+/// sequence-cache entries. Its `k` groups fan out through [`fan_out`]: one
+/// seed is drawn from `rng` per report, and each group's noise stream
+/// derives from that seed **and the key value** ([`group_seed`]), so
+/// releases are bit-identical across `Parallelism` settings, cached and
+/// uncached runs, and re-declared domain orders. The recorder books the
+/// report's fingerprints and its whole fan-out as one
+/// [`Stage::SequenceSolve`] span; the group workers record nothing.
+pub(crate) fn release_any<T: Recorder>(
     db: &AnnotatedDatabase,
-    grouped: &GroupedQueryPlan,
+    plan: &AnyPlan,
     params: MechanismParams,
     policy: GroupBudgetPolicy,
     rng: &mut StdRng,
     cache: Option<&SequenceCache>,
     recorder: &mut T,
-) -> Result<(GroupedRelease, GroupedOutcome), SqlError> {
-    let k = grouped.num_groups();
-    let per_release = PrivacyBudget {
-        epsilon: params.total_epsilon(),
-        delta: 0.0,
+) -> Result<(Option<Fingerprint>, Vec<ReleaseOutcome>), SqlError> {
+    let grouped = match plan {
+        AnyPlan::Scalar(plan) => {
+            recorder.enter(Stage::Fingerprint);
+            let key = plan_key(db, plan, &params);
+            recorder.exit(Stage::Fingerprint);
+            let outcome = release_plan(db, plan, params, rng, cache.map(|c| (c, &key)), recorder)?;
+            return Ok((Some(key.key), vec![outcome]));
+        }
+        AnyPlan::Grouped(grouped) => grouped,
     };
-    let cost = policy.report_cost(per_release, k);
-
-    // Per-group parameters: only the ε split scales; β and θ — the
-    // sensitivity-relevant fields the cache keys on — stay put, so grouped
-    // and scalar traffic share sequence-cache entries.
-    let fraction = policy.per_group_fraction(k);
-    let group_params = MechanismParams {
-        epsilon1: params.epsilon1 * fraction,
-        epsilon2: params.epsilon2 * fraction,
-        ..params
-    };
-
+    let group_params = plan.release_params(params, policy);
     let plans: Vec<QueryPlan> = grouped
         .domain
         .iter()
@@ -239,90 +221,47 @@ pub(crate) fn release_grouped_plan<T: Recorder>(
         .iter()
         .map(|v| group_seed(report_seed, v))
         .collect();
-
-    // The report level owns the concurrency; the worker budget is split
-    // so total thread counts do not multiply (same discipline as
-    // `query_batch`).
-    let workers = params.parallelism.workers();
-    let per_group = workers / k.max(1);
-    let worker_params = group_params.with_parallelism(if per_group > 1 {
-        Parallelism::Threads(per_group)
-    } else {
-        Parallelism::Serial
-    });
     recorder.enter(Stage::SequenceSolve);
-    let outcomes = par_try_map_indexed(params.parallelism, k, |i| {
-        // lint:allow(rng-confinement): sanctioned construction — each group worker's RNG descends from the logged seed schedule, so replay is bit-identical
-        let mut rng = StdRng::seed_from_u64(seeds[i]);
+    let outcomes = fan_out(group_params, &seeds, |i, params, rng| {
         let key = keys.as_ref().map(|ks| &ks[i]);
         release_plan(
             db,
             &plans[i],
-            worker_params,
-            &mut rng,
+            params,
+            rng,
             cache.zip(key),
             &mut NoopRecorder,
         )
     });
     recorder.exit(Stage::SequenceSolve);
-    let outcomes = outcomes?;
+    Ok((None, outcomes?))
+}
 
-    // Fold the per-group LP work and cache outcomes in domain (= input)
-    // order; `par_try_map_indexed` already returns index order, so the
-    // totals are identical for every `Parallelism`.
-    let mut lp = LpWorkStats::default();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut warm_refreshes = 0u64;
-    for outcome in &outcomes {
-        lp.absorb(&outcome.lp);
-        match outcome.cache {
-            CacheOutcome::Hit => cache_hits += 1,
-            CacheOutcome::Miss => cache_misses += 1,
-            CacheOutcome::Uncached => {}
-        }
-        if matches!(
-            outcome.refresh,
-            Some(RefreshTier::Unchanged | RefreshTier::WarmChain)
-        ) {
-            warm_refreshes += 1;
-        }
-    }
-    let cache_outcome = if cache.is_none() {
-        CacheOutcome::Uncached
-    } else if cache_misses == 0 {
-        CacheOutcome::Hit
+/// Runs `release(i, params, rng)` once per seed on the worker pool, the one
+/// fan-out of the release path (a batch's items and a grouped report's
+/// groups both go through it). Item `i` draws its noise from an RNG seeded
+/// with `seeds[i]`, and `par_try_map_indexed` returns results in index
+/// order, so the output is bit-identical for every `Parallelism`.
+///
+/// The fan-out level owns the concurrency: the worker budget is split so
+/// thread counts do not multiply, and workers left over by fewer items than
+/// workers are handed to each item's own sequence precompute.
+pub(crate) fn fan_out<R: Send>(
+    params: MechanismParams,
+    seeds: &[u64],
+    release: impl Fn(usize, MechanismParams, &mut StdRng) -> Result<R, SqlError> + Sync,
+) -> Result<Vec<R>, SqlError> {
+    let per_item = params.parallelism.workers() / seeds.len().max(1);
+    let worker_params = params.with_parallelism(if per_item > 1 {
+        Parallelism::Threads(per_item)
     } else {
-        CacheOutcome::Miss
-    };
-
-    let report = GroupedRelease {
-        key_column: grouped.key_display.clone(),
-        groups: grouped
-            .domain
-            .iter()
-            .cloned()
-            .zip(outcomes)
-            .map(|(key, outcome)| GroupRelease {
-                key,
-                release: outcome.release,
-            })
-            .collect(),
-        per_group_epsilon: group_params.total_epsilon(),
-        epsilon_spent: cost.epsilon,
-        policy,
-    };
-    let info = GroupedOutcome {
-        cache: cache_outcome,
-        cache_hits,
-        cache_misses,
-        warm_refreshes,
-        lp,
-        fraction,
-        group_epsilon1: group_params.epsilon1,
-        group_epsilon2: group_params.epsilon2,
-    };
-    Ok((report, info))
+        Parallelism::Serial
+    });
+    par_try_map_indexed(params.parallelism, seeds.len(), |i| {
+        // lint:allow(rng-confinement): sanctioned construction — each worker's RNG descends from the logged seed schedule, so replay is bit-identical
+        let mut rng = StdRng::seed_from_u64(seeds[i]);
+        release(i, worker_params, &mut rng)
+    })
 }
 
 /// Executes the plan and wraps its annotated output as the linear query the

@@ -2,16 +2,13 @@
 
 use crate::error::SqlError;
 use crate::exec::{execute, execute_grouped};
-use crate::fingerprint::{plan_fingerprint, plan_key, PlanKey};
 use crate::parser::parse;
-use crate::plan::{plan_query, AnyPlan, GroupedQueryPlan, QueryPlan};
-use crate::release::{release_grouped_plan, release_plan, GroupedOutcome};
+use crate::plan::{plan_query, AnyPlan};
+use crate::release::{fan_out, release_any, ReleaseOutcome};
 use crate::snapshot::CatalogSnapshot;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rmdp_core::{
-    CacheStats, LpWorkStats, MechanismParams, Parallelism, RefreshTier, Release, SequenceCache,
-};
+use rmdp_core::{CacheStats, LpWorkStats, MechanismParams, RefreshTier, Release, SequenceCache};
 use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::tuple::Value;
@@ -21,7 +18,6 @@ use rmdp_observe::{
     CacheOutcome, Clock, GroupSplit, MetricsRegistry, MonotonicClock, NoiseScales, NoopRecorder,
     Recorder, ReleaseTrace, SpanRecorder, Stage,
 };
-use rmdp_runtime::par_try_map_indexed;
 use std::sync::Arc;
 
 /// One group of a [`GroupedRelease`]: the (public) key and its release.
@@ -152,10 +148,12 @@ pub struct TracedOutput {
 /// between admission and the noise draw (an LP failure, a bad aggregate)
 /// released nothing and therefore consumes no ε.
 ///
-/// [`SqlSession::query_batch`] releases several independent queries in one
-/// call, running them concurrently on the worker pool when the params'
-/// [`Parallelism`] knob allows; results are bit-identical to running the
-/// batch serially.
+/// [`SqlSession::query_batch`] releases several independent queries —
+/// scalar or grouped — in one call, running them concurrently on the
+/// worker pool when the params' [`Parallelism`](rmdp_core::Parallelism)
+/// knob allows; results are bit-identical to running the batch serially.
+/// Every entry point admits, releases and debits through one private
+/// pipeline, so all of them meter budget and book statistics alike.
 ///
 /// ## Cross-query sequence caching
 ///
@@ -300,7 +298,8 @@ impl SqlSession {
 
     /// Cumulative LP work across every release this session performed
     /// (scalar queries, grouped reports and batches alike), folded in input
-    /// order so the totals are identical for every [`Parallelism`].
+    /// order so the totals are identical for every
+    /// [`Parallelism`](rmdp_core::Parallelism).
     pub fn lp_totals(&self) -> LpWorkStats {
         self.lp_totals
     }
@@ -376,14 +375,6 @@ impl SqlSession {
         self.accountant.as_ref().map(BudgetAccountant::remaining)
     }
 
-    /// The per-release cost under sequential composition: pure `ε₁ + ε₂`.
-    fn release_cost(&self) -> PrivacyBudget {
-        PrivacyBudget {
-            epsilon: self.params.total_epsilon(),
-            delta: 0.0,
-        }
-    }
-
     /// Admission check: refuses `cost` (consuming nothing) when the metered
     /// budget cannot cover it.
     fn ensure_affordable(&self, cost: PrivacyBudget) -> Result<(), SqlError> {
@@ -420,17 +411,6 @@ impl SqlSession {
             m.sum_add("budget.debited_epsilon", cost.epsilon);
         }
         Ok(())
-    }
-
-    /// The cache handle and epoch-scoped [`PlanKey`] for one admitted plan,
-    /// when the session carries a cache.
-    fn cache_key(&self, plan: &QueryPlan) -> Option<(Arc<SequenceCache>, PlanKey)> {
-        self.cache.as_ref().map(|c| {
-            (
-                Arc::clone(c),
-                plan_key(self.snapshot.database(), plan, &self.params),
-            )
-        })
     }
 
     /// Parses, validates and lowers `sql` without touching the data — the
@@ -500,10 +480,8 @@ impl SqlSession {
         if ast.explain {
             return Ok(QueryOutput::Explained(Box::new(self.query_traced(sql)?)));
         }
-        match plan_query(self.snapshot.database(), &ast)? {
-            AnyPlan::Scalar(plan) => self.release_scalar(&plan).map(QueryOutput::Scalar),
-            AnyPlan::Grouped(plan) => self.release_grouped(&plan).map(QueryOutput::Grouped),
-        }
+        let plan = plan_query(self.snapshot.database(), &ast)?;
+        Ok(self.release_one(&plan, &mut NoopRecorder)?.0)
     }
 
     /// Runs `sql` like [`SqlSession::query`] and returns the output together
@@ -528,77 +506,11 @@ impl SqlSession {
         let ast = parse(sql)?;
         recorder.exit(Stage::Parse);
         recorder.enter(Stage::Plan);
-        let planned = plan_query(self.snapshot.database(), &ast)?;
+        let plan = plan_query(self.snapshot.database(), &ast)?;
         recorder.exit(Stage::Plan);
-
-        let (output, fingerprint, cache, cache_hits, cache_misses, lp, noise, epsilon, split) =
-            match planned {
-                AnyPlan::Scalar(plan) => {
-                    let out = self.release_scalar_recorded(&plan, &mut recorder, true)?;
-                    let noise = vec![NoiseScales {
-                        log_scale: self.params.beta / self.params.epsilon1,
-                        answer_scale: out.release.delta_hat / self.params.epsilon2,
-                    }];
-                    let (hits, misses) = match out.cache {
-                        CacheOutcome::Hit => (1, 0),
-                        CacheOutcome::Miss => (0, 1),
-                        CacheOutcome::Uncached => (0, 0),
-                    };
-                    (
-                        QueryOutput::Scalar(out.release),
-                        out.fingerprint,
-                        out.cache,
-                        hits,
-                        misses,
-                        out.lp,
-                        noise,
-                        self.params.total_epsilon(),
-                        None,
-                    )
-                }
-                AnyPlan::Grouped(plan) => {
-                    let (report, info) = self.release_grouped_recorded(&plan, &mut recorder)?;
-                    let noise = report
-                        .groups
-                        .iter()
-                        .map(|g| NoiseScales {
-                            log_scale: self.params.beta / info.group_epsilon1,
-                            answer_scale: g.release.delta_hat / info.group_epsilon2,
-                        })
-                        .collect();
-                    let split = GroupSplit {
-                        policy: report.policy.to_string(),
-                        groups: report.len() as u64,
-                        per_group_fraction: info.fraction,
-                        per_group_epsilon: report.per_group_epsilon,
-                    };
-                    let epsilon = report.epsilon_spent;
-                    (
-                        QueryOutput::Grouped(report),
-                        None,
-                        info.cache,
-                        info.cache_hits,
-                        info.cache_misses,
-                        info.lp,
-                        noise,
-                        epsilon,
-                        Some(split),
-                    )
-                }
-            };
-
-        let trace = ReleaseTrace {
-            fingerprint: fingerprint.map(|f| f.0),
-            cache,
-            cache_hits,
-            cache_misses,
-            stages: recorder.spans(),
-            total_nanos: self.clock.now_nanos().saturating_sub(started),
-            lp: lp.to_summary(),
-            noise,
-            epsilon_spent: epsilon,
-            group_split: split,
-        };
+        let (output, mut trace) = self.release_one(&plan, &mut recorder)?;
+        trace.stages = recorder.spans();
+        trace.total_nanos = self.clock.now_nanos().saturating_sub(started);
         if let Some(m) = &self.metrics {
             m.counter_add("sql.traced_queries", 1);
             for span in &trace.stages {
@@ -616,13 +528,17 @@ impl SqlSession {
     /// [`SqlError::QueryShape`] pointing at its `GROUP BY`.
     pub fn query_scalar(&mut self, sql: &str) -> Result<Release, SqlError> {
         match self.plan(sql)? {
-            AnyPlan::Scalar(plan) => self.release_scalar(&plan),
             AnyPlan::Grouped(g) => Err(SqlError::QueryShape {
                 message: "this query is grouped; release it through `query` or \
                           `query_grouped`"
                     .to_owned(),
                 span: g.key_span,
             }),
+            plan => Ok(self
+                .release_one(&plan, &mut NoopRecorder)?
+                .0
+                .scalar()
+                .expect("scalar plan")),
         }
     }
 
@@ -631,81 +547,212 @@ impl SqlSession {
     /// [`SqlError::QueryShape`].
     pub fn query_grouped(&mut self, sql: &str) -> Result<GroupedRelease, SqlError> {
         match self.plan(sql)? {
-            AnyPlan::Grouped(plan) => self.release_grouped(&plan),
             AnyPlan::Scalar(p) => Err(SqlError::QueryShape {
                 message: "query_grouped needs a `GROUP BY` query; use `query` or \
                           `query_scalar` for scalar aggregates"
                     .to_owned(),
                 span: p.aggregate_span,
             }),
+            plan => Ok(self
+                .release_one(&plan, &mut NoopRecorder)?
+                .0
+                .grouped()
+                .expect("grouped plan")),
         }
     }
 
-    /// The shared scalar release path of [`SqlSession::query`] and
-    /// [`SqlSession::query_scalar`].
-    fn release_scalar(&mut self, plan: &QueryPlan) -> Result<Release, SqlError> {
-        Ok(self
-            .release_scalar_recorded(plan, &mut NoopRecorder, false)?
-            .release)
+    /// Runs several independent queries — scalar **or** `GROUP BY` — and
+    /// releases each through the recursive mechanism, spending each item's
+    /// price ([`AnyPlan::cost`]) under sequential composition.
+    ///
+    /// The whole batch is admitted atomically: every query must plan
+    /// successfully and the parameters must validate (both data-independent
+    /// checks), and when the session carries a budget the *sum* of the item
+    /// prices must fit in what remains — an over-budget batch is refused
+    /// with no release performed and **no privacy consumed**. The debit is
+    /// recorded only after *every* item has released; a failure anywhere
+    /// fails the whole batch and, since none of its releases are returned,
+    /// consumes nothing.
+    ///
+    /// A batch of two or more items draws one noise seed per item from the
+    /// session RNG, in input order, before fanning out on the worker pool,
+    /// so its releases are bit-identical whatever the
+    /// [`Parallelism`](rmdp_core::Parallelism) and with or without a
+    /// [`SequenceCache`]. Workers share the cache:
+    /// repeated shapes inside one batch (or across batches and sessions)
+    /// reuse each other's frozen sequences, and two workers racing on the
+    /// same cold shape at worst both compute the (deterministic) table. A
+    /// one-item batch is exactly [`SqlSession::query`] on that item.
+    pub fn query_batch<S: AsRef<str>>(&mut self, sqls: &[S]) -> Result<Vec<QueryOutput>, SqlError> {
+        let plans: Vec<AnyPlan> = sqls
+            .iter()
+            .map(|sql| self.plan(sql.as_ref()))
+            .collect::<Result<_, _>>()?;
+        Ok(self.release(&plans, &mut NoopRecorder)?.0)
     }
 
-    /// Recorder-generic scalar release: the shared implementation of
-    /// [`SqlSession::release_scalar`] (with a [`NoopRecorder`], whose empty
-    /// inline hooks compile away) and [`SqlSession::query_traced`] (with a
-    /// [`SpanRecorder`]). `force_fingerprint` computes the canonical plan
-    /// fingerprint even on uncached sessions so the trace can report it.
-    fn release_scalar_recorded<T: Recorder>(
+    /// [`SqlSession::release`] on one plan.
+    fn release_one<T: Recorder>(
         &mut self,
-        plan: &QueryPlan,
+        plan: &AnyPlan,
         recorder: &mut T,
-        force_fingerprint: bool,
-    ) -> Result<ScalarOutcome, SqlError> {
-        // Validate params before the admission check so a misconfigured
-        // session fails loudly instead of looking over budget.
+    ) -> Result<(QueryOutput, ReleaseTrace), SqlError> {
+        let (outputs, trace) = self.release(std::slice::from_ref(plan), recorder)?;
+        let output = outputs.into_iter().next().expect("one output per plan");
+        Ok((output, trace))
+    }
+
+    /// The one release pipeline behind every public entry point, in order:
+    ///
+    /// 1. validate the params — data-independent, so a misconfigured
+    ///    session fails loudly instead of looking over budget;
+    /// 2. price every plan with [`AnyPlan::cost`] and admit the sum
+    ///    atomically — a refusal consumes nothing;
+    /// 3. release: a single plan runs inline on the session RNG with the
+    ///    caller's recorder; `n ≥ 2` plans draw `n` seeds from the session
+    ///    RNG in input order, then fan out once with [`NoopRecorder`]
+    ///    workers, booked as one [`Stage::SequenceSolve`] span;
+    /// 4. debit the admitted cost, only once every plan has released;
+    /// 5. fold the statistics once ([`SqlSession::fold`]).
+    ///
+    /// Returns one output per plan, in input order, and the fold as a
+    /// [`ReleaseTrace`] without stage timings.
+    fn release<T: Recorder>(
+        &mut self,
+        plans: &[AnyPlan],
+        recorder: &mut T,
+    ) -> Result<(Vec<QueryOutput>, ReleaseTrace), SqlError> {
         self.params.validate()?;
-        let cost = self.release_cost();
+        let (params, policy) = (self.params, self.group_policy);
+        let mut cost = PrivacyBudget {
+            epsilon: 0.0,
+            delta: 0.0,
+        };
+        for plan in plans {
+            let price = plan.cost(&params, policy);
+            cost.epsilon += price.epsilon;
+            cost.delta += price.delta;
+        }
         recorder.enter(Stage::BudgetDebit);
         let admitted = self.ensure_affordable(cost);
         recorder.exit(Stage::BudgetDebit);
         admitted?;
-        recorder.enter(Stage::Fingerprint);
-        let cache = self.cache_key(plan);
-        let fingerprint = match (&cache, force_fingerprint) {
-            (Some((_, key)), _) => Some(key.key),
-            (None, true) => Some(plan_fingerprint(
-                self.snapshot.database(),
+
+        let db = self.snapshot.database();
+        let cache = self.cache.as_deref();
+        let released = if let [plan] = plans {
+            vec![release_any(
+                db,
                 plan,
-                &self.params,
-            )),
-            (None, false) => None,
+                params,
+                policy,
+                &mut self.rng,
+                cache,
+                recorder,
+            )?]
+        } else {
+            // lint:allow(rng-confinement): sanctioned seed-schedule derivation — per-item seeds drawn serially from the session root before fan-out
+            let seeds: Vec<u64> = plans.iter().map(|_| self.rng.next_u64()).collect();
+            recorder.enter(Stage::SequenceSolve);
+            let released = fan_out(params, &seeds, |i, params, rng| {
+                release_any(db, &plans[i], params, policy, rng, cache, &mut NoopRecorder)
+            });
+            recorder.exit(Stage::SequenceSolve);
+            released?
         };
-        recorder.exit(Stage::Fingerprint);
-        let outcome = release_plan(
-            self.snapshot.database(),
-            plan,
-            self.params,
-            &mut self.rng,
-            cache.as_ref().map(|(c, key)| (c.as_ref(), key)),
-            recorder,
-        )?;
+
         recorder.enter(Stage::BudgetDebit);
         let debited = self.debit(cost);
         recorder.exit(Stage::BudgetDebit);
         debited?;
-        self.absorb_release_stats(&outcome.lp, 1);
-        self.absorb_refresh_tier(outcome.refresh);
-        Ok(ScalarOutcome {
-            release: outcome.release,
-            cache: outcome.cache,
-            lp: outcome.lp,
-            fingerprint,
-        })
+        Ok(self.fold(plans, released, cost))
+    }
+
+    /// Folds one release call in input order, so every total is identical
+    /// for every [`Parallelism`](rmdp_core::Parallelism): LP work, cache
+    /// traffic and the refresh tier of each mechanism release go into the
+    /// session totals and metrics, and the outputs and the trace body are
+    /// assembled. The trace
+    /// carries the fingerprint and group split of the call's last plan (a
+    /// traced call has exactly one).
+    fn fold(
+        &mut self,
+        plans: &[AnyPlan],
+        released: Vec<(Option<Fingerprint>, Vec<ReleaseOutcome>)>,
+        cost: PrivacyBudget,
+    ) -> (Vec<QueryOutput>, ReleaseTrace) {
+        let policy = self.group_policy;
+        let mut lp = LpWorkStats::default();
+        let mut trace = ReleaseTrace {
+            fingerprint: None,
+            cache: CacheOutcome::Uncached,
+            cache_hits: 0,
+            cache_misses: 0,
+            stages: Vec::new(),
+            total_nanos: 0,
+            lp: lp.to_summary(),
+            noise: Vec::new(),
+            epsilon_spent: cost.epsilon,
+            group_split: None,
+        };
+        let mut outputs = Vec::with_capacity(plans.len());
+        for (plan, (fingerprint, outcomes)) in plans.iter().zip(released) {
+            let params = plan.release_params(self.params, policy);
+            trace.fingerprint = fingerprint.map(|f| f.0);
+            for outcome in &outcomes {
+                lp.absorb(&outcome.lp);
+                match outcome.cache {
+                    CacheOutcome::Hit => trace.cache_hits += 1,
+                    CacheOutcome::Miss => trace.cache_misses += 1,
+                    CacheOutcome::Uncached => {}
+                }
+                self.absorb_refresh_tier(outcome.refresh);
+                trace.noise.push(NoiseScales {
+                    log_scale: params.beta / params.epsilon1,
+                    answer_scale: outcome.release.delta_hat / params.epsilon2,
+                });
+            }
+            let mut releases = outcomes.into_iter().map(|o| o.release);
+            outputs.push(match plan {
+                AnyPlan::Scalar(_) => QueryOutput::Scalar(releases.next().expect("one release")),
+                AnyPlan::Grouped(g) => {
+                    let report = GroupedRelease {
+                        key_column: g.key_display.clone(),
+                        groups: g
+                            .domain
+                            .iter()
+                            .cloned()
+                            .zip(releases)
+                            .map(|(key, release)| GroupRelease { key, release })
+                            .collect(),
+                        per_group_epsilon: params.total_epsilon(),
+                        epsilon_spent: plan.cost(&self.params, policy).epsilon,
+                        policy,
+                    };
+                    trace.group_split = Some(GroupSplit {
+                        policy: policy.to_string(),
+                        groups: report.len() as u64,
+                        per_group_fraction: policy.per_group_fraction(report.len()),
+                        per_group_epsilon: report.per_group_epsilon,
+                    });
+                    QueryOutput::Grouped(report)
+                }
+            });
+        }
+        trace.cache = match (&self.cache, trace.cache_misses) {
+            (None, _) => CacheOutcome::Uncached,
+            (Some(_), 0) => CacheOutcome::Hit,
+            (Some(_), _) => CacheOutcome::Miss,
+        };
+        trace.lp = lp.to_summary();
+        self.absorb_release_stats(&lp, trace.noise.len() as u64);
+        (outputs, trace)
     }
 
     /// Folds one call's LP work into the session totals and, when a
     /// registry is attached, into the process metrics. `releases` is how
     /// many mechanism releases the call performed (1 for a scalar, `k` for
-    /// a grouped report, the batch length for a batch).
+    /// a grouped report, summed over a batch).
     fn absorb_release_stats(&mut self, lp: &LpWorkStats, releases: u64) {
         self.lp_totals.absorb(lp);
         if let Some(m) = &self.metrics {
@@ -731,8 +778,9 @@ impl SqlSession {
         }
     }
 
-    /// Books which refresh tier served a cache miss, when the miss was
-    /// re-derived from a parked pre-delta entry rather than computed cold.
+    /// Books which refresh tier served one mechanism release's cache miss,
+    /// when the miss was re-derived from a parked pre-delta entry rather
+    /// than computed cold.
     fn absorb_refresh_tier(&self, refresh: Option<RefreshTier>) {
         if let Some(m) = &self.metrics {
             match refresh {
@@ -743,315 +791,22 @@ impl SqlSession {
             }
         }
     }
-
-    /// The grouped release path: the whole `k`-group report is admitted
-    /// atomically (refusal consumes no ε), every group releases with the
-    /// policy's per-group `ε`, and the report cost is debited only after
-    /// every group has released.
-    ///
-    /// The `k` per-group sequence computations fan out across the worker
-    /// pool and through the shared [`SequenceCache`] exactly like a
-    /// [`SqlSession::query_batch`] — each group's plan is the template with
-    /// its key dissolved into an equality conjunct, so a group's cache entry
-    /// is *the same entry* the hand-written `WHERE key = v` query uses.
-    ///
-    /// Determinism discipline: one seed is drawn from the session RNG per
-    /// report (so the RNG advances once regardless of `k`), and each group's
-    /// noise stream derives from that seed **and the key value** — not the
-    /// key's position. Releases are therefore bit-identical across
-    /// [`Parallelism`] settings, cached/uncached sessions, *and* re-declared
-    /// domain orders.
-    fn release_grouped(&mut self, grouped: &GroupedQueryPlan) -> Result<GroupedRelease, SqlError> {
-        Ok(self.release_grouped_recorded(grouped, &mut NoopRecorder)?.0)
-    }
-
-    /// Recorder-generic grouped release. Worker threads run with a
-    /// [`NoopRecorder`] — attributing stage spans across a concurrent
-    /// fan-out would double-count wall time — so the report's recorder
-    /// books admission/debit, fingerprinting, and the whole fan-out (as one
-    /// [`Stage::SequenceSolve`] span); the per-group facts the trace wants
-    /// come back in the [`GroupedOutcome`].
-    fn release_grouped_recorded<T: Recorder>(
-        &mut self,
-        grouped: &GroupedQueryPlan,
-        recorder: &mut T,
-    ) -> Result<(GroupedRelease, GroupedOutcome), SqlError> {
-        self.params.validate()?;
-        let k = grouped.num_groups();
-        let cost = self.group_policy.report_cost(self.release_cost(), k);
-        recorder.enter(Stage::BudgetDebit);
-        let admitted = self.ensure_affordable(cost);
-        recorder.exit(Stage::BudgetDebit);
-        admitted?;
-
-        let (report, info) = release_grouped_plan(
-            self.snapshot.database(),
-            grouped,
-            self.params,
-            self.group_policy,
-            &mut self.rng,
-            self.cache.as_deref(),
-            recorder,
-        )?;
-        recorder.enter(Stage::BudgetDebit);
-        let debited = self.debit(cost);
-        recorder.exit(Stage::BudgetDebit);
-        debited?;
-        self.absorb_release_stats(&info.lp, k as u64);
-        // Per-group tiers are folded inside the fan-out; warm refreshes
-        // (Unchanged or WarmChain) are booked under the chains counter.
-        if let Some(m) = &self.metrics {
-            m.counter_add("lp.warm_refresh_chains", info.warm_refreshes);
-        }
-        Ok((report, info))
-    }
-
-    /// Runs several independent queries and releases each through the
-    /// recursive mechanism, spending `ε₁ + ε₂` **per query** under
-    /// sequential composition.
-    ///
-    /// The whole batch is admitted atomically: every query must plan
-    /// successfully and the parameters must validate (both data-independent
-    /// checks), and when the session carries a budget the batch's total cost
-    /// `k·(ε₁+ε₂)` must fit in what remains — an over-budget batch is
-    /// refused with no release performed and **no privacy consumed**. The
-    /// debit is recorded only after *every* query in the batch has released
-    /// successfully; a failure anywhere fails the whole batch and, since
-    /// none of its releases are returned, consumes nothing.
-    ///
-    /// When `params.parallelism` resolves to more than one worker the
-    /// queries run concurrently on the scoped pool (each on its own
-    /// K-relation, LPs and noise stream); worker threads left over by a
-    /// batch smaller than the worker budget are given to the per-query
-    /// mechanisms instead. A per-query noise seed is drawn from the session
-    /// RNG *before* fanning out, in query order, so the batch's releases are
-    /// bit-identical whatever the parallelism — and the session RNG advances
-    /// exactly `sqls.len()` draws either way.
-    ///
-    /// When the session carries a [`SequenceCache`] the workers share it:
-    /// repeated query shapes inside one batch (or across batches and
-    /// sessions) reuse each other's frozen sequences. Two workers racing on
-    /// the same cold shape at worst both compute the (deterministic,
-    /// bit-identical) table, so the released values never depend on the
-    /// schedule.
-    pub fn query_batch<S: AsRef<str>>(&mut self, sqls: &[S]) -> Result<Vec<Release>, SqlError> {
-        let plans: Vec<QueryPlan> = sqls
-            .iter()
-            .map(|sql| match self.plan(sql.as_ref())? {
-                AnyPlan::Scalar(p) => Ok(p),
-                AnyPlan::Grouped(g) => Err(SqlError::QueryShape {
-                    message: "query_batch releases scalar aggregates; run grouped reports \
-                              one at a time through `query` or `query_grouped`"
-                        .to_owned(),
-                    span: g.key_span,
-                }),
-            })
-            .collect::<Result<_, _>>()?;
-        self.params.validate()?;
-
-        let total_cost = PrivacyBudget {
-            epsilon: self.release_cost().epsilon * plans.len() as f64,
-            delta: 0.0,
-        };
-        self.ensure_affordable(total_cost)?;
-
-        // Plan keys are computed before the fan-out (they are cheap and
-        // pure), one per plan, so workers only touch the shared cache.
-        let keys: Option<Vec<PlanKey>> = self.cache.as_ref().map(|_| {
-            plans
-                .iter()
-                .map(|p| plan_key(self.snapshot.database(), p, &self.params))
-                .collect()
-        });
-        // lint:allow(rng-confinement): sanctioned seed-schedule derivation — per-item seeds drawn serially from the session root before fan-out
-        let seeds: Vec<u64> = plans.iter().map(|_| self.rng.next_u64()).collect();
-
-        // The batch level owns the concurrency; the worker budget is split
-        // so total thread counts do not multiply. A batch smaller than the
-        // budget hands the spare workers to each query's own precompute
-        // (e.g. a 1-query batch at Threads(8) behaves like `query`).
-        let db = self.snapshot.database();
-        let cache = self.cache.as_deref();
-        let workers = self.params.parallelism.workers();
-        let per_query = workers / plans.len().max(1);
-        let worker_params = self.params.with_parallelism(if per_query > 1 {
-            Parallelism::Threads(per_query)
-        } else {
-            Parallelism::Serial
-        });
-        let outcomes = par_try_map_indexed(self.params.parallelism, plans.len(), |i| {
-            // lint:allow(rng-confinement): sanctioned construction — each worker's RNG descends from the logged seed schedule, so replay is bit-identical
-            let mut rng = StdRng::seed_from_u64(seeds[i]);
-            let key = keys.as_ref().map(|k| &k[i]);
-            release_plan(
-                db,
-                &plans[i],
-                worker_params,
-                &mut rng,
-                cache.zip(key),
-                &mut NoopRecorder,
-            )
-        })?;
-        self.debit(total_cost)?;
-        // Fold the batch's LP work into the session totals in query (=
-        // input) order — `par_try_map_indexed` already returns index order,
-        // so the fold is deterministic for every `Parallelism`.
-        let mut lp = LpWorkStats::default();
-        for outcome in &outcomes {
-            lp.absorb(&outcome.lp);
-            self.absorb_refresh_tier(outcome.refresh);
-        }
-        self.absorb_release_stats(&lp, outcomes.len() as u64);
-        Ok(outcomes.into_iter().map(|o| o.release).collect())
-    }
-
-    /// Runs several independent queries — scalar **or** `GROUP BY` — and
-    /// releases each through the recursive mechanism, admitting the whole
-    /// mixed batch atomically.
-    ///
-    /// [`SqlSession::query_batch`] stays deliberately scalar-only (a grouped
-    /// query there is a shape error, not a silent scalar release); this is
-    /// the path that admits grouped reports through the batch machinery.
-    /// Pricing composes sequentially over the batch: a scalar item costs
-    /// `ε₁ + ε₂`, a grouped item costs its [`GroupBudgetPolicy`] report
-    /// price for its domain size — and the *sum* is admitted atomically, so
-    /// an over-budget batch is refused with nothing released and **no
-    /// privacy consumed**. As in [`SqlSession::query_batch`], the debit
-    /// lands only after every item has released; a failure anywhere fails
-    /// the whole batch and consumes nothing.
-    ///
-    /// Determinism matches the scalar batch: one noise seed is drawn from
-    /// the session RNG per item, in input order, before the fan-out. A
-    /// grouped item's per-group streams derive from that seed and each key
-    /// *value* (the [`SqlSession::query_grouped`] discipline), so the
-    /// batch's releases are bit-identical across [`Parallelism`] settings
-    /// and cached/uncached sessions.
-    pub fn query_batch_mixed<S: AsRef<str>>(
-        &mut self,
-        sqls: &[S],
-    ) -> Result<Vec<BatchRelease>, SqlError> {
-        let plans: Vec<AnyPlan> = sqls
-            .iter()
-            .map(|sql| self.plan(sql.as_ref()))
-            .collect::<Result<_, _>>()?;
-        self.params.validate()?;
-
-        let per_release = self.release_cost();
-        let mut epsilon = 0.0;
-        for item in &plans {
-            epsilon += match item {
-                AnyPlan::Scalar(_) => per_release.epsilon,
-                AnyPlan::Grouped(g) => {
-                    self.group_policy
-                        .report_cost(per_release, g.num_groups())
-                        .epsilon
-                }
-            };
-        }
-        let total_cost = PrivacyBudget {
-            epsilon,
-            delta: 0.0,
-        };
-        self.ensure_affordable(total_cost)?;
-
-        // Scalar plan keys are precomputed as in `query_batch`; grouped
-        // items compute keys per group inside `release_grouped_plan` (their
-        // keys depend on the scaled per-group ε split).
-        let keys: Option<Vec<Option<PlanKey>>> = self.cache.as_ref().map(|_| {
-            plans
-                .iter()
-                .map(|item| match item {
-                    AnyPlan::Scalar(p) => Some(plan_key(self.snapshot.database(), p, &self.params)),
-                    AnyPlan::Grouped(_) => None,
-                })
-                .collect()
-        });
-        // lint:allow(rng-confinement): sanctioned seed-schedule derivation — per-item seeds drawn serially from the session root before fan-out
-        let seeds: Vec<u64> = plans.iter().map(|_| self.rng.next_u64()).collect();
-
-        let db = self.snapshot.database();
-        let cache = self.cache.as_deref();
-        let policy = self.group_policy;
-        let workers = self.params.parallelism.workers();
-        let per_item = workers / plans.len().max(1);
-        let worker_params = self.params.with_parallelism(if per_item > 1 {
-            Parallelism::Threads(per_item)
-        } else {
-            Parallelism::Serial
-        });
-        let outcomes = par_try_map_indexed(self.params.parallelism, plans.len(), |i| {
-            // lint:allow(rng-confinement): sanctioned construction — each worker's RNG descends from the logged seed schedule, so replay is bit-identical
-            let mut rng = StdRng::seed_from_u64(seeds[i]);
-            match &plans[i] {
-                AnyPlan::Scalar(plan) => {
-                    let key = keys.as_ref().and_then(|ks| ks[i].as_ref());
-                    release_plan(
-                        db,
-                        plan,
-                        worker_params,
-                        &mut rng,
-                        cache.zip(key),
-                        &mut NoopRecorder,
-                    )
-                    .map(|o| (BatchRelease::Scalar(o.release), o.lp))
-                }
-                AnyPlan::Grouped(g) => release_grouped_plan(
-                    db,
-                    g,
-                    worker_params,
-                    policy,
-                    &mut rng,
-                    cache,
-                    &mut NoopRecorder,
-                )
-                .map(|(report, info)| (BatchRelease::Grouped(report), info.lp)),
-            }
-        })?;
-        self.debit(total_cost)?;
-
-        // Fold LP work in input order (index order is already guaranteed),
-        // counting one mechanism release per scalar and `k` per grouped item.
-        let mut lp = LpWorkStats::default();
-        let mut releases = 0u64;
-        let mut out = Vec::with_capacity(outcomes.len());
-        for (item, (release, item_lp)) in plans.iter().zip(outcomes) {
-            lp.absorb(&item_lp);
-            releases += match item {
-                AnyPlan::Scalar(_) => 1,
-                AnyPlan::Grouped(g) => g.num_groups() as u64,
-            };
-            out.push(release);
-        }
-        self.absorb_release_stats(&lp, releases);
-        Ok(out)
-    }
-}
-
-/// One release of a [`SqlSession::query_batch_mixed`] batch: scalar items
-/// release a single [`Release`], `GROUP BY` items a whole
-/// [`GroupedRelease`].
-#[derive(Clone, Debug)]
-pub enum BatchRelease {
-    /// A scalar aggregate's release.
-    Scalar(Release),
-    /// A grouped (`GROUP BY`) report's releases.
-    Grouped(GroupedRelease),
-}
-
-/// A [`release_plan`] outcome for the scalar session path, with the
-/// canonical plan fingerprint when one was computed (always, when tracing).
-struct ScalarOutcome {
-    release: Release,
-    cache: CacheOutcome,
-    lp: LpWorkStats,
-    fingerprint: Option<Fingerprint>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmdp_core::Parallelism;
     use rmdp_krelation::tuple::{Tuple, Value};
     use rmdp_krelation::Expr;
+
+    /// The releases of a batch of scalar queries.
+    fn scalars(outputs: Vec<QueryOutput>) -> Vec<Release> {
+        outputs
+            .into_iter()
+            .map(|o| o.scalar().expect("scalar item"))
+            .collect()
+    }
 
     fn db() -> AnnotatedDatabase {
         let mut db = AnnotatedDatabase::new();
@@ -1137,16 +892,16 @@ mod tests {
             "SELECT SUM(amount) FROM payments WHERE amount > 0",
             "SELECT COUNT(*) FROM payments WHERE amount > 4",
         ];
-        let serial = SqlSession::with_seed(db(), params, 7)
-            .query_batch(&sqls)
-            .unwrap();
-        let parallel = SqlSession::with_seed(
-            db(),
-            params.with_parallelism(rmdp_core::Parallelism::Threads(3)),
-            7,
-        )
-        .query_batch(&sqls)
-        .unwrap();
+        let serial = scalars(
+            SqlSession::with_seed(db(), params, 7)
+                .query_batch(&sqls)
+                .unwrap(),
+        );
+        let parallel = scalars(
+            SqlSession::with_seed(db(), params.with_parallelism(Parallelism::Threads(3)), 7)
+                .query_batch(&sqls)
+                .unwrap(),
+        );
         assert_eq!(serial.len(), 3);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.noisy_answer, b.noisy_answer);
@@ -1311,14 +1066,16 @@ mod tests {
             "SELECT COUNT(*) FROM payments",
             "SELECT COUNT(*) FROM payments WHERE amount > 0",
         ];
-        let baseline = SqlSession::with_seed(db(), params, 3)
-            .query_batch(&sqls)
-            .unwrap();
+        let baseline = scalars(
+            SqlSession::with_seed(db(), params, 3)
+                .query_batch(&sqls)
+                .unwrap(),
+        );
         for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
             let cache = rmdp_core::SequenceCache::shared(8);
             let mut session = SqlSession::with_seed(db(), params.with_parallelism(parallelism), 3)
                 .with_sequence_cache(Arc::clone(&cache));
-            let releases = session.query_batch(&sqls).unwrap();
+            let releases = scalars(session.query_batch(&sqls).unwrap());
             for (a, b) in baseline.iter().zip(&releases) {
                 assert_eq!(a.noisy_answer, b.noisy_answer, "{parallelism}");
                 assert_eq!(a.true_answer, b.true_answer);
@@ -1445,6 +1202,93 @@ mod tests {
         let cold_visits = cold.query_scalar(VISITS).unwrap();
         assert_eq!(warm.noisy_answer, cold_visits.noisy_answer);
         assert_eq!(warm.true_answer, cold_visits.true_answer);
+    }
+
+    #[test]
+    fn every_entry_point_books_each_release_refresh_tier() {
+        // After one intern-only delta (ada also visits the cafe), each
+        // post-delta shape's miss claims its parked pre-delta base and takes
+        // one refresh tier: the self-join gains a pair (cold rebuild), the
+        // counts that gain a row re-enter warm, and the shapes the delta
+        // filters out republish unchanged. The counters must book every
+        // mechanism release's own tier, whichever entry point released it.
+        const JOIN: &str = "SELECT COUNT(*) FROM visits v1 JOIN visits v2 \
+                            ON v1.place = v2.place WHERE v1.person < v2.person";
+        const GROUPED: &str = "SELECT place, COUNT(*) FROM visits GROUP BY place";
+        const BATCH: [&str; 3] = [
+            "SELECT COUNT(*) FROM visits",
+            "SELECT COUNT(*) FROM visits WHERE person = 'bo'",
+            "SELECT COUNT(*) FROM residents",
+        ];
+        let params = MechanismParams::paper_edge_privacy(1.0);
+        let mut db = delta_db();
+        db.declare_public_domain(
+            "visits",
+            "place",
+            ["museum", "cafe", "park"].map(Value::str),
+        );
+        let snapshot = CatalogSnapshot::shared(db, params);
+        let next = snapshot
+            .with_delta(
+                "visits",
+                [Tuple::new([
+                    ("person", Value::str("ada")),
+                    ("place", Value::str("cafe")),
+                ])],
+            )
+            .unwrap();
+        // Two caches primed and swept alike: one serves the metered
+        // session, the other the direct releases whose outcomes name the
+        // tiers.
+        let primed = || {
+            let cache = rmdp_core::SequenceCache::shared(32);
+            let mut s =
+                SqlSession::over(Arc::clone(&snapshot), 1).with_sequence_cache(Arc::clone(&cache));
+            s.query(JOIN).unwrap();
+            s.query(GROUPED).unwrap();
+            s.query_batch(&BATCH).unwrap();
+            cache.purge_stale(&next.database().current_epoch_stamps());
+            cache
+        };
+
+        let metrics = Arc::new(MetricsRegistry::new());
+        let mut session = SqlSession::over(Arc::clone(&next), 2)
+            .with_sequence_cache(primed())
+            .with_metrics(Arc::clone(&metrics));
+        session.query(JOIN).unwrap();
+        session.query(GROUPED).unwrap();
+        session.query_batch(&BATCH).unwrap();
+
+        let truth = primed();
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut tiers = Vec::new();
+        for sql in [JOIN, GROUPED].into_iter().chain(BATCH) {
+            let plan = next.plan(sql).unwrap();
+            let (_, outcomes) = release_any(
+                next.database(),
+                &plan,
+                params,
+                GroupBudgetPolicy::default(),
+                &mut rng,
+                Some(&truth),
+                &mut NoopRecorder,
+            )
+            .unwrap();
+            tiers.extend(outcomes.iter().filter_map(|o| o.refresh));
+        }
+        let snap = metrics.snapshot();
+        for (counter, tier) in [
+            ("lp.warm_refresh_unchanged", RefreshTier::Unchanged),
+            ("lp.warm_refresh_chains", RefreshTier::WarmChain),
+            ("lp.warm_refresh_cold", RefreshTier::ColdRebuild),
+        ] {
+            let expected = tiers.iter().filter(|&&t| t == tier).count() as u64;
+            assert!(
+                expected > 0,
+                "{counter}: the scenario must reach every tier"
+            );
+            assert_eq!(snap.counter(counter).unwrap_or(0), expected, "{counter}");
+        }
     }
 
     /// Visits with a declared public domain over `place`, including a key
@@ -1675,10 +1519,6 @@ mod tests {
         assert!(matches!(err, SqlError::QueryShape { .. }));
         assert!(err.span().is_some());
         assert!(matches!(
-            session.query_batch(&[GROUPED_SQL]).unwrap_err(),
-            SqlError::QueryShape { .. }
-        ));
-        assert!(matches!(
             session
                 .query_grouped("SELECT COUNT(*) FROM visits")
                 .unwrap_err(),
@@ -1906,26 +1746,6 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_rejects_grouped_plans_with_a_spanned_shape_error() {
-        // The scalar-only batch stays scalar-only: a GROUP BY item is a
-        // shape error pointing at the grouping key, never a silent scalar.
-        let params = MechanismParams::paper_edge_privacy(1.0);
-        let mut session =
-            SqlSession::new(grouped_db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(5.0));
-        let err = session
-            .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
-            .unwrap_err();
-        match err {
-            SqlError::QueryShape { message, span } => {
-                assert!(message.contains("query_batch"), "{message}");
-                assert!(span.start < span.end, "span must point at the key");
-            }
-            other => panic!("expected QueryShape, got {other:?}"),
-        }
-        assert_eq!(session.remaining_budget().unwrap().epsilon, 5.0);
-    }
-
-    #[test]
     fn mixed_batch_releases_scalars_and_grouped_reports_atomically() {
         // SplitEvenly prices the grouped item like one release, so the
         // batch costs 2·(ε₁+ε₂) = 2.0ε of the 5ε budget.
@@ -1933,15 +1753,15 @@ mod tests {
         let mut session =
             SqlSession::new(grouped_db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(5.0));
         let releases = session
-            .query_batch_mixed(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
+            .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
             .unwrap();
         assert_eq!(releases.len(), 2);
         match &releases[0] {
-            BatchRelease::Scalar(r) => assert_eq!(r.true_answer, 5.0),
+            QueryOutput::Scalar(r) => assert_eq!(r.true_answer, 5.0),
             other => panic!("expected scalar, got {other:?}"),
         }
         match &releases[1] {
-            BatchRelease::Grouped(report) => {
+            QueryOutput::Grouped(report) => {
                 assert_eq!(report.len(), 3, "every declared key releases");
                 assert_eq!(report.get(&Value::str("museum")).unwrap().true_answer, 3.0);
                 assert_eq!(report.get(&Value::str("park")).unwrap().true_answer, 0.0);
@@ -1962,27 +1782,27 @@ mod tests {
         ];
         let runs = [
             SqlSession::with_seed(grouped_db(), params, 23)
-                .query_batch_mixed(&sqls)
+                .query_batch(&sqls)
                 .unwrap(),
             SqlSession::with_seed(
                 grouped_db(),
-                params.with_parallelism(rmdp_core::Parallelism::Threads(4)),
+                params.with_parallelism(Parallelism::Threads(4)),
                 23,
             )
-            .query_batch_mixed(&sqls)
+            .query_batch(&sqls)
             .unwrap(),
             SqlSession::with_seed(grouped_db(), params, 23)
                 .with_sequence_cache(rmdp_core::SequenceCache::shared(16))
-                .query_batch_mixed(&sqls)
+                .query_batch(&sqls)
                 .unwrap(),
         ];
         for run in &runs[1..] {
             for (a, b) in runs[0].iter().zip(run) {
                 match (a, b) {
-                    (BatchRelease::Scalar(x), BatchRelease::Scalar(y)) => {
+                    (QueryOutput::Scalar(x), QueryOutput::Scalar(y)) => {
                         assert_eq!(x.noisy_answer, y.noisy_answer);
                     }
-                    (BatchRelease::Grouped(x), BatchRelease::Grouped(y)) => {
+                    (QueryOutput::Grouped(x), QueryOutput::Grouped(y)) => {
                         for (gx, gy) in x.groups.iter().zip(&y.groups) {
                             assert_eq!(gx.key, gy.key);
                             assert_eq!(gx.release.noisy_answer, gy.release.noisy_answer);
@@ -2003,7 +1823,7 @@ mod tests {
             .with_group_policy(GroupBudgetPolicy::PerGroup)
             .with_budget(rmdp_noise::PrivacyBudget::pure(3.5));
         let err = session
-            .query_batch_mixed(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
+            .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
             .unwrap_err();
         match err {
             SqlError::BudgetExhausted(e) => {

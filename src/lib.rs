@@ -17,7 +17,10 @@
 //! * [`baselines`] — the competing mechanisms from the paper's evaluation.
 //! * [`sql`] — a SQL frontend: a positive SQL subset (joins, including
 //!   self-joins, with conjunctive predicates) compiled to the K-relation
-//!   algebra and released through the recursive mechanism.
+//!   algebra and released through the recursive mechanism. Every
+//!   `SqlSession` entry point — `query`, `query_traced`, `query_scalar`,
+//!   `query_grouped` and `query_batch` (scalar and `GROUP BY` items alike)
+//!   — admits, releases and debits through one pipeline.
 //! * [`runtime`] — the deterministic scoped worker pool and the admission
 //!   gate (bounded in-flight + waiting-queue permits) the server fronts it
 //!   with.

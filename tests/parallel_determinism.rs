@@ -19,13 +19,13 @@ use recursive_mechanism_dp::core::general::GeneralSequences;
 use recursive_mechanism_dp::core::params::MechanismParams;
 use recursive_mechanism_dp::core::sequences::MechanismSequences;
 use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
-use recursive_mechanism_dp::core::{Parallelism, RecursiveMechanism, SensitiveKRelation};
+use recursive_mechanism_dp::core::{Parallelism, RecursiveMechanism, Release, SensitiveKRelation};
 use recursive_mechanism_dp::graph::{generators, Pattern};
 use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
 use recursive_mechanism_dp::noise::PrivacyBudget;
-use recursive_mechanism_dp::sql::{SqlError, SqlSession};
+use recursive_mechanism_dp::sql::{QueryOutput, SqlError, SqlSession};
 
 /// The fig-4 workload at small scale: triangles under node privacy on a
 /// G(n, p) random graph.
@@ -151,17 +151,24 @@ const BATCH: [&str; 3] = [
 #[test]
 fn sql_batch_is_bit_identical_across_parallelism_settings() {
     let params = MechanismParams::paper_edge_privacy(1.0);
-    let serial = SqlSession::with_seed(visits_db(), params, 99)
-        .query_batch(&BATCH)
-        .unwrap();
+    let scalars = |outputs: Vec<QueryOutput>| -> Vec<Release> {
+        outputs.into_iter().map(|o| o.scalar().unwrap()).collect()
+    };
+    let serial = scalars(
+        SqlSession::with_seed(visits_db(), params, 99)
+            .query_batch(&BATCH)
+            .unwrap(),
+    );
     for parallelism in [
         Parallelism::Threads(2),
         Parallelism::Threads(8),
         Parallelism::Auto,
     ] {
-        let parallel = SqlSession::with_seed(visits_db(), params.with_parallelism(parallelism), 99)
-            .query_batch(&BATCH)
-            .unwrap();
+        let parallel = scalars(
+            SqlSession::with_seed(visits_db(), params.with_parallelism(parallelism), 99)
+                .query_batch(&BATCH)
+                .unwrap(),
+        );
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.noisy_answer, b.noisy_answer);
             assert_eq!(a.true_answer, b.true_answer);

@@ -13,7 +13,7 @@ use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
 use recursive_mechanism_dp::noise::GroupBudgetPolicy;
-use recursive_mechanism_dp::sql::{BatchRelease, QueryOutput, SqlSession};
+use recursive_mechanism_dp::sql::{QueryOutput, SqlSession};
 
 const SCALAR_SQL: &str = "SELECT COUNT(*) FROM visits v1 JOIN visits v2 \
                           ON v1.place = v2.place WHERE v1.person < v2.person";
@@ -60,15 +60,6 @@ fn output_bits(output: &QueryOutput, out: &mut Bits) {
     }
 }
 
-fn batch_bits(releases: &[BatchRelease], out: &mut Bits) {
-    for release in releases {
-        match release {
-            BatchRelease::Scalar(r) => out.push(bits(r)),
-            BatchRelease::Grouped(g) => out.extend(g.groups.iter().map(|g| bits(&g.release))),
-        }
-    }
-}
-
 /// Every release of one case, twice over in one session.
 fn run(case: &str, parallelism: Parallelism, cached: bool) -> Bits {
     let params = MechanismParams::paper_edge_privacy(1.0).with_parallelism(parallelism);
@@ -98,22 +89,20 @@ fn run(case: &str, parallelism: Parallelism, cached: bool) -> Bits {
                     .unwrap(),
                 &mut out,
             ),
-            "batch_scalar" => {
-                let releases = session
-                    .query_batch(&[
-                        SCALAR_SQL,
-                        "SELECT COUNT(*) FROM visits",
-                        "SELECT COUNT(*) FROM visits WHERE place = 'cafe'",
-                    ])
-                    .unwrap();
-                out.extend(releases.iter().map(bits));
-            }
-            "batch_mixed" => batch_bits(
-                &session
-                    .query_batch_mixed(&["SELECT COUNT(*) FROM visits", GROUPED_SQL, SCALAR_SQL])
-                    .unwrap(),
-                &mut out,
-            ),
+            "batch_scalar" => session
+                .query_batch(&[
+                    SCALAR_SQL,
+                    "SELECT COUNT(*) FROM visits",
+                    "SELECT COUNT(*) FROM visits WHERE place = 'cafe'",
+                ])
+                .unwrap()
+                .iter()
+                .for_each(|o| output_bits(o, &mut out)),
+            "batch_mixed" => session
+                .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL, SCALAR_SQL])
+                .unwrap()
+                .iter()
+                .for_each(|o| output_bits(o, &mut out)),
             other => panic!("unknown case {other}"),
         }
     }
@@ -235,4 +224,31 @@ fn released_values_match_the_pinned_bits_on_every_path() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A one-item batch is `query` on that item, bit for bit: a single plan
+/// releases inline on the session RNG whichever entry point admitted it.
+#[test]
+fn one_item_batch_releases_exactly_like_query() {
+    for sql in [SCALAR_SQL, GROUPED_SQL] {
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for cached in [false, true] {
+                let params = MechanismParams::paper_edge_privacy(1.0).with_parallelism(parallelism);
+                let session = || {
+                    let session = SqlSession::with_seed(visits_db(), params, SEED);
+                    if cached {
+                        session.with_sequence_cache(SequenceCache::shared(32))
+                    } else {
+                        session
+                    }
+                };
+                let (mut single, mut batch) = (Bits::new(), Bits::new());
+                output_bits(&session().query(sql).unwrap(), &mut single);
+                for output in session().query_batch(&[sql]).unwrap() {
+                    output_bits(&output, &mut batch);
+                }
+                assert_eq!(batch, single, "{sql} ({parallelism}, cached {cached})");
+            }
+        }
+    }
 }
