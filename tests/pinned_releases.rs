@@ -7,13 +7,18 @@
 //! case runs uncached and cached, at `Serial` and `Threads(2)`: all four
 //! runs must produce the pinned table. A refactor of the release path that
 //! changes the seed schedule, the fan-out or the noise draws fails here.
+//!
+//! The `server_*` cases run the same releases through `DpServer::query`,
+//! which always shares one cache across its requests, so their uncached
+//! and cached runs are the same server path.
 
 use recursive_mechanism_dp::core::{MechanismParams, Parallelism, Release, SequenceCache};
-use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
+use recursive_mechanism_dp::krelation::annotate::{AnnotatedDatabase, AnnotationRule};
 use recursive_mechanism_dp::krelation::tuple::{Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
-use recursive_mechanism_dp::noise::GroupBudgetPolicy;
-use recursive_mechanism_dp::sql::{QueryOutput, SqlSession};
+use recursive_mechanism_dp::noise::{GroupBudgetPolicy, PrivacyBudget};
+use recursive_mechanism_dp::server::{DpServer, ServerConfig};
+use recursive_mechanism_dp::sql::{CatalogSnapshot, QueryOutput, SqlSession};
 
 const SCALAR_SQL: &str = "SELECT COUNT(*) FROM visits v1 JOIN visits v2 \
                           ON v1.place = v2.place WHERE v1.person < v2.person";
@@ -60,9 +65,44 @@ fn output_bits(output: &QueryOutput, out: &mut Bits) {
     }
 }
 
+/// Every release of one `server_*` case, twice over for one tenant of one
+/// server. `server_ingest_scalar` ingests one `visits` row between its two
+/// releases.
+fn run_server(case: &str, params: MechanismParams) -> Bits {
+    let mut db = visits_db();
+    db.declare_annotation_rule("visits", AnnotationRule::OwnerColumn("person".into()));
+    let config = ServerConfig {
+        seed: SEED,
+        ..ServerConfig::default()
+    };
+    let server = DpServer::new(CatalogSnapshot::shared(db, params), config);
+    server.register_tenant("alice", PrivacyBudget::pure(100.0));
+    let sql = match case {
+        "server_scalar" | "server_ingest_scalar" => SCALAR_SQL.to_owned(),
+        "server_grouped" => GROUPED_SQL.to_owned(),
+        "server_explain_scalar" => format!("EXPLAIN ANALYZE {SCALAR_SQL}"),
+        other => panic!("unknown case {other}"),
+    };
+    let mut out = Bits::new();
+    for pass in 0..2 {
+        if pass == 1 && case == "server_ingest_scalar" {
+            let row = Tuple::new([
+                ("person", Value::str("fay")),
+                ("place", Value::str("museum")),
+            ]);
+            server.ingest("visits", vec![row]).unwrap();
+        }
+        output_bits(&server.query("alice", &sql).unwrap(), &mut out);
+    }
+    out
+}
+
 /// Every release of one case, twice over in one session.
 fn run(case: &str, parallelism: Parallelism, cached: bool) -> Bits {
     let params = MechanismParams::paper_edge_privacy(1.0).with_parallelism(parallelism);
+    if case.starts_with("server_") {
+        return run_server(case, params);
+    }
     let mut session = SqlSession::with_seed(visits_db(), params, SEED);
     if cached {
         session = session.with_sequence_cache(SequenceCache::shared(32));
@@ -192,6 +232,40 @@ const PINNED: &[(&str, &[(u64, u64)])] = &[
             (0x401abba34dedee16, 0x400aec11693d2fa7),
         ],
     ),
+    (
+        "server_scalar",
+        &[
+            (0x400024f9807d19b6, 0x40034b45bc4aa9a9),
+            (0x40015af5c5081433, 0x3ff4e3f2a0ded6c3),
+        ],
+    ),
+    (
+        "server_grouped",
+        &[
+            (0xbfe6c8ca7ad9d394, 0x3fc4f82408aa0626),
+            (0x3fc63c93c7a43816, 0x3fc296441ec3336d),
+            (0xc04f490c1377a2d0, 0x40175f6ace66f238),
+            (0xc09a3d12558c81fb, 0x406ee840c286112d),
+            (0x403090b8eb0d8790, 0x3ff325be81ef216a),
+            (0x4071b2fd741b7ed6, 0x403b672acd851c01),
+            (0xc004329f5b92ece6, 0x3fe43dcc3e4d741a),
+            (0x400342f17cdee894, 0x3fd329cadde2fc4a),
+        ],
+    ),
+    (
+        "server_explain_scalar",
+        &[
+            (0x400024f9807d19b6, 0x40034b45bc4aa9a9),
+            (0x40015af5c5081433, 0x3ff4e3f2a0ded6c3),
+        ],
+    ),
+    (
+        "server_ingest_scalar",
+        &[
+            (0x400024f9807d19b6, 0x40034b45bc4aa9a9),
+            (0x4007ccef15777f94, 0x3ff4e3f2a0ded6c3),
+        ],
+    ),
 ];
 
 #[test]
@@ -205,6 +279,10 @@ fn released_values_match_the_pinned_bits_on_every_path() {
         "explain_grouped",
         "batch_scalar",
         "batch_mixed",
+        "server_scalar",
+        "server_grouped",
+        "server_explain_scalar",
+        "server_ingest_scalar",
     ] {
         let pinned = PINNED.iter().find(|(c, _)| *c == case).map(|(_, b)| *b);
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
