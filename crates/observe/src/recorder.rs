@@ -125,6 +125,13 @@ impl<C: Clock> SpanRecorder<C> {
         self.nanos.iter().sum()
     }
 
+    /// Books one completed span of `stage` that lasted `nanos`, timed
+    /// before this recorder existed.
+    pub fn book(&mut self, stage: Stage, nanos: u64) {
+        self.nanos[stage.index()] += nanos;
+        self.entries[stage.index()] += 1;
+    }
+
     /// The completed spans, in pipeline order, skipping never-entered stages.
     pub fn spans(&self) -> Vec<StageSpan> {
         Stage::ALL
@@ -195,6 +202,9 @@ mod tests {
         assert_eq!(rec.stage_entries(Stage::SequenceSolve), 2);
         assert_eq!(rec.stage_nanos(Stage::NoiseSample), 3);
         assert_eq!(rec.recorded_nanos(), 20);
+        rec.book(Stage::SequenceSolve, 5);
+        assert_eq!(rec.stage_nanos(Stage::SequenceSolve), 22);
+        assert_eq!(rec.stage_entries(Stage::SequenceSolve), 3);
         let spans = rec.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].stage, Stage::SequenceSolve);

@@ -7,7 +7,7 @@
 //!  clients ──TCP──▶ [protocol]  line requests, one thread per connection
 //!                        │
 //!                        ▼
-//!                   [DpServer]  admission gate → price → reserve
+//!                   [DpServer]  admission gate → prepare → price → reserve
 //!                    │   │  │
 //!        ┌───────────┘   │  └────────────┐
 //!        ▼               ▼               ▼
@@ -145,6 +145,11 @@ mod tests {
             "bob pays nothing for alice's query"
         );
         assert_eq!(server.query_log("alice").unwrap().len(), 1);
+        let metrics = server.metrics().snapshot();
+        let latency = metrics
+            .histogram("server.latency_ms")
+            .expect("latency histogram");
+        assert_eq!(latency.count, 1, "one latency sample per query run");
     }
 
     #[test]
@@ -173,9 +178,8 @@ mod tests {
     fn failed_queries_refund_their_reservation() {
         let server = DpServer::new(snapshot(), ServerConfig::default());
         server.register_tenant("alice", eps(4.0));
-        // Planning succeeds (the table and column exist) but execution is
-        // never reached: a malformed query fails at the price step with no
-        // reservation at all.
+        // An unknown table fails at the prepare step, before any
+        // reservation is made.
         let err = server.query("alice", "SELECT COUNT(*) FROM nowhere");
         assert!(matches!(err, Err(ServerError::Sql(_))));
         assert_eq!(server.spent_budget("alice").unwrap().epsilon, 0.0);
@@ -190,6 +194,7 @@ mod tests {
             "SELECT COUNT(*) FROM visits WHERE place = 'museum'",
             "SELECT COUNT(*) FROM visits",
             "SELECT place, COUNT(*) FROM visits GROUP BY place",
+            "EXPLAIN ANALYZE SELECT COUNT(*) FROM visits",
         ];
         let mut live = Vec::new();
         for sql in sqls {
@@ -216,6 +221,14 @@ mod tests {
                             gb.release.noisy_answer.to_bits()
                         );
                     }
+                }
+                (QueryOutput::Explained(a), QueryOutput::Explained(b)) => {
+                    let (a, b) = (&a.output, &b.output);
+                    let (QueryOutput::Scalar(a), QueryOutput::Scalar(b)) = (a, b) else {
+                        panic!("EXPLAIN of a scalar released {a:?} / {b:?}");
+                    };
+                    assert_eq!(a.noisy_answer.to_bits(), b.noisy_answer.to_bits());
+                    assert_eq!(a.delta_hat.to_bits(), b.delta_hat.to_bits());
                 }
                 other => panic!("shape changed under replay: {other:?}"),
             }

@@ -44,7 +44,7 @@ use rmdp_krelation::tuple::Tuple;
 use rmdp_noise::{GroupBudgetPolicy, PrivacyBudget};
 use rmdp_observe::{Clock, MetricsRegistry, MonotonicClock, LATENCY_BUCKETS_MS};
 use rmdp_runtime::{AdmissionConfig, AdmissionGate};
-use rmdp_sql::{CatalogSnapshot, QueryOutput, SqlError, SqlSession};
+use rmdp_sql::{CatalogSnapshot, Prepared, QueryOutput, SqlError, SqlSession};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// Knobs for one [`DpServer`]. See `docs/TUNING.md` for how each one trades
@@ -199,24 +199,28 @@ impl DpServer {
         self.tenants.query_log(tenant)
     }
 
-    /// What one query would cost this server, without running it. Scalar
-    /// releases cost `ε₁ + ε₂`; grouped reports are priced by the
-    /// configured [`GroupBudgetPolicy`]. An `EXPLAIN ANALYZE` prefix does
-    /// not change the price — tracing performs the release it traces.
+    /// What one query would cost this server, without running it: its
+    /// plan's [`AnyPlan::cost`](rmdp_sql::AnyPlan::cost). Scalar releases
+    /// cost `ε₁ + ε₂`; grouped reports are priced by the configured
+    /// [`GroupBudgetPolicy`]. An `EXPLAIN ANALYZE` prefix does not change
+    /// the price — tracing performs the release it traces.
     pub fn price(&self, sql: &str) -> Result<PrivacyBudget, SqlError> {
-        self.price_over(&self.snapshot(), sql)
+        let snapshot = self.snapshot();
+        let prepared = snapshot.prepare(sql, &self.clock)?;
+        Ok(self.cost(&snapshot, &prepared))
     }
 
-    fn price_over(&self, snapshot: &CatalogSnapshot, sql: &str) -> Result<PrivacyBudget, SqlError> {
-        Ok(snapshot
-            .plan(sql)?
-            .cost(&snapshot.params(), self.config.group_policy))
+    /// The price of a prepared request over `snapshot`.
+    fn cost(&self, snapshot: &CatalogSnapshot, prepared: &Prepared) -> PrivacyBudget {
+        prepared
+            .plan
+            .cost(&snapshot.params(), self.config.group_policy)
     }
 
     /// Runs one query for `tenant` through the full server path: gate →
-    /// price → atomic per-tenant reservation → throwaway seeded session →
-    /// release (or refund). See the [module docs](self) for what each
-    /// refusal costs (nothing).
+    /// prepare and price → atomic per-tenant reservation → throwaway seeded
+    /// session → release of the prepared plan (or refund). See the
+    /// [module docs](self) for what each refusal costs (nothing).
     pub fn query(&self, tenant: &str, sql: &str) -> Result<QueryOutput, ServerError> {
         let started = self.clock.now_nanos();
         let permit = match self.gate.enter() {
@@ -227,18 +231,17 @@ impl DpServer {
             }
         };
         // Pin the snapshot for this query's whole lifetime. Ingests swap
-        // the server's current snapshot, but this query prices, reserves
+        // the server's current snapshot, but this query prepares, reserves
         // and executes against the one Arc it captured here — and records
         // its version in the replay log.
         let snapshot = self.snapshot();
-        // Price before reserving so a malformed query is refused without
-        // touching the ledger. The permit is held while planning: pricing
-        // is microseconds next to an LP solve, and counting it against the
-        // gate keeps `in_flight` an honest measure of server load.
-        let cost = self.price_over(&snapshot, sql).map_err(|e| {
+        // Prepare once: the plan priced here is the plan released below,
+        // and a malformed query is refused before the ledger is touched.
+        let prepared = snapshot.prepare(sql, &self.clock).map_err(|e| {
             self.metrics.counter_add("server.errors.sql", 1);
             ServerError::Sql(e)
         })?;
+        let cost = self.cost(&snapshot, &prepared);
         let reservation = self
             .tenants
             .reserve(
@@ -268,7 +271,7 @@ impl DpServer {
         };
 
         let mut session = self.session_for(snapshot, derive_query_seed(tenant_seed, index));
-        let result = session.query(sql);
+        let result = session.release_prepared(&prepared);
         self.tenants.finish(tenant, cost, result.is_err());
         self.absorb_session(&session);
         drop(permit);

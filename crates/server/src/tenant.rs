@@ -17,7 +17,7 @@
 
 use crate::seed::derive_tenant_seed;
 use rmdp_noise::{BudgetAccountant, BudgetExhausted, BudgetRegistry, PrivacyBudget};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One admitted query in a tenant's replay log: the admission index its
@@ -41,13 +41,16 @@ pub struct AdmittedQuery {
 pub(crate) struct TenantMut {
     /// Root of this tenant's seed stream.
     pub(crate) seed: u64,
-    /// Next admission index to hand out.
-    pub(crate) admitted: u64,
     /// Queries currently executing for this tenant.
     pub(crate) in_flight: usize,
     /// Every admitted query in admission order (including ones that later
-    /// failed and were refunded — replay reproduces their failures too).
-    pub(crate) log: Vec<AdmittedQuery>,
+    /// failed and were refunded — replay reproduces their failures too), as
+    /// its text and the snapshot version it saw. An entry's position is its
+    /// admission index.
+    pub(crate) log: Vec<(Arc<str>, u64)>,
+    /// Each distinct text in `log`, stored once: a repeated query shares
+    /// the allocation instead of growing the log by its length.
+    pub(crate) texts: HashSet<Arc<str>>,
 }
 
 /// The server's tenant table: per-tenant ε ledgers (behind the noise
@@ -102,9 +105,9 @@ impl TenantRegistry {
                 tenant.to_owned(),
                 Arc::new(Mutex::new(TenantMut {
                     seed: derive_tenant_seed(server_seed, tenant),
-                    admitted: 0,
                     in_flight: 0,
                     log: Vec::new(),
+                    texts: HashSet::new(),
                 })),
             );
         true
@@ -130,7 +133,17 @@ impl TenantRegistry {
     pub fn query_log(&self, tenant: &str) -> Option<Vec<AdmittedQuery>> {
         let state = self.state(tenant)?;
         let t = state.lock().unwrap_or_else(PoisonError::into_inner);
-        Some(t.log.clone())
+        Some(
+            t.log
+                .iter()
+                .zip(0..)
+                .map(|((sql, snapshot_version), index)| AdmittedQuery {
+                    index,
+                    sql: sql.to_string(),
+                    snapshot_version: *snapshot_version,
+                })
+                .collect(),
+        )
     }
 
     /// The tenant's seed-stream root, or `None` for unknown tenants.
@@ -175,14 +188,17 @@ impl TenantRegistry {
             return Some(Reservation::OverBudget(e));
         }
         drop(acc);
-        let index = t.admitted;
-        t.admitted += 1;
+        let index = t.log.len() as u64;
         t.in_flight += 1;
-        t.log.push(AdmittedQuery {
-            index,
-            sql: sql.to_owned(),
-            snapshot_version,
-        });
+        let text = match t.texts.get(sql) {
+            Some(text) => Arc::clone(text),
+            None => {
+                let text: Arc<str> = Arc::from(sql);
+                t.texts.insert(Arc::clone(&text));
+                text
+            }
+        };
+        t.log.push((text, snapshot_version));
         Some(Reservation::Admitted {
             index,
             tenant_seed: t.seed,
@@ -211,5 +227,43 @@ impl TenantRegistry {
         let ledger = self.budgets.handle(tenant)?;
         let acc = ledger.lock().unwrap_or_else(PoisonError::into_inner);
         Some(*acc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeated_texts_share_one_allocation_and_keep_admission_order() {
+        let registry = TenantRegistry::new();
+        registry.register("alice", PrivacyBudget::pure(8.0), 1);
+        let admissions = [
+            ("SELECT COUNT(*) FROM visits", 0),
+            ("SELECT COUNT(*) FROM residents", 0),
+            ("SELECT COUNT(*) FROM visits", 1),
+        ];
+        for (sql, version) in admissions {
+            let reservation = registry.reserve("alice", sql, PrivacyBudget::pure(1.0), 8, version);
+            assert!(matches!(reservation, Some(Reservation::Admitted { .. })));
+        }
+
+        let state = registry.state("alice").unwrap();
+        let t = state.lock().unwrap();
+        assert!(Arc::ptr_eq(&t.log[0].0, &t.log[2].0));
+        assert_eq!(t.texts.len(), 2);
+        drop(t);
+
+        let log = registry.query_log("alice").unwrap();
+        let got: Vec<(u64, &str, u64)> = log
+            .iter()
+            .map(|q| (q.index, q.sql.as_str(), q.snapshot_version))
+            .collect();
+        let want: Vec<(u64, &str, u64)> = admissions
+            .iter()
+            .zip(0..)
+            .map(|(&(sql, version), index)| (index, sql, version))
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -405,9 +405,15 @@ fn push_str(buf: &mut Vec<u8>, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan;
+    use crate::error::SqlError;
+    use crate::parser::parse;
+    use crate::plan::{plan_query, AnyPlan};
     use rmdp_krelation::tuple::{Tuple, Value};
     use rmdp_krelation::{Expr, KRelation};
+
+    fn plan(db: &AnnotatedDatabase, sql: &str) -> Result<AnyPlan, SqlError> {
+        plan_query(db, &parse(sql)?)
+    }
 
     fn db() -> AnnotatedDatabase {
         let mut db = AnnotatedDatabase::new();

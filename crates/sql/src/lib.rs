@@ -67,9 +67,9 @@ pub mod token;
 pub use error::SqlError;
 pub use fingerprint::{plan_fingerprint, plan_key, PlanKey};
 pub use parser::parse;
-pub use plan::{plan, plan_query, AnyPlan, GroupedQueryPlan, QueryPlan};
+pub use plan::{plan_query, AnyPlan, GroupedQueryPlan, QueryPlan};
 pub use session::{GroupRelease, GroupedRelease, QueryOutput, SqlSession, TracedOutput};
-pub use snapshot::CatalogSnapshot;
+pub use snapshot::{CatalogSnapshot, Prepared};
 pub use token::{Span, Token, TokenKind};
 
 // Re-exported so downstream users can configure grouped-report pricing

@@ -26,7 +26,6 @@
 
 use crate::ast::{Aggregate, ColumnRef, Comparison, GroupBy, Operand, Predicate, Query, TableRef};
 use crate::error::SqlError;
-use crate::parser::parse;
 use crate::token::Span;
 use rmdp_core::MechanismParams;
 use rmdp_krelation::annotate::AnnotatedDatabase;
@@ -386,18 +385,11 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// Parses and plans `sql` against the schema of `db`, returning a scalar or
-/// grouped plan depending on the query's shape.
-pub fn plan(db: &AnnotatedDatabase, sql: &str) -> Result<AnyPlan, SqlError> {
-    let query = parse(sql)?;
-    plan_query(db, &query)
-}
-
 /// Plans an already-parsed [`Query`] against the schema of `db`.
 ///
-/// [`SqlSession::query_traced`](crate::SqlSession::query_traced) uses this
-/// to time parsing and lowering as separate trace stages; [`plan`] is the
-/// one-shot convenience wrapper.
+/// [`CatalogSnapshot::prepare`](crate::CatalogSnapshot::prepare) is the
+/// one caller that turns SQL text into a plan; it times parsing and
+/// lowering separately.
 pub fn plan_query(db: &AnnotatedDatabase, query: &Query) -> Result<AnyPlan, SqlError> {
     Planner { db }.lower(query)
 }
@@ -652,7 +644,12 @@ pub fn qualified(alias: &str, column: &str) -> Attr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
     use rmdp_krelation::{Expr, KRelation};
+
+    fn plan(db: &AnnotatedDatabase, sql: &str) -> Result<AnyPlan, SqlError> {
+        plan_query(db, &parse(sql)?)
+    }
 
     fn db() -> AnnotatedDatabase {
         let mut db = AnnotatedDatabase::new();

@@ -2,10 +2,9 @@
 
 use crate::error::SqlError;
 use crate::exec::{execute, execute_grouped};
-use crate::parser::parse;
-use crate::plan::{plan_query, AnyPlan};
+use crate::plan::AnyPlan;
 use crate::release::{fan_out, release_any, ReleaseOutcome};
-use crate::snapshot::CatalogSnapshot;
+use crate::snapshot::{CatalogSnapshot, Prepared};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rmdp_core::{CacheStats, LpWorkStats, MechanismParams, RefreshTier, Release, SequenceCache};
@@ -473,15 +472,22 @@ impl SqlSession {
     /// for them out of band; the accountant meters released answers, and a
     /// failed query releases none.)
     pub fn query(&mut self, sql: &str) -> Result<QueryOutput, SqlError> {
-        // Parse first so an `EXPLAIN ANALYZE` prefix can dispatch to the
-        // traced path. `query_traced` re-parses the text, which keeps its
-        // Parse span honest and costs microseconds next to the LP solves.
-        let ast = parse(sql)?;
-        if ast.explain {
-            return Ok(QueryOutput::Explained(Box::new(self.query_traced(sql)?)));
+        let prepared = self.prepare(sql)?;
+        self.release_prepared(&prepared)
+    }
+
+    /// Releases a request already turned into a plan by
+    /// [`CatalogSnapshot::prepare`] — the tail of [`SqlSession::query`],
+    /// for callers that priced the plan before releasing it (a server
+    /// reserves budget in between). An `EXPLAIN ANALYZE` request releases
+    /// through the traced path and returns [`QueryOutput::Explained`].
+    pub fn release_prepared(&mut self, prepared: &Prepared) -> Result<QueryOutput, SqlError> {
+        if prepared.explain {
+            return Ok(QueryOutput::Explained(Box::new(
+                self.release_traced(prepared)?,
+            )));
         }
-        let plan = plan_query(self.snapshot.database(), &ast)?;
-        Ok(self.release_one(&plan, &mut NoopRecorder)?.0)
+        Ok(self.release_one(&prepared.plan, &mut NoopRecorder)?.0)
     }
 
     /// Runs `sql` like [`SqlSession::query`] and returns the output together
@@ -500,17 +506,23 @@ impl SqlSession {
     /// LP work (folded in domain order), noise scales and the ε split
     /// reported in the trace body instead.
     pub fn query_traced(&mut self, sql: &str) -> Result<TracedOutput, SqlError> {
+        let prepared = self.prepare(sql)?;
+        self.release_traced(&prepared)
+    }
+
+    /// The traced release behind [`SqlSession::query_traced`] and
+    /// `EXPLAIN ANALYZE`: the Parse and Plan spans are the prepared
+    /// durations, and the rest is timed on the session clock.
+    fn release_traced(&mut self, prepared: &Prepared) -> Result<TracedOutput, SqlError> {
         let started = self.clock.now_nanos();
         let mut recorder = SpanRecorder::new(Arc::clone(&self.clock));
-        recorder.enter(Stage::Parse);
-        let ast = parse(sql)?;
-        recorder.exit(Stage::Parse);
-        recorder.enter(Stage::Plan);
-        let plan = plan_query(self.snapshot.database(), &ast)?;
-        recorder.exit(Stage::Plan);
-        let (output, mut trace) = self.release_one(&plan, &mut recorder)?;
+        recorder.book(Stage::Parse, prepared.parse_nanos);
+        recorder.book(Stage::Plan, prepared.plan_nanos);
+        let (output, mut trace) = self.release_one(&prepared.plan, &mut recorder)?;
         trace.stages = recorder.spans();
-        trace.total_nanos = self.clock.now_nanos().saturating_sub(started);
+        trace.total_nanos = prepared.parse_nanos
+            + prepared.plan_nanos
+            + self.clock.now_nanos().saturating_sub(started);
         if let Some(m) = &self.metrics {
             m.counter_add("sql.traced_queries", 1);
             for span in &trace.stages {
@@ -527,7 +539,7 @@ impl SqlSession {
     /// a grouped query is refused with a span-carrying
     /// [`SqlError::QueryShape`] pointing at its `GROUP BY`.
     pub fn query_scalar(&mut self, sql: &str) -> Result<Release, SqlError> {
-        match self.plan(sql)? {
+        match self.prepare(sql)?.plan {
             AnyPlan::Grouped(g) => Err(SqlError::QueryShape {
                 message: "this query is grouped; release it through `query` or \
                           `query_grouped`"
@@ -546,7 +558,7 @@ impl SqlSession {
     /// a scalar query is refused with a span-carrying
     /// [`SqlError::QueryShape`].
     pub fn query_grouped(&mut self, sql: &str) -> Result<GroupedRelease, SqlError> {
-        match self.plan(sql)? {
+        match self.prepare(sql)?.plan {
             AnyPlan::Scalar(p) => Err(SqlError::QueryShape {
                 message: "query_grouped needs a `GROUP BY` query; use `query` or \
                           `query_scalar` for scalar aggregates"
@@ -586,9 +598,14 @@ impl SqlSession {
     pub fn query_batch<S: AsRef<str>>(&mut self, sqls: &[S]) -> Result<Vec<QueryOutput>, SqlError> {
         let plans: Vec<AnyPlan> = sqls
             .iter()
-            .map(|sql| self.plan(sql.as_ref()))
-            .collect::<Result<_, _>>()?;
+            .map(|sql| Ok(self.prepare(sql.as_ref())?.plan))
+            .collect::<Result<_, SqlError>>()?;
         Ok(self.release(&plans, &mut NoopRecorder)?.0)
+    }
+
+    /// [`CatalogSnapshot::prepare`] on the session's snapshot and clock.
+    fn prepare(&self, sql: &str) -> Result<Prepared, SqlError> {
+        self.snapshot.prepare(sql, &*self.clock)
     }
 
     /// [`SqlSession::release`] on one plan.

@@ -36,11 +36,34 @@
 //! stable name for "the database state this release saw".
 
 use crate::error::SqlError;
-use crate::plan::{plan, AnyPlan};
+use crate::parser::parse;
+use crate::plan::{plan_query, AnyPlan};
 use rmdp_core::MechanismParams;
 use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::tuple::Tuple;
+use rmdp_observe::{Clock, ManualClock};
 use std::sync::Arc;
+
+/// One SQL request, parsed and planned once: what
+/// [`CatalogSnapshot::prepare`] returns and
+/// [`SqlSession::release_prepared`](crate::SqlSession::release_prepared)
+/// releases. Its price is [`AnyPlan::cost`] of `plan`, so a caller can
+/// price and release the same value.
+///
+/// The timings are durations, not clock readings: a server prepares on its
+/// own clock and releases on the session's, and the two have different
+/// origins.
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    /// The validated plan.
+    pub plan: AnyPlan,
+    /// Whether the text carried an `EXPLAIN ANALYZE` prefix.
+    pub explain: bool,
+    /// Nanoseconds spent tokenizing and parsing.
+    pub parse_nanos: u64,
+    /// Nanoseconds spent validating and lowering to the plan.
+    pub plan_nanos: u64,
+}
 
 /// The immutable catalog + planner + parameter bundle shared by all
 /// sessions over one database state.
@@ -135,8 +158,23 @@ impl CatalogSnapshot {
     }
 
     /// Parses, validates and lowers `sql` against the snapshot's catalog
-    /// without touching the data — usable from any thread, concurrently.
+    /// without touching the data, timing both steps on `clock` — the one
+    /// step from SQL text to a plan. Usable from any thread, concurrently.
+    pub fn prepare(&self, sql: &str, clock: &dyn Clock) -> Result<Prepared, SqlError> {
+        let started = clock.now_nanos();
+        let query = parse(sql)?;
+        let parsed = clock.now_nanos();
+        let plan = plan_query(&self.db, &query)?;
+        Ok(Prepared {
+            plan,
+            explain: query.explain,
+            parse_nanos: parsed.saturating_sub(started),
+            plan_nanos: clock.now_nanos().saturating_sub(parsed),
+        })
+    }
+
+    /// [`CatalogSnapshot::prepare`] without timings: just the plan.
     pub fn plan(&self, sql: &str) -> Result<AnyPlan, SqlError> {
-        plan(&self.db, sql)
+        Ok(self.prepare(sql, &ManualClock::new())?.plan)
     }
 }

@@ -223,7 +223,7 @@ fn over_budget_batch_is_rejected_without_consuming_epsilon() {
 // ---------------------------------------------------------------------------
 
 use recursive_mechanism_dp::sql::fingerprint::plan_fingerprint;
-use recursive_mechanism_dp::sql::plan as sql_plan;
+use recursive_mechanism_dp::sql::{parse, plan_query};
 use std::sync::Arc;
 
 /// One abstract query shape over `visits`: a star self-join of `1 + joins`
@@ -342,7 +342,8 @@ fn arb_rendering(joins: usize) -> impl Strategy<Value = Rendering> {
 
 fn fingerprint_of(db: &AnnotatedDatabase, sql: &str) -> rmdp_fp::Fingerprint {
     let params = MechanismParams::paper_edge_privacy(1.0);
-    let plan = sql_plan(db, sql)
+    let plan = parse(sql)
+        .and_then(|query| plan_query(db, &query))
         .unwrap_or_else(|e| panic!("{sql}: {e}"))
         .expect_scalar();
     plan_fingerprint(db, &plan, &params)

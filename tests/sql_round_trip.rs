@@ -10,7 +10,7 @@ use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Attr, Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
 use recursive_mechanism_dp::sql::exec::{execute, execute_grouped};
-use recursive_mechanism_dp::sql::{parse, plan, AnyPlan, SqlError, SqlSession};
+use recursive_mechanism_dp::sql::{parse, plan_query, AnyPlan, SqlError, SqlSession};
 
 /// The residents/visits database of the `sql_unrestricted_join` example.
 fn database() -> AnnotatedDatabase {
@@ -505,7 +505,7 @@ proptest! {
         let oracle = select(&oracle, |t| filter.iter().all(|c| c.holds(t)));
 
         let sql = format!("SELECT COUNT(*) {from}");
-        let scalar = plan(&db, &sql).unwrap().expect_scalar();
+        let scalar = plan_query(&db, &parse(&sql).unwrap()).unwrap().expect_scalar();
         prop_assert_eq!(
             sorted_pairs(&execute(&db, &scalar).unwrap()),
             sorted_pairs(&oracle),
@@ -517,7 +517,7 @@ proptest! {
             let g = g as usize % tables.len();
             let key = format!("t{g}.{}", if tables[g] { "place" } else { "city" });
             let sql = format!("SELECT {key}, COUNT(*) {from} GROUP BY {key}");
-            let AnyPlan::Grouped(grouped) = plan(&db, &sql).unwrap() else {
+            let AnyPlan::Grouped(grouped) = plan_query(&db, &parse(&sql).unwrap()).unwrap() else {
                 panic!("{sql:?} planned as a scalar query");
             };
             let groups = execute_grouped(&db, &grouped).unwrap();
