@@ -471,6 +471,10 @@ impl SqlSession {
     /// that treat *error messages* as observable output should still account
     /// for them out of band; the accountant meters released answers, and a
     /// failed query releases none.)
+    ///
+    /// The text is parsed and planned once ([`CatalogSnapshot::prepare`]);
+    /// an `EXPLAIN ANALYZE` prefix then releases through the traced path
+    /// and yields [`QueryOutput::Explained`].
     pub fn query(&mut self, sql: &str) -> Result<QueryOutput, SqlError> {
         let prepared = self.prepare(sql)?;
         self.release_prepared(&prepared)
