@@ -25,7 +25,9 @@ const SCALAR_SQL: &str = "SELECT COUNT(*) FROM visits v1 JOIN visits v2 \
 const GROUPED_SQL: &str = "SELECT place, COUNT(*) FROM visits GROUP BY place";
 const SEED: u64 = 2024;
 
-fn visits_db() -> AnnotatedDatabase {
+/// The `visits` table, each row annotated with its person's participant,
+/// interned under the label `owner` gives the person.
+fn visits_db(owner: fn(&str) -> String) -> AnnotatedDatabase {
     let mut db = AnnotatedDatabase::new();
     let mut visits = KRelation::new(["person", "place"]);
     for (person, place) in [
@@ -36,7 +38,7 @@ fn visits_db() -> AnnotatedDatabase {
         ("dee", "museum"),
         ("eve", "park"),
     ] {
-        let p = db.intern(person);
+        let p = db.intern(&owner(person));
         visits.insert(
             Tuple::new([("person", Value::str(person)), ("place", Value::str(place))]),
             Expr::Var(p),
@@ -66,10 +68,14 @@ fn output_bits(output: &QueryOutput, out: &mut Bits) {
 }
 
 /// Every release of one `server_*` case, twice over for one tenant of one
-/// server. `server_ingest_scalar` ingests one `visits` row between its two
-/// releases.
+/// server. The `server_ingest_*` cases ingest one `visits` row between
+/// their two releases: `server_ingest_scalar` a new participant,
+/// `server_ingest_count` a known one, so that delta is intern-only and the
+/// count's terms stay bare variables.
 fn run_server(case: &str, params: MechanismParams) -> Bits {
-    let mut db = visits_db();
+    // Participants carry the labels the owner rule derives, so an ingested
+    // row of a known person annotates with that person's participant.
+    let mut db = visits_db(|person| AnnotationRule::owner_label("person", &Value::str(person)));
     db.declare_annotation_rule("visits", AnnotationRule::OwnerColumn("person".into()));
     let config = ServerConfig {
         seed: SEED,
@@ -81,15 +87,18 @@ fn run_server(case: &str, params: MechanismParams) -> Bits {
         "server_scalar" | "server_ingest_scalar" => SCALAR_SQL.to_owned(),
         "server_grouped" => GROUPED_SQL.to_owned(),
         "server_explain_scalar" => format!("EXPLAIN ANALYZE {SCALAR_SQL}"),
+        "server_ingest_count" => "SELECT COUNT(*) FROM visits".to_owned(),
         other => panic!("unknown case {other}"),
+    };
+    let ingested = match case {
+        "server_ingest_scalar" => Some(("fay", "museum")),
+        "server_ingest_count" => Some(("bo", "park")),
+        _ => None,
     };
     let mut out = Bits::new();
     for pass in 0..2 {
-        if pass == 1 && case == "server_ingest_scalar" {
-            let row = Tuple::new([
-                ("person", Value::str("fay")),
-                ("place", Value::str("museum")),
-            ]);
+        if let (1, Some((person, place))) = (pass, ingested) {
+            let row = Tuple::new([("person", Value::str(person)), ("place", Value::str(place))]);
             server.ingest("visits", vec![row]).unwrap();
         }
         output_bits(&server.query("alice", &sql).unwrap(), &mut out);
@@ -103,7 +112,7 @@ fn run(case: &str, parallelism: Parallelism, cached: bool) -> Bits {
     if case.starts_with("server_") {
         return run_server(case, params);
     }
-    let mut session = SqlSession::with_seed(visits_db(), params, SEED);
+    let mut session = SqlSession::with_seed(visits_db(str::to_owned), params, SEED);
     if cached {
         session = session.with_sequence_cache(SequenceCache::shared(32));
     }
@@ -266,6 +275,13 @@ const PINNED: &[(&str, &[(u64, u64)])] = &[
             (0x4007ccef15777f94, 0x3ff4e3f2a0ded6c3),
         ],
     ),
+    (
+        "server_ingest_count",
+        &[
+            (0x40126cd9e2193807, 0x40034b45bc4aa9a9),
+            (0x4014ad7ae2840a1a, 0x3ff4e3f2a0ded6c3),
+        ],
+    ),
 ];
 
 #[test]
@@ -283,6 +299,7 @@ fn released_values_match_the_pinned_bits_on_every_path() {
         "server_grouped",
         "server_explain_scalar",
         "server_ingest_scalar",
+        "server_ingest_count",
     ] {
         let pinned = PINNED.iter().find(|(c, _)| *c == case).map(|(_, b)| *b);
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
@@ -313,7 +330,7 @@ fn one_item_batch_releases_exactly_like_query() {
             for cached in [false, true] {
                 let params = MechanismParams::paper_edge_privacy(1.0).with_parallelism(parallelism);
                 let session = || {
-                    let session = SqlSession::with_seed(visits_db(), params, SEED);
+                    let session = SqlSession::with_seed(visits_db(str::to_owned), params, SEED);
                     if cached {
                         session.with_sequence_cache(SequenceCache::shared(32))
                     } else {
