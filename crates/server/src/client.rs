@@ -9,9 +9,6 @@ use std::net::{TcpStream, ToSocketAddrs};
 /// prints shortest-round-trip representations).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireRelease {
-    /// The un-noised answer (exposed by this research frontend for
-    /// accuracy analysis; a production wire format would omit it).
-    pub true_answer: f64,
     /// The differentially private released answer.
     pub noisy_answer: f64,
     /// ε spent by this release.
@@ -244,7 +241,6 @@ fn parse_u64(s: &str) -> io::Result<u64> {
 
 fn parse_release(line: &str) -> io::Result<WireRelease> {
     Ok(WireRelease {
-        true_answer: parse_f64(&field(line, "true")?)?,
         noisy_answer: parse_f64(&field(line, "noisy")?)?,
         epsilon: parse_f64(&field(line, "epsilon")?)?,
     })

@@ -7,16 +7,16 @@
 //!
 //! ```text
 //! → QUERY alice SELECT COUNT(*) FROM visits
-//! ← OK SCALAR true=4 noisy=4.1282089816519635 epsilon=1 delta_hat=2
+//! ← OK SCALAR noisy=4.1282089816519635 epsilon=1 delta_hat=2
 //!
 //! → QUERY alice SELECT COUNT(*) FROM visits GROUP BY visits.site
 //! ← OK GROUPED key=visits.site epsilon=1 groups=2
-//! ← GROUP true=3 noisy=3.8151817442574024 epsilon=0.5 key="a"
-//! ← GROUP true=1 noisy=0.4961026413242692 epsilon=0.5 key="b"
+//! ← GROUP noisy=3.8151817442574024 epsilon=0.5 key="a"
+//! ← GROUP noisy=0.4961026413242692 epsilon=0.5 key="b"
 //!
 //! → QUERY alice EXPLAIN ANALYZE SELECT COUNT(*) FROM visits
 //! ← OK EXPLAIN hits=1 misses=0 lp_solves=0 epsilon=1
-//! ← OK SCALAR true=4 noisy=3.8941646195731284 epsilon=1 delta_hat=2
+//! ← OK SCALAR noisy=3.8941646195731284 epsilon=1 delta_hat=2
 //!
 //! → BUDGET alice
 //! ← OK BUDGET remaining=2.5 spent=1.5
@@ -66,8 +66,8 @@ pub fn encode_response(result: &Result<QueryOutput, ServerError>) -> Vec<String>
 fn encode_output(output: &QueryOutput) -> Vec<String> {
     match output {
         QueryOutput::Scalar(r) => vec![format!(
-            "OK SCALAR true={} noisy={} epsilon={} delta_hat={}",
-            r.true_answer, r.noisy_answer, r.epsilon_spent, r.delta_hat
+            "OK SCALAR noisy={} epsilon={} delta_hat={}",
+            r.noisy_answer, r.epsilon_spent, r.delta_hat
         )],
         QueryOutput::Grouped(g) => {
             let mut lines = vec![format!(
@@ -78,11 +78,8 @@ fn encode_output(output: &QueryOutput) -> Vec<String> {
             )];
             for group in &g.groups {
                 lines.push(format!(
-                    "GROUP true={} noisy={} epsilon={} key={:?}",
-                    group.release.true_answer,
-                    group.release.noisy_answer,
-                    group.release.epsilon_spent,
-                    group.key,
+                    "GROUP noisy={} epsilon={} key={:?}",
+                    group.release.noisy_answer, group.release.epsilon_spent, group.key,
                 ));
             }
             lines
@@ -307,5 +304,44 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmdp_core::MechanismParams;
+    use rmdp_krelation::annotate::AnnotatedDatabase;
+    use rmdp_krelation::{Expr, KRelation};
+    use rmdp_sql::SqlSession;
+
+    #[test]
+    fn release_lines_never_carry_the_exact_answer() {
+        let mut db = AnnotatedDatabase::new();
+        let mut visits = KRelation::new(["person", "place"]);
+        for (person, place) in [("ada", "museum"), ("bo", "museum"), ("bo", "cafe")] {
+            let p = db.intern(person);
+            visits.insert(
+                Tuple::new([("person", Value::str(person)), ("place", Value::str(place))]),
+                Expr::Var(p),
+            );
+        }
+        db.insert_table("visits", visits);
+        db.declare_public_domain("visits", "place", ["museum", "cafe"].map(Value::str));
+        let mut session = SqlSession::new(db, MechanismParams::paper_edge_privacy(1.0));
+        for sql in [
+            "SELECT COUNT(*) FROM visits",
+            "SELECT place, COUNT(*) FROM visits GROUP BY place",
+            "EXPLAIN ANALYZE SELECT COUNT(*) FROM visits",
+        ] {
+            let lines = encode_response(&Ok(session.query(sql).unwrap()));
+            assert!(
+                lines.iter().any(|l| l.contains("noisy=")),
+                "{sql}: {lines:?}"
+            );
+            for line in &lines {
+                assert!(!line.contains("true="), "{sql}: {line}");
+            }
+        }
     }
 }
