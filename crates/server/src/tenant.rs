@@ -10,13 +10,13 @@
 //! log entries out of admission order. Different tenants use different
 //! locks and never contend.
 //!
-//! The ε ledgers themselves live in a
-//! [`BudgetRegistry`] — the noise crate's
-//! thread-safe map of per-tenant [`BudgetAccountant`]s — and the registry
+//! The ε ledgers themselves live in a [`BudgetRegistry`] — the noise
+//! crate's thread-safe map of per-tenant
+//! [`BudgetAccountant`](rmdp_noise::BudgetAccountant)s — and the registry
 //! here layers the server's admission state on top.
 
 use crate::seed::derive_tenant_seed;
-use rmdp_noise::{BudgetAccountant, BudgetExhausted, BudgetRegistry, PrivacyBudget};
+use rmdp_noise::{BudgetExhausted, BudgetRegistry, PrivacyBudget};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -220,13 +220,6 @@ impl TenantRegistry {
                     .refund(cost);
             }
         }
-    }
-
-    /// Read access to a tenant's full accountant state (for reports).
-    pub fn accountant(&self, tenant: &str) -> Option<BudgetAccountant> {
-        let ledger = self.budgets.handle(tenant)?;
-        let acc = ledger.lock().unwrap_or_else(PoisonError::into_inner);
-        Some(*acc)
     }
 }
 
