@@ -46,34 +46,23 @@
 //! (telemetry may never perturb a release) with the instrumented pass
 //! within 5% (plus a small absolute slack) of the no-op pass.
 //!
-//! **Incremental ingestion** (`BENCH_incremental.json`): the delta-scoped
-//! invalidation bench. The fig-4 2-star workload is projected onto an
-//! owner-annotated SQL table and released once cold; each round then
-//! appends rows for existing owners, sweeps the stale cache entry (which
-//! parks its refresh seed), and re-releases twice under the same seed —
-//! once through the warm-refresh path, once rebuilding the cache entry
-//! cold (the identical eager computation, minus the parked seed). Gated on
-//! the warm path releasing bit-identically at no more pivots than the cold
-//! rebuild, and within 25% of its wall-clock (minimum over replayed timing
-//! passes). With whole-family chains the warm tier re-enters only the
-//! trivial `i = 0` H entry from its seed, so the two paths cost the same
-//! (1.0×). The server under load — ledgers, wire answers against replay,
-//! cache hits across ingests, latency — is measured by the repository
-//! benchmark (`perfbench`) and tested in `rmdp-server`.
+//! The server under load — ledgers, wire answers against replay, refresh
+//! after ingests, cache hits across them, latency — is measured by the
+//! repository benchmark (`perfbench`) and tested in `rmdp-server`.
 //!
 //! All bench sections share **one warmed-up setup**: the fig-4 sensitive
 //! relations are built once up front and the setup wall time is reported
 //! separately (in `BENCH_observe.json`), so section timings measure the
 //! mechanism, not repeated graph construction.
 //!
-//! CI uploads all five files as artifacts on every run, so the trajectory
+//! CI uploads all four files as artifacts on every run, so the trajectory
 //! of the sequence hot path is tracked over time. Pivot counts, hit rates
 //! and bit-identity are deterministic; wall times are indicative (shared
 //! runners).
 //!
-//! Usage: `perf_smoke [lp.json] [cache.json] [groupby.json] [observe.json]
-//! [incremental.json]` (defaults `BENCH_lp.json`, `BENCH_cache.json`,
-//! `BENCH_groupby.json`, `BENCH_observe.json`, `BENCH_incremental.json`).
+//! Usage: `perf_smoke [lp.json] [cache.json] [groupby.json] [observe.json]`
+//! (defaults `BENCH_lp.json`, `BENCH_cache.json`, `BENCH_groupby.json`,
+//! `BENCH_observe.json`).
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -91,7 +80,7 @@ use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_krelation::{Expr, KRelation};
 use rmdp_lp::{time_factorizations, FactorTiming, Model, Sense, SimplexOptions};
 use rmdp_observe::{Clock, MonotonicClock, NoopRecorder, SpanRecorder, Stage, Stopwatch};
-use rmdp_sql::{CatalogSnapshot, SqlSession};
+use rmdp_sql::SqlSession;
 use std::sync::{Arc, OnceLock};
 
 struct WorkloadResult {
@@ -672,160 +661,6 @@ fn run_observe_workload(relation: &SensitiveKRelation) -> ObserveBenchResult {
     }
 }
 
-/// The incremental-ingestion bench: warm re-release from parked refresh
-/// seeds vs a full cold rebuild after each delta, on the fig-4 2-star
-/// workload projected onto an owner-annotated SQL table.
-struct IncrementalBenchResult {
-    participants: usize,
-    /// Rows of the initial load (one per 2-star term).
-    initial_rows: usize,
-    /// Delta rounds applied (each: ingest → sweep → warm + cold release).
-    rounds: usize,
-    /// Total wall time of the warm-refresh releases across all rounds
-    /// (minimum over the timing passes).
-    warm_wall_ms: f64,
-    /// Total wall time of the cold cache rebuilds across all rounds
-    /// (minimum over the timing passes).
-    cold_wall_ms: f64,
-    /// Total simplex pivots each path spent.
-    warm_pivots: u64,
-    cold_pivots: u64,
-    /// Whether every warm release matched its cold twin bit for bit.
-    bit_identical: bool,
-}
-
-/// Projects a 2-star relation onto an owner-annotated table: each 2-star
-/// term becomes one row owned by its lowest-index node, so
-/// `SELECT COUNT(*)` carries every term as a bare `Var` with weight 1 —
-/// the warm-exact class whose refresh re-entry is bit-identical to a cold
-/// recompute. Deltas then append rows for *existing* owners (intern-only:
-/// only the table epoch moves), which is exactly the weight-change shape
-/// [`rmdp_core::RefreshTier::WarmChain`] covers.
-///
-/// The graph is the fig-4 family (G(n,p) at average degree 6, 2-star
-/// pattern) scaled up to 128 nodes: at the 24-node smoke size the whole
-/// release is a few milliseconds and a wall-clock gate would measure
-/// scheduler noise, not the refresh path.
-fn run_incremental_workload() -> IncrementalBenchResult {
-    use rmdp_krelation::annotate::AnnotationRule;
-
-    let mut rng = StdRng::seed_from_u64(77);
-    let graph = generators::gnp_average_degree(128, 6.0, &mut rng);
-    let two_star = SubgraphCounter::new(
-        Pattern::k_star(2),
-        PrivacyUnit::Node,
-        MechanismParams::paper_node_privacy(0.5),
-    )
-    .build_sensitive_relation(&graph);
-
-    let owners: Vec<String> = two_star
-        .terms()
-        .iter()
-        .map(|(expr, _)| {
-            let owner = expr
-                .variables()
-                .into_iter()
-                .map(|p| p.index())
-                .min()
-                .expect("2-star terms name their nodes");
-            format!("n{owner}")
-        })
-        .collect();
-
-    let mut db = AnnotatedDatabase::new();
-    db.insert_table("stars", KRelation::new(["owner", "star"]));
-    db.declare_annotation_rule("stars", AnnotationRule::OwnerColumn("owner".into()));
-    db.apply_delta(
-        "stars",
-        owners.iter().enumerate().map(|(i, owner)| {
-            Tuple::new([("owner", Value::str(owner)), ("star", Value::Int(i as i64))])
-        }),
-    )
-    .expect("initial load through the delta path");
-    let base = CatalogSnapshot::shared(db, MechanismParams::paper_edge_privacy(1.0));
-    let participants = base.database().participants_in_use().len();
-    let initial_rows = owners.len();
-
-    const SQL: &str = "SELECT COUNT(*) FROM stars";
-    let rounds = 5usize;
-    let rows_per_round = 8usize;
-    // The delta schedule is deterministic, so the whole run can be replayed
-    // for timing: each pass re-primes a fresh cache, replays the same deltas
-    // and re-measures both paths; the gate compares per-path minima so a
-    // single descheduled release cannot decide it. Pivot counts and
-    // bit-identity are pass-invariant and taken from the first pass.
-    let passes = 3usize;
-    let mut warm_wall_ms = f64::INFINITY;
-    let mut cold_wall_ms = f64::INFINITY;
-    let mut warm_pivots = 0u64;
-    let mut cold_pivots = 0u64;
-    let mut bit_identical = true;
-    for pass in 0..passes {
-        let cache = Arc::new(SequenceCache::new(16));
-        let mut prime =
-            SqlSession::over(Arc::clone(&base), 11).with_sequence_cache(Arc::clone(&cache));
-        prime.query_scalar(SQL).expect("priming release succeeds");
-
-        let mut snapshot = Arc::clone(&base);
-        let mut next_star = initial_rows as i64;
-        let mut pass_warm_ms = 0.0;
-        let mut pass_cold_ms = 0.0;
-        for round in 0..rounds {
-            let rows: Vec<Tuple> = (0..rows_per_round)
-                .map(|k| {
-                    let owner = &owners[(round * rows_per_round + k) % owners.len()];
-                    let star = next_star + k as i64;
-                    Tuple::new([("owner", Value::str(owner)), ("star", Value::Int(star))])
-                })
-                .collect();
-            next_star += rows_per_round as i64;
-            snapshot = snapshot
-                .with_delta("stars", rows)
-                .expect("delta over existing owners");
-            cache.purge_stale(&snapshot.database().current_epoch_stamps());
-
-            // Cold rebuild: the same eager full-table computation a cache
-            // miss performs — through a fresh empty cache so the code path
-            // is identical — just without the parked refresh seed. Timed
-            // first each round so measurement order can only penalise the
-            // warm path, never flatter it.
-            let seed = 4242 + round as u64;
-            let cold_cache = Arc::new(SequenceCache::new(16));
-            let mut cold =
-                SqlSession::over(Arc::clone(&snapshot), seed).with_sequence_cache(cold_cache);
-            let watch = Stopwatch::start();
-            let c = cold.query_scalar(SQL).expect("cold rebuild succeeds");
-            pass_cold_ms += watch.elapsed_seconds() * 1e3;
-
-            let mut warm = SqlSession::over(Arc::clone(&snapshot), seed)
-                .with_sequence_cache(Arc::clone(&cache));
-            let watch = Stopwatch::start();
-            let w = warm.query_scalar(SQL).expect("warm release succeeds");
-            pass_warm_ms += watch.elapsed_seconds() * 1e3;
-
-            if pass == 0 {
-                warm_pivots += warm.lp_totals().total_pivots as u64;
-                cold_pivots += cold.lp_totals().total_pivots as u64;
-                bit_identical &= w.true_answer.to_bits() == c.true_answer.to_bits()
-                    && w.noisy_answer.to_bits() == c.noisy_answer.to_bits();
-            }
-        }
-        warm_wall_ms = warm_wall_ms.min(pass_warm_ms);
-        cold_wall_ms = cold_wall_ms.min(pass_cold_ms);
-    }
-
-    IncrementalBenchResult {
-        participants,
-        initial_rows,
-        rounds,
-        warm_wall_ms,
-        cold_wall_ms,
-        warm_pivots,
-        cold_pivots,
-        bit_identical,
-    }
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -839,9 +674,6 @@ fn main() {
     let observe_out_path = std::env::args()
         .nth(4)
         .unwrap_or_else(|| "BENCH_observe.json".to_string());
-    let incremental_out_path = std::env::args()
-        .nth(5)
-        .unwrap_or_else(|| "BENCH_incremental.json".to_string());
 
     let env = build_env();
     eprintln!(
@@ -1111,44 +943,6 @@ fn main() {
     }
     eprintln!("wrote {observe_out_path}");
 
-    // --- Incremental ingestion bench → BENCH_incremental.json ---
-    let inc = run_incremental_workload();
-    let incremental_json = format!(
-        concat!(
-            "{{\n  \"benchmark\": \"incremental_ingest\",\n",
-            "  \"warm_refresh\": {{\"participants\": {}, \"initial_rows\": {}, ",
-            "\"rounds\": {}, \"warm_wall_ms\": {:.3}, \"cold_wall_ms\": {:.3}, ",
-            "\"speedup\": {:.2}, \"warm_pivots\": {}, \"cold_pivots\": {}, ",
-            "\"bit_identical\": {}}}\n}}\n"
-        ),
-        inc.participants,
-        inc.initial_rows,
-        inc.rounds,
-        inc.warm_wall_ms,
-        inc.cold_wall_ms,
-        inc.cold_wall_ms / inc.warm_wall_ms.max(1e-9),
-        inc.warm_pivots,
-        inc.cold_pivots,
-        inc.bit_identical,
-    );
-    println!(
-        "incremental: {} deltas over {} participants — warm refresh {:.1} ms / {} pivots \
-         vs cold rebuild {:.1} ms / {} pivots ({:.1}×, bit-identical: {})",
-        inc.rounds,
-        inc.participants,
-        inc.warm_wall_ms,
-        inc.warm_pivots,
-        inc.cold_wall_ms,
-        inc.cold_pivots,
-        inc.cold_wall_ms / inc.warm_wall_ms.max(1e-9),
-        inc.bit_identical,
-    );
-    if let Err(e) = std::fs::write(&incremental_out_path, &incremental_json) {
-        eprintln!("failed to write {incremental_out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {incremental_out_path}");
-
     // --- Gates (JSON files are written first so CI can always upload) ---
     let mut failed = false;
     for r in results.iter().filter(|r| r.warm_pivots >= r.cold_pivots) {
@@ -1305,32 +1099,6 @@ fn main() {
             ob.instrumented_wall_ms,
             ob.noop_wall_ms,
         );
-        failed = true;
-    }
-    // Incremental-ingestion gates: warm re-release must release
-    // bit-identically at no more pivots than the full cold rebuild (with
-    // whole-family chains both re-enter every entry past `i = 0` through the
-    // dual simplex, so they do the same work) and within 25% of its
-    // wall-clock; the server-level mixed run must preserve the untouched
-    // table's hit rate and replay bit-identically across the interleaved
-    // ingests.
-    if inc.warm_wall_ms > inc.cold_wall_ms * 1.25 {
-        eprintln!(
-            "PERF REGRESSION: warm refresh {:.1} ms more than 25% slower than cold rebuild \
-             {:.1} ms",
-            inc.warm_wall_ms, inc.cold_wall_ms
-        );
-        failed = true;
-    }
-    if inc.warm_pivots > inc.cold_pivots {
-        eprintln!(
-            "PERF REGRESSION: warm refresh spent {} pivots vs {} cold",
-            inc.warm_pivots, inc.cold_pivots
-        );
-        failed = true;
-    }
-    if !inc.bit_identical {
-        eprintln!("CORRECTNESS REGRESSION: warm refresh diverged from the cold rebuild");
         failed = true;
     }
     if failed {
