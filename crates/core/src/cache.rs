@@ -82,25 +82,12 @@ impl FrozenSequences {
         Self::snapshot(&mut sequences)
     }
 
-    /// [`compute`](Self::compute) over an
-    /// [`EfficientSequences`], returning
-    /// the LP work the precomputation performed alongside the snapshot
-    /// (`compute`, being generic, has nowhere to surface it; telemetry wants
-    /// it attributed to the query that filled the cache).
-    pub fn compute_with_stats(
-        mut sequences: crate::efficient::EfficientSequences,
-        parallelism: Parallelism,
-    ) -> Result<(Self, crate::efficient::LpWorkStats), MechanismError> {
-        sequences.precompute(parallelism)?;
-        let stats = sequences.stats();
-        Ok((Self::snapshot(&mut sequences)?, stats))
-    }
-
-    /// Like [`compute_with_stats`](Self::compute_with_stats), additionally
-    /// capturing a [`RefreshSeed`] so the snapshot can later be *refreshed*
-    /// after a data delta instead of recomputed cold — the retained
-    /// run-initial bases let [`refresh`](Self::refresh) re-enter the H
-    /// chains warm.
+    /// [`compute`](Self::compute) over an [`EfficientSequences`], returning
+    /// alongside the snapshot a [`RefreshSeed`], so a later
+    /// [`refresh`](Self::refresh) can tell whether a data delta changed the
+    /// query, and the LP work the precomputation performed (`compute`, being
+    /// generic, has nowhere to surface it; telemetry wants it attributed to
+    /// the query that filled the cache).
     pub fn compute_with_seed(
         mut sequences: EfficientSequences,
         parallelism: Parallelism,
@@ -111,17 +98,14 @@ impl FrozenSequences {
         Ok((Self::snapshot(&mut sequences)?, seed, stats))
     }
 
-    /// Re-derives this snapshot for the **post-delta** query through the
-    /// cheapest tier that stays bit-identical (per seed) to a
-    /// cold [`compute`](Self::compute) of `query`:
+    /// Re-derives this snapshot for the **post-delta** query, bit-identical
+    /// (per seed) to a cold [`compute`](Self::compute) of `query`:
     ///
     /// * [`RefreshTier::Unchanged`] — `query` is structurally identical to
     ///   the seeded one: republish the frozen values, zero LP work;
-    /// * [`RefreshTier::WarmChain`] — same participants, warm-exact weight
-    ///   class: H runs re-enter via `set_rhs`/`solve_warm` from the seed's
-    ///   retained bases, G re-runs its standard chains;
-    /// * [`RefreshTier::ColdRebuild`] — anything structural changed: full
-    ///   standard chains (identical to the cold path by construction).
+    /// * [`RefreshTier::ColdRebuild`] — anything changed: the cold
+    ///   [`compute_with_seed`](Self::compute_with_seed) of `query` under
+    ///   `options`, so both sides run one code path.
     ///
     /// Returns the refreshed snapshot, a fresh seed for the *next* delta,
     /// and what the refresh cost.
@@ -143,13 +127,10 @@ impl FrozenSequences {
                 },
             ));
         }
-        let mut sequences = EfficientSequences::new(query)
-            .with_solver_options(options)
-            .with_chain_run_len(seed.chain_run_len);
-        if tier == RefreshTier::WarmChain {
-            sequences = sequences.with_h_seed_bases(seed.h_run_bases.clone());
-        }
-        let (frozen, next_seed, lp) = Self::compute_with_seed(sequences, parallelism)?;
+        let (frozen, next_seed, lp) = Self::compute_with_seed(
+            EfficientSequences::new(query).with_solver_options(options),
+            parallelism,
+        )?;
         Ok((frozen, next_seed, RefreshStats { tier, lp }))
     }
 
@@ -292,7 +273,7 @@ pub struct EntryTag {
 
 /// One cache slot: the shared snapshot plus its last-used tick and, for
 /// epoch-aware entries, the tag + refresh seed that let a snapshot swap
-/// park it for warm re-derivation instead of dropping it.
+/// park it for re-derivation instead of dropping it.
 struct Slot {
     value: Arc<FrozenSequences>,
     last_used: u64,
@@ -412,7 +393,7 @@ impl SequenceCache {
 
     /// Inserts (or overwrites) `key` with its epoch/lineage tag and refresh
     /// seed, so a later [`purge_stale`](Self::purge_stale) can park the
-    /// entry for warm re-derivation instead of dropping it. Also retires any
+    /// entry for re-derivation instead of dropping it. Also retires any
     /// banked predecessor of the same lineage — the new entry supersedes it
     /// as the freshest refresh base.
     pub fn insert_tagged(
@@ -465,7 +446,8 @@ impl SequenceCache {
     /// keys hash dead stamps and can never be looked up again — and entries
     /// carrying a refresh seed are parked in the lineage-keyed seed bank so
     /// the first post-delta recompute of the same query shape can
-    /// [`refresh`](FrozenSequences::refresh) warm instead of solving cold.
+    /// [`refresh`](FrozenSequences::refresh) from it, republishing without
+    /// LP work when the delta left that query unchanged.
     /// Untagged entries are left alone. Returns the number of swept entries.
     ///
     /// Call this on snapshot swap: the sweep is what keeps a long-running
@@ -755,12 +737,11 @@ mod tests {
         assert_eq!(stats.tier, RefreshTier::Unchanged);
         assert_eq!(stats.lp, LpWorkStats::default());
         assert_eq!(refreshed, frozen);
-        // The republished seed still carries the retained bases.
-        assert_eq!(next_seed.h_run_bases.len(), seed.h_run_bases.len());
+        assert_eq!(next_seed.terms_fingerprint, seed.terms_fingerprint);
     }
 
     #[test]
-    fn warm_refresh_is_bit_identical_to_cold_rebuild_and_no_costlier() {
+    fn weight_only_deltas_rebuild_cold_bit_identically_at_the_cold_lp_cost() {
         // 18 participants → 19 entries → one whole-family chain each.
         let before = counting_query(18, 0);
         let after = counting_query(18, 5); // delta: 5 new tuples, known owners
@@ -770,7 +751,7 @@ mod tests {
         )
         .unwrap();
 
-        let (cold, _, cold_stats) = FrozenSequences::compute_with_seed(
+        let (cold, cold_seed, cold_stats) = FrozenSequences::compute_with_seed(
             EfficientSequences::new(after.clone()),
             Parallelism::Serial,
         )
@@ -780,28 +761,19 @@ mod tests {
             Parallelism::Threads(2),
             Parallelism::Threads(7),
         ] {
-            let (warm, next_seed, stats) = frozen
+            let (refreshed, next_seed, stats) = frozen
                 .refresh(&seed, after.clone(), SimplexOptions::default(), parallelism)
                 .unwrap();
-            assert_eq!(stats.tier, RefreshTier::WarmChain);
+            assert_eq!(stats.tier, RefreshTier::ColdRebuild);
             // The refreshed release surface must be bit-identical to the cold
-            // post-delta recompute, for every Parallelism setting.
-            assert_eq!(warm.h_entries(), cold.h_entries());
-            assert_eq!(warm.g_entries(), cold.g_entries());
-            assert_eq!(warm.bounding_factor(), cold.bounding_factor());
-            // …at no more pivots than the rebuild. Only the H chain's
-            // trivial `i = 0` entry re-enters from the seed; every later
-            // entry re-enters through the dual simplex either way.
-            assert!(
-                stats.lp.total_pivots <= cold_stats.total_pivots,
-                "warm {} pivots vs cold {}",
-                stats.lp.total_pivots,
-                cold_stats.total_pivots
-            );
-            assert!(stats.lp.warm_start_hits > cold_stats.warm_start_hits);
+            // post-delta recompute, for every Parallelism setting…
+            assert_eq!(refreshed.h_entries(), cold.h_entries());
+            assert_eq!(refreshed.g_entries(), cold.g_entries());
+            assert_eq!(refreshed.bounding_factor(), cold.bounding_factor());
+            // …and so must its LP work: both sides run one code path.
+            assert_eq!(stats.lp, cold_stats);
             // The fresh seed is ready for the next delta.
-            assert_eq!(next_seed.h_run_bases.len(), seed.h_run_bases.len());
-            assert!(next_seed.warm_eligible);
+            assert_eq!(next_seed.terms_fingerprint, cold_seed.terms_fingerprint);
         }
     }
 
@@ -828,8 +800,7 @@ mod tests {
             FrozenSequences::compute(EfficientSequences::new(grown), Parallelism::Serial).unwrap();
         assert_eq!(refreshed, cold);
 
-        // A non-var-only query (conjunction annotation) is outside the
-        // warm-exact class even with the same participants.
+        // A changed annotation over the same participants rebuilds cold too.
         let mut terms: Vec<(Expr, f64)> = (0..6).map(|i| (Expr::var(p(i)), 1.0)).collect();
         terms.push((Expr::conjunction_of_vars([p(0), p(1)]), 1.0));
         let conj = SensitiveKRelation::from_terms((0..6).map(p).collect(), terms);

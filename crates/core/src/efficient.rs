@@ -46,6 +46,15 @@
 //! execute byte-identical run chains, the cached values, the releases, and
 //! even the pivot counters are bit-identical for every [`Parallelism`]
 //! setting.
+//!
+//! ## Refresh after a delta
+//!
+//! A [`RefreshSeed`] keeps only the query's terms fingerprint. A refresh
+//! republishes the frozen values when the post-delta query has the same
+//! fingerprint and otherwise rebuilds them exactly as a cold compute does.
+//! There is no warm middle tier: a basis parked from the previous data could
+//! seed only the trivial `H_0` entry of a whole-family chain, and every later
+//! entry re-enters through the dual simplex either way.
 
 use crate::error::{MechanismError, SequenceFamily};
 use crate::krelation_query::SensitiveKRelation;
@@ -95,9 +104,6 @@ pub struct LpWorkStats {
     /// plus their updates). A *maximum*, not a sum: it bounds the basis
     /// memory any single solve needed.
     pub fill_in_nnz: usize,
-    /// Variables fixed by their bounds and substituted out, summed across
-    /// solves.
-    pub presolve_cols_removed: usize,
 }
 
 impl LpWorkStats {
@@ -115,7 +121,6 @@ impl LpWorkStats {
         self.refactorizations += other.refactorizations;
         self.basis_updates += other.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(other.fill_in_nnz);
-        self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
     /// The counters as the primitive `u64` mirror used by release traces.
@@ -131,7 +136,6 @@ impl LpWorkStats {
             refactorizations: self.refactorizations as u64,
             basis_updates: self.basis_updates as u64,
             fill_in_nnz: self.fill_in_nnz as u64,
-            presolve_cols_removed: self.presolve_cols_removed as u64,
         }
     }
 
@@ -147,70 +151,44 @@ impl LpWorkStats {
         self.refactorizations += stats.refactorizations;
         self.basis_updates += stats.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(stats.fill_in_nnz);
-        self.presolve_cols_removed += stats.presolve_cols_removed;
         if stats.warm_started {
             self.warm_start_hits += 1;
         }
     }
 }
 
-/// Everything a later *refresh* needs to re-derive this instantiation after
-/// a data delta without paying every LP cold again: the structural identity
-/// of the query the values came from, plus the optimal bases of each H
-/// chain run's initial entry.
+/// What a later *refresh* needs to tell whether a data delta changed this
+/// instantiation at all: the structural identity of the query its values
+/// came from.
 ///
-/// The seed is captured by [`EfficientSequences::refresh_seed`] after a full
-/// precompute and consumed by
-/// [`FrozenSequences::refresh`](crate::cache::FrozenSequences::refresh),
-/// which compares the post-delta query against the recorded fingerprints to
-/// pick the cheapest *bit-identical* re-derivation tier (see
-/// [`RefreshTier`]). Bases are cheap to retain: their factorization bulk is
-/// shared behind an `Arc` with the solves that produced them.
+/// The seed is captured by [`EfficientSequences::refresh_seed`] and consumed
+/// by [`FrozenSequences::refresh`](crate::cache::FrozenSequences::refresh),
+/// which republishes the frozen values when the post-delta query has the
+/// same fingerprint and rebuilds them cold otherwise (see [`RefreshTier`]).
 #[derive(Clone, Debug)]
 pub struct RefreshSeed {
     /// Fingerprint of (participants, terms): the full structural identity of
     /// the query the frozen values were computed from.
     pub(crate) terms_fingerprint: Fingerprint,
-    /// Fingerprint of the participant list alone (warm re-entry needs the
-    /// variable space unchanged even when term weights moved).
-    pub(crate) participants_fingerprint: Fingerprint,
-    /// Chain run length the chains were cut with; a warm refresh must reuse
-    /// it so runs line up with the retained bases.
-    pub(crate) chain_run_len: usize,
-    /// Optimal basis of each H chain run's initial entry, keyed by the run's
-    /// starting index.
-    pub(crate) h_run_bases: FxHashMap<usize, Basis>,
-    /// Whether the seeded query was in the warm-exact class (see
-    /// [`warm_exact_class`]).
-    pub(crate) warm_eligible: bool,
 }
 
 impl RefreshSeed {
-    /// Picks the cheapest re-derivation tier that is still guaranteed
-    /// bit-identical to a cold recompute of `query`:
-    /// structurally unchanged queries republish, warm-exact weight changes
-    /// over an unchanged variable space re-enter from the retained bases,
-    /// everything else rebuilds through the standard cold chains.
+    /// The tier a refresh to `query` takes: [`RefreshTier::Unchanged`] when
+    /// `query` is structurally identical to the seeded one,
+    /// [`RefreshTier::ColdRebuild`] otherwise.
     pub fn tier_for(&self, query: &SensitiveKRelation) -> RefreshTier {
         if query_terms_fingerprint(query) == self.terms_fingerprint {
-            return RefreshTier::Unchanged;
+            RefreshTier::Unchanged
+        } else {
+            RefreshTier::ColdRebuild
         }
-        if self.warm_eligible
-            && warm_exact_class(query)
-            && participants_fingerprint(query) == self.participants_fingerprint
-            && !self.h_run_bases.is_empty()
-        {
-            return RefreshTier::WarmChain;
-        }
-        RefreshTier::ColdRebuild
     }
 }
 
 /// Which re-derivation tier a
 /// [`FrozenSequences::refresh`](crate::cache::FrozenSequences::refresh)
-/// took. Every tier releases bit-identically to a cold
-/// recompute on the post-delta query; the tiers differ only in how much LP
-/// work that costs.
+/// took. Both tiers a refresh returns release bit-identically to a cold
+/// recompute on the post-delta query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefreshTier {
     /// The post-delta query is structurally identical (same participants,
@@ -219,16 +197,13 @@ pub enum RefreshTier {
     /// changing what the query derives from it (e.g. every appended row is
     /// filtered out).
     Unchanged,
-    /// Term weights changed over an unchanged variable space in the
-    /// warm-exact class: each H chain run's initial entry re-entered the
-    /// simplex from its retained basis and G was re-derived through the
-    /// standard cold-identical chains. With whole-family chains only the
-    /// trivial `i = 0` entry re-enters from the seed, so this tier costs
-    /// about as many pivots as [`RefreshTier::ColdRebuild`].
+    /// No refresh returns this tier. It named a warm re-entry of the H
+    /// chains from bases parked with the seed, which cost as many pivots as
+    /// a cold rebuild once each family became one dual-simplex chain; it is
+    /// kept only so code matching on the tier still compiles.
     WarmChain,
-    /// The structure changed (participants, annotations, or a weight class
-    /// warm exactness cannot cover): everything was re-derived through the
-    /// standard chains, exactly as a cold compute would.
+    /// Anything changed: everything was re-derived through the standard
+    /// chains, exactly as a cold compute would.
     ColdRebuild,
 }
 
@@ -268,16 +243,6 @@ fn write_expr(hasher: &mut FingerprintHasher, expr: &Expr) {
     }
 }
 
-/// Fingerprint of the participant list alone.
-fn participants_fingerprint(query: &SensitiveKRelation) -> Fingerprint {
-    let mut hasher = FingerprintHasher::new();
-    hasher.write_u64(query.participants().len() as u64);
-    for p in query.participants() {
-        hasher.write_u64(p.index() as u64);
-    }
-    hasher.finish()
-}
-
 /// Fingerprint of the full structural identity of `query`: the participant
 /// list plus every (annotation, weight) term in order. Equal fingerprints ⇒
 /// bit-identical sequence values (the whole pipeline is deterministic in
@@ -296,32 +261,6 @@ fn query_terms_fingerprint(query: &SensitiveKRelation) -> Fingerprint {
     hasher.finish()
 }
 
-/// Whether warm re-entry from a retained basis is *exactly* (bit-for-bit)
-/// equivalent to a cold solve for `query`'s H family.
-///
-/// Warm and cold solves may stop at different optimal vertices, so their
-/// objective values only agree bitwise when the arithmetic producing them is
-/// exact. That holds for the **integer-weighted variable-only** class: every
-/// term a bare participant variable with a nonnegative integer weight, total
-/// weight at most 2⁵². The H model is then one equality row over unit-box
-/// variables — every basic solution is integral, so any optimum's objective
-/// is the same exact integer no matter which vertex a pivot path stops at.
-/// SQL counting queries (weight 1 per tuple) are squarely in this class.
-fn warm_exact_class(query: &SensitiveKRelation) -> bool {
-    const EXACT_LIMIT: f64 = (1u64 << 52) as f64;
-    let mut total = 0.0f64;
-    for (expr, weight) in query.terms() {
-        if !matches!(expr, Expr::Var(_)) {
-            return false;
-        }
-        if *weight < 0.0 || weight.is_nan() || weight.fract() != 0.0 {
-            return false;
-        }
-        total += weight;
-    }
-    total <= EXACT_LIMIT
-}
-
 /// The LP-based instantiation of the recursive mechanism over a sensitive
 /// K-relation. Computed entries are cached, so repeated releases on the same
 /// relation only pay for the entries they newly touch.
@@ -338,10 +277,6 @@ pub struct EfficientSequences {
     chain_run_len: usize,
     h_cache: FxHashMap<usize, f64>,
     g_cache: FxHashMap<usize, f64>,
-    /// Optimal basis of each solved H run's initial entry (keyed by run
-    /// start), retained so [`EfficientSequences::refresh_seed`] can hand
-    /// them to a later delta refresh.
-    h_first_bases: FxHashMap<usize, Basis>,
     stats: LpWorkStats,
 }
 
@@ -358,18 +293,6 @@ struct SequenceLps {
     term_sensitivities: Vec<FxHashMap<ParticipantId, f64>>,
     /// Solver options every entry LP is solved with.
     options: SimplexOptions,
-    /// Seed bases from a prior instantiation (keyed by run start): when
-    /// present, the *initial* entry of an H run re-enters the simplex from
-    /// the seed instead of a cold start. Only installed for the warm-exact
-    /// class (see [`warm_exact_class`]), where this is bit-identical.
-    h_seed_bases: FxHashMap<usize, Basis>,
-}
-
-/// The result of one solved chain run: its entries plus the optimal basis
-/// of the run-initial entry (retained as a future refresh seed).
-struct RunSolve {
-    entries: Vec<EntrySolve>,
-    first_basis: Option<Basis>,
 }
 
 /// Either a constant or an LP variable — the value of an encoded
@@ -400,12 +323,10 @@ impl EfficientSequences {
                 query,
                 term_sensitivities,
                 options: SimplexOptions::default(),
-                h_seed_bases: FxHashMap::default(),
             },
             chain_run_len: DEFAULT_CHAIN_RUN_LEN,
             h_cache: FxHashMap::default(),
             g_cache: FxHashMap::default(),
-            h_first_bases: FxHashMap::default(),
             stats: LpWorkStats::default(),
         }
     }
@@ -431,28 +352,11 @@ impl EfficientSequences {
         self
     }
 
-    /// Installs seed bases from a prior instantiation: the initial entry of
-    /// each H run whose start index has a seed re-enters warm from it
-    /// instead of solving cold. Callers must have checked
-    /// [`warm_exact_class`] for both the seeded and the current query —
-    /// outside that class warm re-entry can stop at a different optimal
-    /// vertex whose objective differs in the last bits.
-    pub(crate) fn with_h_seed_bases(mut self, bases: FxHashMap<usize, Basis>) -> Self {
-        self.lps.h_seed_bases = bases;
-        self
-    }
-
     /// Captures a [`RefreshSeed`] for later delta refreshes: the query's
-    /// structural fingerprints plus every retained run-initial H basis.
-    /// Meaningful after a full [`MechanismSequences::precompute`] (only
-    /// solved runs have bases to retain).
+    /// structural fingerprint.
     pub fn refresh_seed(&self) -> RefreshSeed {
         RefreshSeed {
             terms_fingerprint: query_terms_fingerprint(&self.lps.query),
-            participants_fingerprint: participants_fingerprint(&self.lps.query),
-            chain_run_len: self.chain_run_len,
-            h_run_bases: self.h_first_bases.clone(),
-            warm_eligible: warm_exact_class(&self.lps.query),
         }
     }
 
@@ -477,16 +381,7 @@ impl EfficientSequences {
     /// Folds the results of one chain run into the caches and counters.
     /// Entries that are somehow already cached are skipped so the counters
     /// never double-count (runs are normally cached atomically).
-    fn absorb_run(&mut self, family: SequenceFamily, run: RunSolve) {
-        let RunSolve {
-            entries,
-            first_basis,
-        } = run;
-        if family == SequenceFamily::H {
-            if let (Some(first), Some(basis)) = (entries.first(), first_basis) {
-                self.h_first_bases.insert(first.index, basis);
-            }
-        }
+    fn absorb_run(&mut self, family: SequenceFamily, entries: Vec<EntrySolve>) {
         for entry in entries {
             let cache = match family {
                 SequenceFamily::H => &mut self.h_cache,
@@ -670,7 +565,7 @@ impl SequenceLps {
         &self,
         family: SequenceFamily,
         run: Range<usize>,
-    ) -> Result<RunSolve, MechanismError> {
+    ) -> Result<Vec<EntrySolve>, MechanismError> {
         debug_assert!(!run.is_empty());
         let (model, offset) = match family {
             SequenceFamily::H => self.build_h_model(run.start),
@@ -682,22 +577,13 @@ impl SequenceLps {
             .map_err(|e| MechanismError::sequence_lp(family, run.start, e))?;
 
         let mut entries = Vec::with_capacity(run.len());
-        let mut first_basis: Option<Basis> = None;
         let mut basis: Option<Basis> = None;
         for i in run {
             if has_mass_row {
                 prepared.set_rhs(0, i as f64);
             }
             let solved = match &basis {
-                // The run-initial entry starts cold — unless a refresh seed
-                // retained the run's previous optimal basis, in which case
-                // it re-enters warm exactly like a mid-run entry would.
-                None => match self.h_seed_bases.get(&i) {
-                    Some(seed) if family == SequenceFamily::H => {
-                        prepared.solve_warm(seed, &self.options)
-                    }
-                    _ => prepared.solve(&self.options),
-                },
+                None => prepared.solve(&self.options),
                 Some(b) => prepared.solve_warm(b, &self.options),
             }
             .map_err(|e| MechanismError::sequence_lp(family, i, e))?;
@@ -706,15 +592,9 @@ impl SequenceLps {
                 value: solved.solution.objective + offset,
                 stats: solved.solution.stats,
             });
-            if first_basis.is_none() {
-                first_basis = Some(solved.basis.clone());
-            }
             basis = Some(solved.basis);
         }
-        Ok(RunSolve {
-            entries,
-            first_basis,
-        })
+        Ok(entries)
     }
 }
 

@@ -18,13 +18,9 @@
 //! revised simplex of [`crate::revised`] tracks nonbasic-at-lower /
 //! nonbasic-at-upper status instead.
 //!
-//! Preparation also substitutes out variables fixed by their bounds
-//! (`l = u`) at standardization time. This reduction is RHS-safe: every later
-//! mutation stays a plain store — no rows are removed (so
-//! [`PreparedLp::set_rhs`] row indices keep meaning the model's constraints)
-//! and nothing depends on objective signs (so [`PreparedLp::set_objective`]
-//! cannot invalidate it). Solutions are always reported in the *full* model
-//! variable space.
+//! A variable fixed by its bounds (`l = u`) stays a column like any other:
+//! it starts nonbasic at its value and the revised simplex never lets it
+//! enter the basis.
 //!
 //! A successful solve returns the optimal [`Basis`]; feeding it to
 //! [`PreparedLp::solve_warm`] after an RHS step re-enters the simplex from
@@ -111,42 +107,16 @@ pub struct PreparedSolution {
     pub basis: Basis,
 }
 
-/// What became of one model variable under the RHS-safe reduction.
-#[derive(Clone, Copy, Debug)]
-enum PreparedColFate {
-    /// Kept, at this column index of the reduced system.
-    Kept(usize),
-    /// Fixed by its bounds at this value and substituted out.
-    Fixed(f64),
-}
-
-/// The RHS-safe reduction record: which variables were fixed out and the
-/// per-row RHS offset their substitution produced.
-#[derive(Clone, Debug)]
-struct PreparedReduction {
-    /// Per *model* variable: reduced column index or fixed value.
-    fate: Vec<PreparedColFate>,
-    /// `Σ a_ij·v_j` over fixed variables, per row — subtracted from every
-    /// caller-supplied RHS (at preparation and on each `set_rhs`).
-    row_offset: Vec<f64>,
-    /// Number of variables fixed out.
-    cols_fixed: usize,
-}
-
 /// A model standardized once into sparse equality form, ready for repeated
 /// (warm-started) solves under RHS / objective mutation.
 #[derive(Clone, Debug)]
 pub struct PreparedLp {
     /// Rows (= model constraints).
     pub(crate) nrows: usize,
-    /// Standardized columns: kept structural variables then one slack per
-    /// row.
+    /// Standardized columns: structural variables then one slack per row.
     pub(crate) ncols: usize,
-    /// Kept structural variables (after the RHS-safe reduction).
+    /// Structural variables (the model's, in its order).
     pub(crate) nvars: usize,
-    /// Structural variables of the *original* model (solutions are reported
-    /// in this space).
-    nvars_full: usize,
     /// The standardized constraint matrix (slack columns included).
     pub(crate) a: CscMatrix,
     /// Per-column lower bounds.
@@ -155,15 +125,12 @@ pub struct PreparedLp {
     pub(crate) upper: Vec<f64>,
     /// Internal minimization costs per column (sign already applied).
     pub(crate) cost: Vec<f64>,
-    /// Right-hand side per row (fixed-variable offsets already subtracted).
+    /// Right-hand side per row.
     pub(crate) b: Vec<f64>,
-    /// The caller's objective coefficients (their direction, full variable
-    /// space), for reporting.
+    /// The caller's objective coefficients (their direction), for reporting.
     user_objective: Vec<f64>,
     /// +1 for minimization, −1 for maximization.
     sign: f64,
-    /// The RHS-safe reduction, when any variable was fixed out.
-    reduction: Option<PreparedReduction>,
     /// Fingerprint of `a`, fixed at preparation time (RHS and objective
     /// mutations leave the matrix untouched).
     pub(crate) fingerprint: u64,
@@ -175,7 +142,7 @@ impl PreparedLp {
     /// coefficients).
     pub fn new(model: &Model) -> Result<Self, LpError> {
         model.validate()?;
-        let nvars_full = model.vars.len();
+        let nvars = model.vars.len();
         let nrows = model.constraints.len();
         let sign = if model.sense == Sense::Minimize {
             1.0
@@ -183,45 +150,23 @@ impl PreparedLp {
             -1.0
         };
 
-        // RHS-safe reduction: substitute out variables fixed by their bounds.
-        // (Equal infinite bounds are rejected by validate; the finiteness
-        // check is belt-and-braces.)
-        let mut fate = Vec::with_capacity(nvars_full);
-        let mut kept = 0usize;
-        for v in &model.vars {
-            if v.lower == v.upper && v.lower.is_finite() {
-                fate.push(PreparedColFate::Fixed(v.lower));
-            } else {
-                fate.push(PreparedColFate::Kept(kept));
-                kept += 1;
-            }
-        }
-        let cols_fixed = nvars_full - kept;
-
-        let nvars = kept;
         let ncols = nvars + nrows;
         let mut lower = Vec::with_capacity(ncols);
         let mut upper = Vec::with_capacity(ncols);
         let mut cost = vec![0.0; ncols];
-        let mut user_objective = Vec::with_capacity(nvars_full);
+        let mut user_objective = Vec::with_capacity(nvars);
         for (j, v) in model.vars.iter().enumerate() {
             user_objective.push(v.objective);
-            if let PreparedColFate::Kept(k) = fate[j] {
-                lower.push(v.lower);
-                upper.push(v.upper);
-                cost[k] = sign * v.objective;
-            }
+            lower.push(v.lower);
+            upper.push(v.upper);
+            cost[j] = sign * v.objective;
         }
 
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
         let mut b = Vec::with_capacity(nrows);
-        let mut row_offset = vec![0.0; nrows];
         for (i, c) in model.constraints.iter().enumerate() {
             for &(v, a) in &c.terms {
-                match fate[v.index()] {
-                    PreparedColFate::Kept(k) => triplets.push((i, k, a)),
-                    PreparedColFate::Fixed(value) => row_offset[i] += a * value,
-                }
+                triplets.push((i, v.index(), a));
             }
             // One slack per row makes the all-slack basis the identity.
             triplets.push((i, nvars + i, 1.0));
@@ -232,21 +177,15 @@ impl PreparedLp {
             };
             lower.push(slo);
             upper.push(shi);
-            b.push(c.rhs - row_offset[i]);
+            b.push(c.rhs);
         }
         let a = CscMatrix::from_triplets(nrows, ncols, &triplets);
         let fingerprint = a.fingerprint();
-        let reduction = (cols_fixed > 0).then_some(PreparedReduction {
-            fate,
-            row_offset,
-            cols_fixed,
-        });
 
         Ok(PreparedLp {
             nrows,
             ncols,
             nvars,
-            nvars_full,
             a,
             lower,
             upper,
@@ -254,7 +193,6 @@ impl PreparedLp {
             b,
             user_objective,
             sign,
-            reduction,
             fingerprint,
         })
     }
@@ -264,12 +202,12 @@ impl PreparedLp {
         self.nrows
     }
 
-    /// Number of model (structural) variables, in the caller's (full) space.
+    /// Number of model (structural) variables.
     pub fn num_vars(&self) -> usize {
-        self.nvars_full
+        self.nvars
     }
 
-    /// Number of standardized columns (kept structurals + slacks).
+    /// Number of standardized columns (structurals + slacks).
     pub fn num_cols(&self) -> usize {
         self.ncols
     }
@@ -278,48 +216,35 @@ impl PreparedLp {
     /// of the constraint in the order it was added to the [`Model`]; the
     /// constraint matrix, operators and bounds are untouched, so a basis from
     /// a previous solve stays structurally valid for
-    /// [`PreparedLp::solve_warm`]. (When the RHS-safe reduction fixed
-    /// variables out of this row, their contribution is re-subtracted here.)
+    /// [`PreparedLp::solve_warm`].
     ///
     /// # Panics
     /// If `row` is out of range or `rhs` is not finite.
     pub fn set_rhs(&mut self, row: usize, rhs: f64) {
         assert!(row < self.nrows, "row {row} out of range ({})", self.nrows);
         assert!(rhs.is_finite(), "rhs must be finite, got {rhs}");
-        let offset = self.reduction.as_ref().map_or(0.0, |r| r.row_offset[row]);
-        self.b[row] = rhs - offset;
+        self.b[row] = rhs;
     }
 
     /// Overwrites the objective coefficient of a model variable (in the
-    /// model's optimisation direction). A coefficient set on a variable the
-    /// RHS-safe reduction fixed out only changes the reported objective (its
-    /// value cannot move).
+    /// model's optimisation direction).
     ///
     /// # Panics
     /// If the variable does not belong to the prepared model or the
     /// coefficient is not finite.
     pub fn set_objective(&mut self, var: Var, coefficient: f64) {
         assert!(
-            var.index() < self.nvars_full,
+            var.index() < self.nvars,
             "variable {} out of range ({})",
             var.index(),
-            self.nvars_full
+            self.nvars
         );
         assert!(
             coefficient.is_finite(),
             "objective coefficient must be finite, got {coefficient}"
         );
         self.user_objective[var.index()] = coefficient;
-        let kept = match &self.reduction {
-            None => Some(var.index()),
-            Some(r) => match r.fate[var.index()] {
-                PreparedColFate::Kept(k) => Some(k),
-                PreparedColFate::Fixed(_) => None,
-            },
-        };
-        if let Some(k) = kept {
-            self.cost[k] = self.sign * coefficient;
-        }
+        self.cost[var.index()] = self.sign * coefficient;
     }
 
     /// Solves from a cold start (the all-slack basis).
@@ -356,28 +281,7 @@ impl PreparedLp {
         }
     }
 
-    /// Expands reduced-space structural values back into the full model
-    /// variable space (fixed variables at their fixed value).
-    pub(crate) fn expand_values(&self, reduced: Vec<f64>) -> Vec<f64> {
-        match &self.reduction {
-            None => reduced,
-            Some(r) => r
-                .fate
-                .iter()
-                .map(|fate| match *fate {
-                    PreparedColFate::Kept(k) => reduced[k],
-                    PreparedColFate::Fixed(v) => v,
-                })
-                .collect(),
-        }
-    }
-
-    /// Variables fixed by their bounds and substituted out at preparation.
-    pub(crate) fn presolve_cols_removed(&self) -> usize {
-        self.reduction.as_ref().map_or(0, |r| r.cols_fixed)
-    }
-
-    /// The caller-direction objective value of a full-space point.
+    /// The caller-direction objective value of a point.
     pub(crate) fn user_objective_value(&self, values: &[f64]) -> f64 {
         self.user_objective
             .iter()

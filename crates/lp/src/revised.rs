@@ -249,7 +249,6 @@ impl<'a> Engine<'a> {
                 rows: m,
                 cols: lp.ncols,
                 warm_started: start.is_some(),
-                presolve_cols_removed: lp.presolve_cols_removed(),
                 ..SolveStats::default()
             },
             buf: Buffers::default(),
@@ -574,8 +573,7 @@ impl<'a> Engine<'a> {
         self.stats.phase1_iterations = self.iterate(Phase::One)?;
         self.stats.phase2_iterations = self.iterate(Phase::Two)?;
 
-        let reduced_values = self.x[..self.lp.nvars].to_vec();
-        let values = self.lp.expand_values(reduced_values);
+        let values = self.x[..self.lp.nvars].to_vec();
         let objective = self.lp.user_objective_value(&values);
         Ok(PreparedSolution {
             solution: Solution {

@@ -737,7 +737,5 @@ mod tests {
         let s = solve(&m).unwrap();
         assert_close(s.value(x), 2.5);
         assert_close(s.value(y), 0.5);
-        // The revised path substitutes the fixed variable out and says so.
-        assert_eq!(m.solve().unwrap().stats.presolve_cols_removed, 1);
     }
 }

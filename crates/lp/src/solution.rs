@@ -35,9 +35,6 @@ pub struct SolveStats {
     /// their updates) across the solve; 0 on the dense oracle, which does
     /// not track fill-in.
     pub fill_in_nnz: usize,
-    /// Variables fixed by their bounds (`l = u`) and substituted out before
-    /// the solve (revised solver only). `cols` reports the *reduced* system.
-    pub presolve_cols_removed: usize,
     /// Whether this solve re-entered from a caller-supplied basis
     /// ([`crate::PreparedLp::solve_warm`]).
     pub warm_started: bool,

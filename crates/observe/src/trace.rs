@@ -63,9 +63,6 @@ pub struct LpSummary {
     /// Peak stored nonzeros of any single solve's LU factorization
     /// (a maximum across solves, not a sum).
     pub fill_in_nnz: u64,
-    /// Variables fixed by their bounds and substituted out, summed across
-    /// solves.
-    pub presolve_cols_removed: u64,
 }
 
 impl LpSummary {
@@ -81,7 +78,6 @@ impl LpSummary {
         self.refactorizations += other.refactorizations;
         self.basis_updates += other.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(other.fill_in_nnz);
-        self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
     /// Internal coherence: pivots split into composite phase 1, dual and
@@ -245,8 +241,7 @@ impl ReleaseTrace {
             ", \"lp\": {{\"h_solves\": {}, \"g_solves\": {}, \"total_pivots\": {}, \
              \"phase1_pivots\": {}, \"dual_pivots\": {}, \"phase2_pivots\": {}, \
              \"warm_start_hits\": {}, \
-             \"refactorizations\": {}, \"basis_updates\": {}, \"fill_in_nnz\": {}, \
-             \"presolve_cols_removed\": {}}}",
+             \"refactorizations\": {}, \"basis_updates\": {}, \"fill_in_nnz\": {}}}",
             self.lp.h_solves,
             self.lp.g_solves,
             self.lp.total_pivots,
@@ -256,8 +251,7 @@ impl ReleaseTrace {
             self.lp.warm_start_hits,
             self.lp.refactorizations,
             self.lp.basis_updates,
-            self.lp.fill_in_nnz,
-            self.lp.presolve_cols_removed
+            self.lp.fill_in_nnz
         );
         out.push_str(", \"noise\": [");
         for (i, n) in self.noise.iter().enumerate() {
@@ -339,8 +333,8 @@ impl ReleaseTrace {
         );
         let _ = writeln!(
             out,
-            "  lp basis        {} updates, peak factor nnz {}, presolve removed {} cols",
-            self.lp.basis_updates, self.lp.fill_in_nnz, self.lp.presolve_cols_removed
+            "  lp basis        {} updates, peak factor nnz {}",
+            self.lp.basis_updates, self.lp.fill_in_nnz
         );
         for (i, n) in self.noise.iter().enumerate() {
             let label = if self.noise.len() == 1 {
@@ -418,7 +412,6 @@ mod tests {
                 refactorizations: 1,
                 basis_updates: 25,
                 fill_in_nnz: 40,
-                presolve_cols_removed: 2,
             },
             noise: vec![NoiseScales {
                 log_scale: 1.5,
@@ -486,7 +479,6 @@ mod tests {
             "dual_pivots",
             "basis_updates",
             "fill_in_nnz",
-            "presolve_cols_removed",
             "noise",
             "epsilon_spent",
             "group_split",
@@ -509,7 +501,6 @@ mod tests {
         assert!(text.contains("epsilon_spent"));
         assert!(text.contains("peak factor nnz 40"));
         assert!(text.contains("10 phase-1, 6 dual, 20 phase-2"));
-        assert!(text.contains("presolve removed 2 cols"));
         assert!(text.contains("100ns"));
         assert!(format_nanos(2_500).starts_with("2.5"));
         assert!(format_nanos(2_500_000).ends_with("ms"));

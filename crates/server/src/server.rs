@@ -331,9 +331,10 @@ impl DpServer {
     /// column mismatch) changes nothing.
     ///
     /// Only plans that scan `table` lose their cache entries — and their
-    /// solved tables are parked as warm-refresh bases, so re-releasing them
-    /// costs a delta re-solve, not a cold rebuild. Untouched tables' plan
-    /// fingerprints are byte-identical across the swap and keep hitting.
+    /// solved tables are parked as refresh bases, so re-releasing a plan
+    /// whose query the delta left unchanged republishes without LP work.
+    /// Untouched tables' plan fingerprints are byte-identical across the
+    /// swap and keep hitting.
     pub fn ingest(&self, table: &str, rows: Vec<Tuple>) -> Result<IngestReport, ServerError> {
         let permit = match self.gate.enter() {
             Ok(p) => p,

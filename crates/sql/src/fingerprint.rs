@@ -90,7 +90,8 @@ pub const MAX_CANON_PERMUTATIONS: usize = 5040;
 /// * [`lineage`](Self::lineage) — the epoch-*free* structural identity of
 ///   the plan over this database instance: stable across deltas, it links a
 ///   post-delta recompute to the pre-delta entry parked in the cache's seed
-///   bank so the recompute can warm-refresh instead of solving cold;
+///   bank so the recompute can republish it when the delta left the
+///   query unchanged;
 /// * [`stamps`](Self::stamps) — the exact epoch stamps the key was minted
 ///   under (universe first, then the scanned tables in sorted name order),
 ///   the tag [`SequenceCache::purge_stale`](rmdp_core::SequenceCache::purge_stale)

@@ -98,9 +98,9 @@ pub(crate) fn release_plan<T: Recorder>(
                 recorder.enter(Stage::SequenceSolve);
                 // A parked pre-delta entry of the same lineage (swept by
                 // `purge_stale` on snapshot swap) turns this miss into a
-                // warm refresh; either path is bit-identical to a cold
-                // compute on the post-delta data, so the choice is purely
-                // a matter of LP work.
+                // refresh, which republishes it when the delta left the
+                // query unchanged and computes cold otherwise; either path
+                // is bit-identical to a cold compute on the post-delta data.
                 let computed = query.and_then(|query| match cache.take_refresh_base(key.lineage) {
                     Some((base, seed)) => base
                         .refresh(&seed, query, SimplexOptions::default(), params.parallelism)

@@ -785,7 +785,6 @@ impl SqlSession {
             m.counter_add("lp.warm_start_hits", lp.warm_start_hits as u64);
             m.counter_add("lp.refactorizations", lp.refactorizations as u64);
             m.counter_add("lp.basis_updates", lp.basis_updates as u64);
-            m.counter_add("lp.presolve_cols_removed", lp.presolve_cols_removed as u64);
             // Peak, not a sum: the session total already folds with `max`.
             m.gauge_set("lp.peak_fill_in_nnz", self.lp_totals.fill_in_nnz as f64);
             if let Some(stats) = self.cache_stats() {
@@ -806,9 +805,9 @@ impl SqlSession {
         if let Some(m) = &self.metrics {
             match refresh {
                 Some(RefreshTier::Unchanged) => m.counter_add("lp.warm_refresh_unchanged", 1),
-                Some(RefreshTier::WarmChain) => m.counter_add("lp.warm_refresh_chains", 1),
                 Some(RefreshTier::ColdRebuild) => m.counter_add("lp.warm_refresh_cold", 1),
-                None => {}
+                // No refresh returns `WarmChain`.
+                Some(RefreshTier::WarmChain) | None => {}
             }
         }
     }
@@ -1163,7 +1162,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_keeps_untouched_entries_and_warm_refreshes_the_rest() {
+    fn snapshot_delta_keeps_untouched_entries_and_refreshes_the_rest() {
         let params = MechanismParams::paper_edge_privacy(1.0);
         let cache = rmdp_core::SequenceCache::shared(8);
         let snapshot = CatalogSnapshot::shared(delta_db(), params);
@@ -1206,13 +1205,13 @@ mod tests {
         assert_eq!(held.true_answer, v_before.true_answer);
 
         // Over the new snapshot: the untouched table still hits, and the
-        // touched table's miss claims the parked base (warm refresh).
+        // touched table's miss claims the parked base (refresh).
         let mut s2 = SqlSession::over(Arc::clone(&next), 7).with_sequence_cache(Arc::clone(&cache));
         let hits_before = cache.stats().hits;
         s2.query_scalar(RESIDENTS).unwrap();
         assert_eq!(cache.stats().hits, hits_before + 1);
-        let warm = s2.query_scalar(VISITS).unwrap();
-        assert_eq!(warm.true_answer, 3.0);
+        let refreshed = s2.query_scalar(VISITS).unwrap();
+        assert_eq!(refreshed.true_answer, 3.0);
         assert_eq!(cache.banked_refresh_bases(), 0, "base was claimed");
 
         // Bit-identity: a cold session over the new snapshot (fresh empty
@@ -1221,18 +1220,18 @@ mod tests {
             .with_sequence_cache(rmdp_core::SequenceCache::shared(8));
         cold.query_scalar(RESIDENTS).unwrap();
         let cold_visits = cold.query_scalar(VISITS).unwrap();
-        assert_eq!(warm.noisy_answer, cold_visits.noisy_answer);
-        assert_eq!(warm.true_answer, cold_visits.true_answer);
+        assert_eq!(refreshed.noisy_answer, cold_visits.noisy_answer);
+        assert_eq!(refreshed.true_answer, cold_visits.true_answer);
     }
 
     #[test]
     fn every_entry_point_books_each_release_refresh_tier() {
         // After one intern-only delta (ada also visits the cafe), each
         // post-delta shape's miss claims its parked pre-delta base and takes
-        // one refresh tier: the self-join gains a pair (cold rebuild), the
-        // counts that gain a row re-enter warm, and the shapes the delta
-        // filters out republish unchanged. The counters must book every
-        // mechanism release's own tier, whichever entry point released it.
+        // one refresh tier: the self-join gains a pair and the counts gain a
+        // row (cold rebuild), and the shapes the delta filters out
+        // republish unchanged. The counters must book every mechanism
+        // release's own tier, whichever entry point released it.
         const JOIN: &str = "SELECT COUNT(*) FROM visits v1 JOIN visits v2 \
                             ON v1.place = v2.place WHERE v1.person < v2.person";
         const GROUPED: &str = "SELECT place, COUNT(*) FROM visits GROUP BY place";
@@ -1297,10 +1296,10 @@ mod tests {
             .unwrap();
             tiers.extend(outcomes.iter().filter_map(|o| o.refresh));
         }
+        assert!(!tiers.contains(&RefreshTier::WarmChain));
         let snap = metrics.snapshot();
         for (counter, tier) in [
             ("lp.warm_refresh_unchanged", RefreshTier::Unchanged),
-            ("lp.warm_refresh_chains", RefreshTier::WarmChain),
             ("lp.warm_refresh_cold", RefreshTier::ColdRebuild),
         ] {
             let expected = tiers.iter().filter(|&&t| t == tier).count() as u64;
