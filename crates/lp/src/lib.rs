@@ -12,8 +12,8 @@
 //! [`time_factorizations`] counts and times the factorizations a closure
 //! runs, on a clock the caller supplies, and counts its basis updates with
 //! the entries they store.
-//! Variables fixed by their bounds are substituted out when a model is
-//! standardized. The original dense two-phase tableau
+//! Variables fixed by their bounds stay columns that never enter the
+//! basis. The original dense two-phase tableau
 //! ([`simplex::solve_dense`]) is retained as the differential-testing
 //! oracle.
 //!

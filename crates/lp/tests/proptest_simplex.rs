@@ -161,7 +161,7 @@ proptest! {
 /// A random LP over *general* bounded variables: shifted boxes, one-sided
 /// bounds, fixed variables and free variables — every shape the two
 /// standardizations handle differently (the revised solver keeps bounds
-/// native and substitutes fixed variables out; the dense oracle shifts,
+/// native and never lets a fixed variable enter; the dense oracle shifts,
 /// reflects, splits and adds bound rows).
 #[derive(Clone, Debug)]
 struct BoundedLp {
@@ -228,8 +228,8 @@ fn build_bounded(lp: &BoundedLp) -> Model {
     m
 }
 
-/// Feasibility of a point in the *original* bounded model (before the
-/// revised solver substitutes fixed variables out).
+/// Feasibility of a point in the *original* bounded model (before either
+/// solver standardizes it).
 fn bounded_feasible(lp: &BoundedLp, x: &[f64], tol: f64) -> bool {
     for ((lo, hi), v) in lp.bounds.iter().zip(x) {
         if *v < lo - tol || *v > hi + tol {
@@ -266,9 +266,8 @@ proptest! {
 
     /// The sparse-LU revised solver and the dense tableau oracle agree on
     /// every random bounded-variable LP: same optimum within tolerance, or
-    /// the same infeasible/unbounded verdict. The solver's point, expanded
-    /// back through the fixed-variable substitution, is feasible in the
-    /// original model.
+    /// the same infeasible/unbounded verdict. The solver's point is feasible
+    /// in the original model.
     #[test]
     fn revised_solver_and_dense_tableau_agree(lp in bounded_lp()) {
         let model = build_bounded(&lp);
@@ -295,8 +294,8 @@ proptest! {
 
     /// The same agreement on reduction-rich instances: duplicated columns, a
     /// singleton row and a fixed variable grafted onto every model. The
-    /// fixed variable is substituted out by the revised solver and must
-    /// still be reported at its value.
+    /// fixed variable never enters the revised solver's basis and must be
+    /// reported at its value.
     #[test]
     fn revised_solver_and_dense_tableau_agree_on_reduction_rich_models(lp in bounded_lp(), dup_cost in -2.0..2.0f64, singleton_cap in 0.5..3.0f64) {
         let mut model = build_bounded(&lp);
@@ -305,7 +304,7 @@ proptest! {
         let d2 = model.add_var(0.0, 1.0, dup_cost);
         model.add_le([(d1, 1.0), (d2, 1.0)], 1.5);
         // A singleton row bounding d1, and a fixed variable in that row's
-        // shadow to exercise substitution.
+        // shadow.
         model.add_le([(d1, 1.0)], singleton_cap);
         let fixed = model.add_var(0.25, 0.25, 1.0);
         model.add_le([(fixed, 1.0), (d2, 1.0)], 2.0);
