@@ -31,10 +31,6 @@ pub enum WireResponse {
     },
     /// An `EXPLAIN ANALYZE` header plus the release it performed.
     Explained {
-        /// Cache hits reported by the trace.
-        hits: u64,
-        /// Cache misses reported by the trace.
-        misses: u64,
         /// The traced release.
         inner: Box<WireResponse>,
     },
@@ -51,8 +47,6 @@ pub enum WireResponse {
         version: u64,
         /// Rows appended.
         rows: u64,
-        /// Stale cache entries swept by the snapshot swap.
-        swept: u64,
     },
     /// An `ERR <code> <message>` refusal.
     Error {
@@ -108,13 +102,13 @@ impl DpClient {
     /// traced release). Refusals come back as [`WireResponse::Error`],
     /// not `Err` — `Err` is reserved for transport failures.
     pub fn query(&mut self, tenant: &str, sql: &str) -> io::Result<WireResponse> {
-        self.send(&format!("QUERY {tenant} {sql}"))?;
+        self.send(format!("QUERY {tenant} {sql}"))?;
         self.read_response()
     }
 
     /// Fetches the tenant's remaining and spent ε.
     pub fn budget(&mut self, tenant: &str) -> io::Result<WireResponse> {
-        self.send(&format!("BUDGET {tenant}"))?;
+        self.send(format!("BUDGET {tenant}"))?;
         self.read_response()
     }
 
@@ -123,14 +117,15 @@ impl DpClient {
     /// `column=value` pairs, e.g. `person=eve,place=park;person=fay,place=museum`.
     /// Rejections come back as [`WireResponse::Error`].
     pub fn ingest(&mut self, table: &str, rows: &str) -> io::Result<WireResponse> {
-        self.send(&format!("INGEST {table} {rows}"))?;
+        self.send(format!("INGEST {table} {rows}"))?;
         self.read_response()
     }
 
-    fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+    /// Sends one request line, newline included, in one write: with
+    /// NODELAY on, every write is its own segment and wakes the server.
+    fn send(&mut self, mut line: String) -> io::Result<()> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     fn read_line(&mut self) -> io::Result<String> {
@@ -187,17 +182,9 @@ impl DpClient {
                 groups,
             });
         }
-        if let Some(rest) = line.strip_prefix("OK EXPLAIN ") {
-            let hits = field(rest, "hits")?
-                .parse()
-                .map_err(|e| bad(format!("bad hits: {e}")))?;
-            let misses = field(rest, "misses")?
-                .parse()
-                .map_err(|e| bad(format!("bad misses: {e}")))?;
+        if line.starts_with("OK EXPLAIN ") {
             let inner = self.read_response()?;
             return Ok(WireResponse::Explained {
-                hits,
-                misses,
                 inner: Box::new(inner),
             });
         }
@@ -211,7 +198,6 @@ impl DpClient {
             return Ok(WireResponse::Ingest {
                 version: parse_u64(&field(rest, "version")?)?,
                 rows: parse_u64(&field(rest, "rows")?)?,
-                swept: parse_u64(&field(rest, "swept")?)?,
             });
         }
         Err(bad(format!("unrecognised response '{line}'")))

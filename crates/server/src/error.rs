@@ -11,9 +11,10 @@ use std::fmt;
 /// refusals consume ε. **None of them do.** Admission refusals
 /// ([`ServerError::Overloaded`], [`ServerError::TenantBusy`],
 /// [`ServerError::ShuttingDown`]) happen before any budget is touched;
-/// [`ServerError::BudgetExhausted`] is the atomic refusal of the
-/// reservation itself; and a [`ServerError::Sql`] failure after admission
-/// released nothing, so its reservation is refunded in full.
+/// [`ServerError::BudgetExhausted`] and [`ServerError::LogFull`] are
+/// atomic refusals of the reservation itself; and a [`ServerError::Sql`]
+/// failure after admission released nothing, so its reservation is
+/// refunded in full.
 #[derive(Debug)]
 pub enum ServerError {
     /// The server-wide admission gate shed the request: all execution slots
@@ -42,6 +43,13 @@ pub enum ServerError {
     /// The tenant's remaining budget cannot cover the query's cost. The
     /// refusal is atomic: the reservation never landed.
     BudgetExhausted(BudgetExhausted),
+    /// The tenant's replay log already holds 2³² distinct query texts, the
+    /// most its 4-byte text ids can name. Repeats of logged texts still run;
+    /// no ε was consumed.
+    LogFull(
+        /// The refused tenant.
+        String,
+    ),
     /// The query itself failed (parse, plan, execution or mechanism error).
     /// When this happens after admission the reservation is refunded —
     /// a failed query releases nothing.
@@ -72,6 +80,9 @@ impl fmt::Display for ServerError {
             ServerError::ShuttingDown => f.write_str("server shutting down"),
             ServerError::UnknownTenant(name) => write!(f, "unknown tenant '{name}'"),
             ServerError::BudgetExhausted(e) => e.fmt(f),
+            ServerError::LogFull(name) => {
+                write!(f, "tenant '{name}' has logged 2^32 distinct query texts")
+            }
             ServerError::Sql(e) => e.fmt(f),
         }
     }
@@ -96,6 +107,7 @@ impl ServerError {
             ServerError::ShuttingDown => "SHUTDOWN",
             ServerError::UnknownTenant(_) => "UNKNOWN_TENANT",
             ServerError::BudgetExhausted(_) => "BUDGET",
+            ServerError::LogFull(_) => "LOG_FULL",
             ServerError::Sql(_) => "SQL",
         }
     }

@@ -445,14 +445,9 @@ mod tests {
             .ingest("visits", "person=eve,place=park;person=fay,place=museum")
             .unwrap()
         {
-            WireResponse::Ingest {
-                version,
-                rows,
-                swept,
-            } => {
+            WireResponse::Ingest { version, rows } => {
                 assert_eq!(version, 1);
                 assert_eq!(rows, 2);
-                assert_eq!(swept, 1);
             }
             other => panic!("expected ingest receipt, got {other:?}"),
         }
@@ -470,6 +465,9 @@ mod tests {
             other => panic!("expected SQL error, got {other:?}"),
         }
         assert_eq!(server.snapshot().version(), 1, "rejections swap nothing");
+        // The sweep count stays in process: the wire receipt omits it.
+        let metrics = server.metrics().snapshot();
+        assert_eq!(metrics.counter("server.ingest.swept"), Some(1));
 
         // The exact answers never cross the wire; replay recomputes both
         // releases over the snapshots they saw: 2 visits before the

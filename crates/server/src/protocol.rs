@@ -3,7 +3,11 @@
 //! Dependency-free by design: requests and responses are UTF-8 lines, so
 //! the benchmark harness and tests can drive a server with nothing but the
 //! standard library. One request line in, one response (of one or more
-//! lines, with an explicit count) out:
+//! lines, with an explicit count) out. Each message leaves its writer in
+//! one write — the server frames all of a response's lines, the client its
+//! request line, newline included — so with `TCP_NODELAY` on (Nagle would
+//! hold short messages ~40 ms against delayed ACKs) a message is one
+//! segment and wakes its reader once:
 //!
 //! ```text
 //! → QUERY alice SELECT COUNT(*) FROM visits
@@ -15,17 +19,23 @@
 //! ← GROUP noisy=0.4961026413242692 epsilon=0.5 key="b"
 //!
 //! → QUERY alice EXPLAIN ANALYZE SELECT COUNT(*) FROM visits
-//! ← OK EXPLAIN hits=1 misses=0 lp_solves=0 epsilon=1
+//! ← OK EXPLAIN epsilon=1
 //! ← OK SCALAR noisy=3.8941646195731284 epsilon=1 delta_hat=2
 //!
 //! → BUDGET alice
 //! ← OK BUDGET remaining=2.5 spent=1.5
 //!
 //! → INGEST visits person=eve,place=park;person=fay,place=museum
-//! ← OK INGEST version=1 rows=2 swept=3
+//! ← OK INGEST version=1 rows=2
 //!
 //! ← ERR OVERLOADED server overloaded: 8 in flight, 8 waiting
 //! ```
+//!
+//! Beside the differentially private releases, tenants see no field that
+//! depends on the data or on other tenants. `OK EXPLAIN` carries ε alone: cache hits and misses describe other tenants'
+//! traffic, and a miss's LP solve count is 2(|P|+1), which reveals the
+//! participant count. `OK INGEST` omits how many cache entries the swap
+//! swept; the server counts that in `server.ingest.swept`.
 //!
 //! `INGEST` rows are `;`-separated, each row a `,`-separated list of
 //! `column=value` pairs. Values parse as integers first, then booleans,
@@ -43,6 +53,7 @@ use crate::error::ServerError;
 use crate::server::DpServer;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_sql::QueryOutput;
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,14 +96,9 @@ fn encode_output(output: &QueryOutput) -> Vec<String> {
             lines
         }
         QueryOutput::Explained(traced) => {
-            let t = &traced.trace;
-            let mut lines = vec![format!(
-                "OK EXPLAIN hits={} misses={} lp_solves={} epsilon={}",
-                t.cache_hits,
-                t.cache_misses,
-                t.lp.h_solves + t.lp.g_solves,
-                t.epsilon_spent,
-            )];
+            // Only ε: cache and LP counts describe other tenants' traffic
+            // and, after a miss, the participant count (2(|P|+1) solves).
+            let mut lines = vec![format!("OK EXPLAIN epsilon={}", traced.trace.epsilon_spent)];
             lines.extend(encode_output(&traced.output));
             lines
         }
@@ -132,10 +138,7 @@ fn parse_rows(spec: &str) -> Result<Vec<Tuple>, String> {
 fn encode_ingest(server: &DpServer, table: &str, spec: &str) -> Vec<String> {
     match parse_rows(spec) {
         Ok(rows) => match server.ingest(table, rows) {
-            Ok(r) => vec![format!(
-                "OK INGEST version={} rows={} swept={}",
-                r.version, r.rows, r.swept
-            )],
+            Ok(r) => vec![format!("OK INGEST version={} rows={}", r.version, r.rows)],
             Err(e) => {
                 let msg = e.to_string().replace('\n', " ");
                 vec![format!("ERR {} {}", e.code(), msg)]
@@ -145,50 +148,66 @@ fn encode_ingest(server: &DpServer, table: &str, spec: &str) -> Vec<String> {
     }
 }
 
-/// Serves one accepted connection: read request lines until EOF, answer
-/// each in order. Any I/O error just drops the connection — the server
-/// state is untouched because budgets and admission live in [`DpServer`].
-fn handle_connection(server: &DpServer, stream: TcpStream) -> io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+/// Answers one request line with its response lines.
+fn respond(server: &DpServer, request: &str) -> Vec<String> {
+    match request.split_once(' ') {
+        Some(("QUERY", rest)) => match rest.split_once(' ') {
+            Some((tenant, sql)) => encode_response(&server.query(tenant, sql)),
+            None => vec!["ERR PROTOCOL QUERY needs <tenant> <sql>".to_owned()],
+        },
+        Some(("BUDGET", tenant)) => {
+            let tenant = tenant.trim();
+            match (server.remaining_budget(tenant), server.spent_budget(tenant)) {
+                (Some(remaining), Some(spent)) => vec![format!(
+                    "OK BUDGET remaining={} spent={}",
+                    remaining.epsilon, spent.epsilon
+                )],
+                _ => vec![format!("ERR UNKNOWN_TENANT unknown tenant '{tenant}'")],
+            }
+        }
+        Some(("INGEST", rest)) => match rest.split_once(' ') {
+            Some((table, spec)) => encode_ingest(server, table, spec.trim()),
+            None => vec!["ERR PROTOCOL INGEST needs <table> <rows>".to_owned()],
+        },
+        _ => vec![format!(
+            "ERR PROTOCOL unrecognised request '{}'",
+            request.split(' ').next().unwrap_or_default()
+        )],
+    }
+}
+
+/// Serves one connection: read request lines until EOF, answer each in
+/// order. Each response is framed into one buffer and leaves in one
+/// `write_all`, so an unbuffered `writer` (a `TcpStream`) sends it as one
+/// segment. Any I/O error just drops the connection — the server state is
+/// untouched because budgets and admission live in [`DpServer`].
+fn handle_connection(
+    server: &DpServer,
+    reader: impl BufRead,
+    mut writer: impl Write,
+) -> io::Result<()> {
+    let mut frame = Vec::new();
     for line in reader.lines() {
         let line = line?;
         let request = line.trim();
         if request.is_empty() {
             continue;
         }
-        let lines = match request.split_once(' ') {
-            Some(("QUERY", rest)) => match rest.split_once(' ') {
-                Some((tenant, sql)) => encode_response(&server.query(tenant, sql)),
-                None => vec!["ERR PROTOCOL QUERY needs <tenant> <sql>".to_owned()],
-            },
-            Some(("BUDGET", tenant)) => {
-                let tenant = tenant.trim();
-                match (server.remaining_budget(tenant), server.spent_budget(tenant)) {
-                    (Some(remaining), Some(spent)) => vec![format!(
-                        "OK BUDGET remaining={} spent={}",
-                        remaining.epsilon, spent.epsilon
-                    )],
-                    _ => vec![format!("ERR UNKNOWN_TENANT unknown tenant '{tenant}'")],
-                }
-            }
-            Some(("INGEST", rest)) => match rest.split_once(' ') {
-                Some((table, spec)) => encode_ingest(server, table, spec.trim()),
-                None => vec!["ERR PROTOCOL INGEST needs <table> <rows>".to_owned()],
-            },
-            _ => vec![format!(
-                "ERR PROTOCOL unrecognised request '{}'",
-                request.split(' ').next().unwrap_or_default()
-            )],
-        };
-        for l in &lines {
-            writer.write_all(l.as_bytes())?;
-            writer.write_all(b"\n")?;
+        frame.clear();
+        for l in respond(server, request) {
+            frame.extend_from_slice(l.as_bytes());
+            frame.push(b'\n');
         }
-        writer.flush()?;
+        writer.write_all(&frame)?;
     }
     Ok(())
 }
+
+/// The gauge of connections currently served.
+const LIVE_CONNECTIONS: &str = "server.connections.live";
+
+/// Streams of the connections currently served, by connection id.
+type LiveStreams = Arc<Mutex<HashMap<u64, Arc<TcpStream>>>>;
 
 /// A running TCP front-end: the accept loop and its connection handlers.
 ///
@@ -202,8 +221,9 @@ pub struct ServerHandle {
     /// Live connection streams, shared with the accept loop so `stop` can
     /// shut them down — a connection handler otherwise blocks on its
     /// client forever, and joining it would deadlock shutdown against any
-    /// still-open client.
-    streams: Arc<Mutex<Vec<TcpStream>>>,
+    /// still-open client. Each handler removes its own entry when it ends,
+    /// so a closed connection holds no descriptor.
+    streams: LiveStreams,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -214,35 +234,47 @@ pub fn serve(server: Arc<DpServer>, addr: impl ToSocketAddrs) -> io::Result<Serv
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    let streams: LiveStreams = Arc::default();
 
     let accept_server = Arc::clone(&server);
     let accept_stop = Arc::clone(&stop);
     let accept_streams = Arc::clone(&streams);
     let accept_thread = thread::spawn(move || {
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
             let Ok(stream) = stream else { continue };
-            // Responses are a handful of short lines flushed at once; NODELAY
-            // keeps Nagle from trading their latency against delayed ACKs.
+            // Responses are a handful of short lines sent in one write;
+            // NODELAY keeps Nagle from holding them against delayed ACKs.
             let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                // Poisoning is recovered, not propagated: the list is only
-                // ever pushed to or drained whole, so it is consistent even
-                // after a panic elsewhere — and the accept loop must outlive
-                // any one connection's failure.
-                accept_streams
+            let stream = Arc::new(stream);
+            {
+                // Poisoning is recovered, not propagated: every critical
+                // section on the map is one insert, remove or take, so it is
+                // consistent even after a panic elsewhere — and the accept
+                // loop must outlive any one connection's failure.
+                let mut live = accept_streams
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(clone);
+                    .unwrap_or_else(PoisonError::into_inner);
+                // Checked under the lock `stop` takes the map with, so a
+                // connection is either shut down by `stop` or never served.
+                if accept_stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                live.insert(id, Arc::clone(&stream));
+                let metrics = accept_server.metrics();
+                metrics.gauge_set(LIVE_CONNECTIONS, live.len() as f64);
             }
+            connections.retain(|handle| !handle.is_finished());
             let conn_server = Arc::clone(&accept_server);
+            let conn_streams = Arc::clone(&accept_streams);
             connections.push(thread::spawn(move || {
                 // A dropped connection is the client's problem, not ours.
-                let _ = handle_connection(&conn_server, stream);
+                let _ = handle_connection(&conn_server, BufReader::new(&*stream), &*stream);
+                let mut live = conn_streams.lock().unwrap_or_else(PoisonError::into_inner);
+                if live.remove(&id).is_some() {
+                    let metrics = conn_server.metrics();
+                    metrics.gauge_set(LIVE_CONNECTIONS, live.len() as f64);
+                }
             }));
         }
         for handle in connections {
@@ -287,7 +319,7 @@ impl ServerHandle {
             let mut held = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *held)
         };
-        for stream in streams {
+        for stream in streams.values() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         // Unblock the accept loop: `incoming()` has no timeout, so poke it
@@ -297,6 +329,7 @@ impl ServerHandle {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
+        self.server.metrics().gauge_set(LIVE_CONNECTIONS, 0.0);
         self.server.drain();
     }
 }
@@ -310,10 +343,148 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{DpClient, WireResponse};
+    use crate::server::ServerConfig;
     use rmdp_core::MechanismParams;
-    use rmdp_krelation::annotate::AnnotatedDatabase;
+    use rmdp_krelation::annotate::{AnnotatedDatabase, AnnotationRule};
     use rmdp_krelation::{Expr, KRelation};
-    use rmdp_sql::SqlSession;
+    use rmdp_noise::PrivacyBudget;
+    use rmdp_sql::{CatalogSnapshot, SqlSession};
+    use std::time::Duration;
+
+    /// A server over three visits loaded through the delta path (so
+    /// `INGEST` appends under the owner rule), with tenant `alice`.
+    fn visits_server() -> DpServer {
+        let mut db = AnnotatedDatabase::new();
+        db.insert_table("visits", KRelation::new(["person", "place"]));
+        db.declare_annotation_rule("visits", AnnotationRule::OwnerColumn("person".into()));
+        db.declare_public_domain(
+            "visits",
+            "place",
+            ["museum", "cafe", "park"].map(Value::str),
+        );
+        let rows = [("ada", "museum"), ("bo", "museum"), ("bo", "cafe")].map(|(person, place)| {
+            Tuple::new([("person", Value::str(person)), ("place", Value::str(place))])
+        });
+        db.apply_delta("visits", rows).unwrap();
+        let snapshot = CatalogSnapshot::shared(db, MechanismParams::paper_edge_privacy(1.0));
+        let server = DpServer::new(snapshot, ServerConfig::default());
+        server.register_tenant("alice", PrivacyBudget::pure(64.0));
+        server
+    }
+
+    /// A writer that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_leaves_in_one_write() {
+        let requests = [
+            ("QUERY alice SELECT COUNT(*) FROM visits", "OK SCALAR", 1),
+            (
+                "QUERY alice SELECT place, COUNT(*) FROM visits GROUP BY place",
+                "OK GROUPED",
+                4,
+            ),
+            (
+                "QUERY alice EXPLAIN ANALYZE SELECT COUNT(*) FROM visits",
+                "OK EXPLAIN",
+                2,
+            ),
+            ("BUDGET alice", "OK BUDGET", 1),
+            ("INGEST visits person=eve,place=park", "OK INGEST", 1),
+            ("FETCH alice", "ERR PROTOCOL", 1),
+        ];
+        let input: String = requests.iter().map(|(r, _, _)| format!("{r}\n")).collect();
+        let mut writes = WriteLog::default();
+        handle_connection(&visits_server(), input.as_bytes(), &mut writes).unwrap();
+        assert_eq!(writes.0.len(), requests.len(), "one write per response");
+
+        // A twin server answers the same requests in the same order, so its
+        // seed schedule and therefore its lines are identical.
+        let twin = visits_server();
+        for ((request, verb, count), written) in requests.iter().zip(&writes.0) {
+            let lines = respond(&twin, request);
+            assert_eq!(lines.len(), *count, "{request}: {lines:?}");
+            assert!(lines[0].starts_with(verb), "{request}: {lines:?}");
+            let framed: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            assert_eq!(written.as_slice(), framed.as_bytes(), "{request}");
+        }
+    }
+
+    #[test]
+    fn tenant_lines_carry_no_cache_lp_or_sweep_counts() {
+        let server = visits_server();
+        let explain = "EXPLAIN ANALYZE SELECT COUNT(*) FROM visits WHERE place = 'cafe'";
+        let miss = server.query("alice", explain);
+        match &miss {
+            Ok(QueryOutput::Explained(t)) => assert!(t.trace.lp.h_solves > 0),
+            other => panic!("expected a traced miss, got {other:?}"),
+        }
+        let mut lines = encode_response(&miss);
+        for sql in [
+            explain,
+            "SELECT COUNT(*) FROM visits",
+            "SELECT place, COUNT(*) FROM visits GROUP BY place",
+        ] {
+            lines.extend(encode_response(&server.query("alice", sql)));
+        }
+        lines.extend(encode_ingest(&server, "visits", "person=eve,place=park"));
+        let swept = server.metrics().snapshot().counter("server.ingest.swept");
+        assert!(swept > Some(0), "the ingest swept entries in process");
+
+        assert!(
+            lines.contains(&"OK EXPLAIN epsilon=1".to_owned()),
+            "{lines:?}"
+        );
+        assert!(
+            lines.contains(&"OK INGEST version=1 rows=1".to_owned()),
+            "{lines:?}"
+        );
+        for line in &lines {
+            for key in ["hits=", "misses=", "lp_solves=", "swept="] {
+                assert!(!line.contains(key), "{key} in {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_connections_release_their_streams() {
+        let server = Arc::new(visits_server());
+        let mut handle = serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
+        let live = || {
+            let metrics = server.metrics().snapshot();
+            metrics.gauge(LIVE_CONNECTIONS).unwrap_or(0.0)
+        };
+        for _ in 0..32 {
+            let mut client = DpClient::connect(handle.addr()).unwrap();
+            let budget = client.budget("alice").unwrap();
+            assert!(matches!(budget, WireResponse::Budget { .. }), "{budget:?}");
+            assert!(live() >= 1.0);
+        }
+        // Handlers end on their own schedule; give them up to 10 s.
+        for _ in 0..2000 {
+            if live() == 0.0 {
+                break;
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(live(), 0.0, "closed connections still counted live");
+        assert!(handle.streams.lock().unwrap().is_empty());
+        handle.stop();
+        assert_eq!(live(), 0.0);
+    }
 
     #[test]
     fn release_lines_never_carry_the_exact_answer() {

@@ -268,6 +268,10 @@ impl DpServer {
                 self.metrics.counter_add("server.refused.budget", 1);
                 return Err(ServerError::BudgetExhausted(e));
             }
+            Reservation::LogFull => {
+                self.metrics.counter_add("server.refused.log_full", 1);
+                return Err(ServerError::LogFull(tenant.to_owned()));
+            }
         };
 
         let mut session = self.session_for(snapshot, derive_query_seed(tenant_seed, index));

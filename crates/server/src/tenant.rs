@@ -17,7 +17,7 @@
 
 use crate::seed::derive_tenant_seed;
 use rmdp_noise::{BudgetExhausted, BudgetRegistry, PrivacyBudget};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One admitted query in a tenant's replay log: the admission index its
@@ -45,12 +45,19 @@ pub(crate) struct TenantMut {
     pub(crate) in_flight: usize,
     /// Every admitted query in admission order (including ones that later
     /// failed and were refunded — replay reproduces their failures too), as
-    /// its text and the snapshot version it saw. An entry's position is its
-    /// admission index.
-    pub(crate) log: Vec<(Arc<str>, u64)>,
-    /// Each distinct text in `log`, stored once: a repeated query shares
-    /// the allocation instead of growing the log by its length.
-    pub(crate) texts: HashSet<Arc<str>>,
+    /// the id of its text in `texts`. An entry's position is its admission
+    /// index, so the log grows by 4 bytes a request.
+    pub(crate) log: Vec<u32>,
+    /// Each distinct text in `log`, stored once and indexed by its id.
+    pub(crate) texts: Vec<Arc<str>>,
+    /// The id of each text in `texts`.
+    pub(crate) text_ids: HashMap<Arc<str>, u32>,
+    /// The snapshot version each admission saw, as runs of
+    /// `(first admission index, version)`: a run starts wherever the
+    /// version differs from the previous admission's. Versions are not
+    /// monotone in admission order — two in-flight queries can pin `v` and
+    /// `v + 1` and then reserve in either order — so a version can recur.
+    pub(crate) versions: Vec<(u64, u64)>,
 }
 
 /// The server's tenant table: per-tenant ε ledgers (behind the noise
@@ -78,6 +85,9 @@ pub(crate) enum Reservation {
     },
     /// The ledger refused the cost. Nothing reserved.
     OverBudget(BudgetExhausted),
+    /// The tenant's log holds 2³² distinct texts, and a new one has no id
+    /// left. Nothing reserved.
+    LogFull,
 }
 
 impl TenantRegistry {
@@ -107,7 +117,9 @@ impl TenantRegistry {
                     seed: derive_tenant_seed(server_seed, tenant),
                     in_flight: 0,
                     log: Vec::new(),
-                    texts: HashSet::new(),
+                    texts: Vec::new(),
+                    text_ids: HashMap::new(),
+                    versions: Vec::new(),
                 })),
             );
         true
@@ -133,17 +145,22 @@ impl TenantRegistry {
     pub fn query_log(&self, tenant: &str) -> Option<Vec<AdmittedQuery>> {
         let state = self.state(tenant)?;
         let t = state.lock().unwrap_or_else(PoisonError::into_inner);
-        Some(
-            t.log
-                .iter()
-                .zip(0..)
-                .map(|((sql, snapshot_version), index)| AdmittedQuery {
+        let mut runs = t.versions.iter().peekable();
+        let mut snapshot_version = 0;
+        t.log
+            .iter()
+            .zip(0..)
+            .map(|(&id, index)| {
+                if let Some(&(_, version)) = runs.next_if(|&&(first, _)| first == index) {
+                    snapshot_version = version;
+                }
+                Some(AdmittedQuery {
                     index,
-                    sql: sql.to_string(),
-                    snapshot_version: *snapshot_version,
+                    sql: t.texts.get(id as usize)?.to_string(),
+                    snapshot_version,
                 })
-                .collect(),
-        )
+            })
+            .collect()
     }
 
     /// The tenant's seed-stream root, or `None` for unknown tenants.
@@ -181,6 +198,14 @@ impl TenantRegistry {
                 in_flight: t.in_flight,
             });
         }
+        let known = t.text_ids.get(sql).copied();
+        let id = match known {
+            Some(id) => id,
+            None => match u32::try_from(t.texts.len()) {
+                Ok(id) => id,
+                Err(_) => return Some(Reservation::LogFull),
+            },
+        };
         // Lock order is always tenant → ledger (the only place both are
         // held), so the pair cannot deadlock.
         let mut acc = ledger.lock().unwrap_or_else(PoisonError::into_inner);
@@ -190,15 +215,15 @@ impl TenantRegistry {
         drop(acc);
         let index = t.log.len() as u64;
         t.in_flight += 1;
-        let text = match t.texts.get(sql) {
-            Some(text) => Arc::clone(text),
-            None => {
-                let text: Arc<str> = Arc::from(sql);
-                t.texts.insert(Arc::clone(&text));
-                text
-            }
-        };
-        t.log.push((text, snapshot_version));
+        if known.is_none() {
+            let text: Arc<str> = Arc::from(sql);
+            t.text_ids.insert(Arc::clone(&text), id);
+            t.texts.push(text);
+        }
+        t.log.push(id);
+        if t.versions.last().map(|&(_, version)| version) != Some(snapshot_version) {
+            t.versions.push((index, snapshot_version));
+        }
         Some(Reservation::Admitted {
             index,
             tenant_seed: t.seed,
@@ -243,8 +268,9 @@ mod tests {
 
         let state = registry.state("alice").unwrap();
         let t = state.lock().unwrap();
-        assert!(Arc::ptr_eq(&t.log[0].0, &t.log[2].0));
+        assert_eq!(t.log, [0, 1, 0]);
         assert_eq!(t.texts.len(), 2);
+        assert_eq!(t.text_ids.len(), 2);
         drop(t);
 
         let log = registry.query_log("alice").unwrap();
@@ -258,5 +284,31 @@ mod tests {
             .map(|(&(sql, version), index)| (index, sql, version))
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn snapshot_versions_round_trip_out_of_order() {
+        let registry = TenantRegistry::new();
+        registry.register("alice", PrivacyBudget::pure(8.0), 1);
+        // Two in-flight queries can pin v and v + 1 and reserve in either
+        // order, so a version recurs after a later one.
+        let versions = [0, 0, 1, 0];
+        for version in versions {
+            let reservation = registry.reserve(
+                "alice",
+                "SELECT COUNT(*) FROM visits",
+                PrivacyBudget::pure(1.0),
+                8,
+                version,
+            );
+            assert!(matches!(reservation, Some(Reservation::Admitted { .. })));
+        }
+
+        let state = registry.state("alice").unwrap();
+        assert_eq!(state.lock().unwrap().versions, [(0, 0), (2, 1), (3, 0)]);
+        let log = registry.query_log("alice").unwrap();
+        let got: Vec<(u64, u64)> = log.iter().map(|q| (q.index, q.snapshot_version)).collect();
+        assert_eq!(got, [(0, 0), (1, 0), (2, 1), (3, 0)]);
+        assert!(log.iter().all(|q| q.sql == "SELECT COUNT(*) FROM visits"));
     }
 }
