@@ -261,10 +261,14 @@ pub fn serve(server: Arc<DpServer>, addr: impl ToSocketAddrs) -> io::Result<Serv
                     break;
                 }
                 live.insert(id, Arc::clone(&stream));
-                let metrics = accept_server.metrics();
-                metrics.gauge_set(LIVE_CONNECTIONS, live.len() as f64);
+                accept_server
+                    .metrics()
+                    .gauge_set(LIVE_CONNECTIONS, live.len() as f64);
             }
-            connections.retain(|handle| !handle.is_finished());
+            // Joining a finished handler does not block.
+            for handle in connections.extract_if(.., |handle| handle.is_finished()) {
+                let _ = handle.join();
+            }
             let conn_server = Arc::clone(&accept_server);
             let conn_streams = Arc::clone(&accept_streams);
             connections.push(thread::spawn(move || {
@@ -272,8 +276,9 @@ pub fn serve(server: Arc<DpServer>, addr: impl ToSocketAddrs) -> io::Result<Serv
                 let _ = handle_connection(&conn_server, BufReader::new(&*stream), &*stream);
                 let mut live = conn_streams.lock().unwrap_or_else(PoisonError::into_inner);
                 if live.remove(&id).is_some() {
-                    let metrics = conn_server.metrics();
-                    metrics.gauge_set(LIVE_CONNECTIONS, live.len() as f64);
+                    conn_server
+                        .metrics()
+                        .gauge_set(LIVE_CONNECTIONS, live.len() as f64);
                 }
             }));
         }
