@@ -32,10 +32,11 @@
 //! ```
 //!
 //! Beside the differentially private releases, tenants see no field that
-//! depends on the data or on other tenants. `OK EXPLAIN` carries ε alone: cache hits and misses describe other tenants'
-//! traffic, and a miss's LP solve count is 2(|P|+1), which reveals the
-//! participant count. `OK INGEST` omits how many cache entries the swap
-//! swept; the server counts that in `server.ingest.swept`.
+//! depends on the data or on other tenants. `OK EXPLAIN` carries ε alone:
+//! cache hits and misses describe other tenants' traffic, and a miss's LP
+//! solve count is 2(|P|+1), which reveals the participant count.
+//! `OK INGEST` omits how many cache entries the swap swept; the server
+//! counts that in `server.ingest.swept`.
 //!
 //! `INGEST` rows are `;`-separated, each row a `,`-separated list of
 //! `column=value` pairs. Values parse as integers first, then booleans,
@@ -213,7 +214,7 @@ type LiveStreams = Arc<Mutex<HashMap<u64, Arc<TcpStream>>>>;
 ///
 /// The **only** place in the workspace that constructs a [`TcpListener`]
 /// (CI greps for strays): all listening sockets answer to this module's
-/// shutdown discipline, so `perf_smoke` and the tests always drain cleanly.
+/// shutdown discipline, so `perfbench` and the tests always drain cleanly.
 pub struct ServerHandle {
     server: Arc<DpServer>,
     addr: SocketAddr,
