@@ -1,19 +1,18 @@
 //! Cross-query sequence cache.
 //!
-//! The recursive mechanism's cost is entirely in precomputing the `H`/`G`
-//! sequences — `2(|P|+1)` LP chains per query (Sec. 5.3). Production DP-SQL
+//! The recursive mechanism's cost is entirely in solving the `H`/`G`
+//! sequences — two LP chains over `2(|P|+1)` entries per query (Sec. 5.3). Production DP-SQL
 //! traffic, however, is dominated by *repeated query shapes* (Chorus:
 //! Johnson, Near, Song & Sarwate; FLEX: Johnson, Near & Song), so the second
 //! structurally identical query over the same data should not pay the
 //! simplex again. This module provides the storage layer of that reuse:
 //!
-//! * [`FrozenSequences`] — an immutable snapshot of a *completed*
-//!   instantiation (every `H_i`/`G_i` value plus the bounding factor), built
-//!   from any [`MechanismSequences`] — the LP-based [`EfficientSequences`]
-//!   or the subset-enumeration [`GeneralSequences`] alike. Frozen tables
-//!   implement [`MechanismSequences`] themselves, so a
-//!   [`RecursiveMechanism`](crate::RecursiveMechanism) can release straight
-//!   from a cache hit.
+//! * [`FrozenSequences`] — the complete table of one query: every
+//!   `H_i`/`G_i` value plus the bounding factor. The LP-based
+//!   [`EfficientSequences`] and the subset-enumeration [`GeneralSequences`]
+//!   both produce one, and the
+//!   [`RecursiveMechanism`](crate::RecursiveMechanism) releases only from a
+//!   shared table ([`CachedSequences`]), cached or freshly solved alike.
 //! * [`SequenceCache`] — a thread-safe, capacity-bounded LRU mapping
 //!   [`Fingerprint`] keys to `Arc<FrozenSequences>`, with hit/miss/eviction
 //!   counters surfaced through [`CacheStats`].
@@ -22,7 +21,7 @@
 //!
 //! A frozen table stores the *exact* values the cold path computes — the
 //! same deterministic warm-started chains behind
-//! [`MechanismSequences::precompute`] — and the mechanism draws its noise
+//! [`EfficientSequences::solve_table`] — and the mechanism draws its noise
 //! per release from the caller's RNG either way. A cache hit therefore skips
 //! all LP work but leaves the released values **bit-identical** to a cold
 //! run under the same seed: caching is a wall-clock optimisation, never a
@@ -42,9 +41,8 @@
 //! [`GeneralSequences`]: crate::GeneralSequences
 
 use crate::efficient::{EfficientSequences, LpWorkStats, RefreshSeed, RefreshStats, RefreshTier};
-use crate::error::{MechanismError, SequenceFamily};
+use crate::error::MechanismError;
 use crate::krelation_query::SensitiveKRelation;
-use crate::sequences::MechanismSequences;
 use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::hash::FxHashMap;
 use rmdp_lp::SimplexOptions;
@@ -54,10 +52,10 @@ use std::sync::{Arc, Mutex};
 /// Default number of frozen sequence tables a cache holds before evicting.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-/// An immutable snapshot of a completed instantiation: every `H_i` and
-/// `G_i` value plus the bounding factor `g`.
+/// The complete table of one query: every `H_i` and `G_i` value plus the
+/// bounding factor `g`.
 ///
-/// The snapshot is `Send + Sync` plain data (`2(|P|+1)` floats), so it is
+/// The table is `Send + Sync` plain data (`2(|P|+1)` floats), so it is
 /// cheap to share behind an [`Arc`] across sessions and worker threads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FrozenSequences {
@@ -67,39 +65,31 @@ pub struct FrozenSequences {
 }
 
 impl FrozenSequences {
-    /// Completes `sequences` (precomputing every entry with up to
-    /// `parallelism` workers) and snapshots all of its values.
-    ///
-    /// The values are exactly what the live instantiation would serve —
-    /// [`MechanismSequences::precompute`] is contractually bit-identical to
-    /// the lazy path — so releasing from the snapshot is bit-identical to
-    /// releasing from the live instantiation under the same RNG stream.
-    pub fn compute<S: MechanismSequences>(
-        mut sequences: S,
-        parallelism: Parallelism,
-    ) -> Result<Self, MechanismError> {
-        sequences.precompute(parallelism)?;
-        Self::snapshot(&mut sequences)
+    /// A table from its entries (`h.len() == g.len() == |P| + 1`).
+    pub(crate) fn from_entries(h: Vec<f64>, g: Vec<f64>, bounding_factor: f64) -> Self {
+        debug_assert!(!h.is_empty() && h.len() == g.len());
+        FrozenSequences {
+            h,
+            g,
+            bounding_factor,
+        }
     }
 
-    /// [`compute`](Self::compute) over an [`EfficientSequences`], returning
-    /// alongside the snapshot a [`RefreshSeed`], so a later
-    /// [`refresh`](Self::refresh) can tell whether a data delta changed the
-    /// query, and the LP work the precomputation performed (`compute`, being
-    /// generic, has nowhere to surface it; telemetry wants it attributed to
-    /// the query that filled the cache).
+    /// [`EfficientSequences::solve_table`] plus a [`RefreshSeed`], so a
+    /// later [`refresh`](Self::refresh) can tell whether a data delta changed
+    /// the query, and the LP work the solve performed (telemetry attributes
+    /// it to the query that filled the cache).
     pub fn compute_with_seed(
-        mut sequences: EfficientSequences,
+        sequences: EfficientSequences,
         parallelism: Parallelism,
     ) -> Result<(Self, RefreshSeed, LpWorkStats), MechanismError> {
-        sequences.precompute(parallelism)?;
-        let stats = sequences.stats();
-        let seed = sequences.refresh_seed();
-        Ok((Self::snapshot(&mut sequences)?, seed, stats))
+        let (table, stats) = sequences.solve_table(parallelism)?;
+        Ok((table, sequences.refresh_seed(), stats))
     }
 
-    /// Re-derives this snapshot for the **post-delta** query, bit-identical
-    /// (per seed) to a cold [`compute`](Self::compute) of `query`:
+    /// Re-derives this table for the **post-delta** query, bit-identical
+    /// (per seed) to a cold [`compute_with_seed`](Self::compute_with_seed)
+    /// of `query`:
     ///
     /// * [`RefreshTier::Unchanged`] — `query` is structurally identical to
     ///   the seeded one: republish the frozen values, zero LP work;
@@ -107,7 +97,7 @@ impl FrozenSequences {
     ///   [`compute_with_seed`](Self::compute_with_seed) of `query` under
     ///   `options`, so both sides run one code path.
     ///
-    /// Returns the refreshed snapshot, a fresh seed for the *next* delta,
+    /// Returns the refreshed table, a fresh seed for the *next* delta,
     /// and what the refresh cost.
     pub fn refresh(
         &self,
@@ -134,91 +124,42 @@ impl FrozenSequences {
         Ok((frozen, next_seed, RefreshStats { tier, lp }))
     }
 
-    /// Copies every completed entry out of `sequences`.
-    fn snapshot<S: MechanismSequences>(sequences: &mut S) -> Result<Self, MechanismError> {
-        let n = sequences.num_participants();
-        let mut h = Vec::with_capacity(n + 1);
-        let mut g = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            h.push(sequences.h(i)?);
-            g.push(sequences.g(i)?);
-        }
-        Ok(FrozenSequences {
-            h,
-            g,
-            bounding_factor: sequences.bounding_factor(),
-        })
+    /// Number of participants `|P|`.
+    pub fn num_participants(&self) -> usize {
+        self.h.len() - 1
     }
 
-    /// The frozen `H` entries.
+    /// The `H` entries `H_0 … H_{|P|}`.
     pub fn h_entries(&self) -> &[f64] {
         &self.h
     }
 
-    /// The frozen `G` entries.
+    /// The `G` entries `G_0 … G_{|P|}`.
     pub fn g_entries(&self) -> &[f64] {
         &self.g
     }
 
-    /// Approximate heap size of the snapshot in bytes (diagnostics).
+    /// The factor `g` of the g-bounding property (1 for the general
+    /// instantiation, 2 for the efficient one).
+    pub fn bounding_factor(&self) -> f64 {
+        self.bounding_factor
+    }
+
+    /// Approximate heap size of the table in bytes (diagnostics).
     pub fn size_bytes(&self) -> usize {
         (self.h.capacity() + self.g.capacity()) * std::mem::size_of::<f64>()
     }
-
-    fn entry(
-        &self,
-        family: SequenceFamily,
-        values: &[f64],
-        i: usize,
-    ) -> Result<f64, MechanismError> {
-        values.get(i).copied().ok_or_else(|| {
-            // Mirrors the live instantiation: an out-of-range entry is the
-            // infeasible mass constraint Σf = i over |P| unit variables.
-            MechanismError::sequence_lp(family, i, rmdp_lp::LpError::Infeasible)
-        })
-    }
 }
 
-impl MechanismSequences for FrozenSequences {
-    fn num_participants(&self) -> usize {
-        self.h.len().saturating_sub(1)
-    }
-
-    fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-        self.entry(SequenceFamily::H, &self.h, i)
-    }
-
-    fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-        self.entry(SequenceFamily::G, &self.g, i)
-    }
-
-    fn bounding_factor(&self) -> f64 {
-        self.bounding_factor
-    }
-}
-
-/// A shared frozen snapshot, servable as [`MechanismSequences`].
-///
-/// This is what a cache hit hands to the mechanism driver: the `Arc` keeps
-/// the snapshot alive even if the cache evicts it mid-release.
+/// A shared table: what the [`RecursiveMechanism`](crate::RecursiveMechanism)
+/// releases from. The `Arc` keeps a cached table alive even if the cache
+/// evicts it mid-release.
 #[derive(Clone, Debug)]
 pub struct CachedSequences(pub Arc<FrozenSequences>);
 
-impl MechanismSequences for CachedSequences {
-    fn num_participants(&self) -> usize {
-        self.0.num_participants()
-    }
-
-    fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-        self.0.entry(SequenceFamily::H, &self.0.h, i)
-    }
-
-    fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-        self.0.entry(SequenceFamily::G, &self.0.g, i)
-    }
-
-    fn bounding_factor(&self) -> f64 {
-        self.0.bounding_factor
+impl From<FrozenSequences> for CachedSequences {
+    fn from(table: FrozenSequences) -> Self {
+        CachedSequences(Arc::new(table))
     }
 }
 
@@ -522,7 +463,7 @@ impl SequenceCache {
 
     /// Returns the table under `key`, computing and inserting it on a miss.
     ///
-    /// `compute` runs **outside** the lock, so a slow LP precompute never
+    /// `compute` runs **outside** the lock, so a slow table solve never
     /// blocks other sessions' lookups; the price is that concurrent misses
     /// on the same key may compute the table more than once (harmlessly —
     /// the computation is deterministic).
@@ -585,46 +526,48 @@ mod tests {
     }
 
     fn frozen_fig2a() -> FrozenSequences {
-        FrozenSequences::compute(EfficientSequences::new(fig2a()), Parallelism::Serial).unwrap()
+        let (table, _, _) = FrozenSequences::compute_with_seed(
+            EfficientSequences::new(fig2a()),
+            Parallelism::Serial,
+        )
+        .unwrap();
+        table
     }
 
     #[test]
-    fn frozen_tables_serve_the_exact_live_values() {
-        let mut live = EfficientSequences::new(fig2a());
-        let mut frozen = frozen_fig2a();
+    fn computed_tables_hold_every_entry_of_both_chains() {
+        let sequences = EfficientSequences::new(fig2a());
+        let (solved, stats) = sequences.solve_table(Parallelism::Serial).unwrap();
+        let (frozen, _, seeded_stats) =
+            FrozenSequences::compute_with_seed(sequences, Parallelism::Serial).unwrap();
+        assert_eq!(frozen, solved);
+        assert_eq!(seeded_stats, stats);
         assert_eq!(frozen.num_participants(), 5);
+        assert_eq!(frozen.h_entries().len(), 6);
+        assert_eq!(frozen.g_entries().len(), 6);
         assert_eq!(frozen.bounding_factor(), 2.0);
-        for i in 0..=5usize {
-            assert_eq!(frozen.h(i).unwrap(), live.h(i).unwrap(), "H_{i}");
-            assert_eq!(frozen.g(i).unwrap(), live.g(i).unwrap(), "G_{i}");
-        }
-        // Out of range mirrors the live error shape.
-        match frozen.h(6) {
-            Err(MechanismError::SequenceLp {
-                family: SequenceFamily::H,
-                index: 6,
-                ..
-            }) => {}
-            other => panic!("expected a named out-of-range error, got {other:?}"),
-        }
+        assert_eq!(frozen.size_bytes(), 12 * std::mem::size_of::<f64>());
     }
 
     #[test]
     fn frozen_general_sequences_work_too() {
         let general = GeneralSequences::build(&fig2a()).unwrap();
         let h_ref = general.h_entries().to_vec();
-        let frozen = FrozenSequences::compute(general, Parallelism::Serial).unwrap();
+        let frozen = general.into_table();
         assert_eq!(frozen.h_entries(), &h_ref[..]);
         assert_eq!(frozen.bounding_factor(), 1.0);
     }
 
     #[test]
-    fn cached_release_is_bit_identical_to_the_live_release() {
+    fn cached_release_is_bit_identical_to_a_fresh_table_release() {
         let params = MechanismParams::paper_node_privacy(1.0);
-        let frozen = Arc::new(frozen_fig2a());
-        let mut live = RecursiveMechanism::new(EfficientSequences::new(fig2a()), params).unwrap();
-        let mut cached = RecursiveMechanism::new(CachedSequences(frozen), params).unwrap();
-        let a = live
+        let cache = SequenceCache::new(2);
+        let cached_table = cache
+            .get_or_try_insert_with(Fingerprint(5), || Ok(frozen_fig2a()))
+            .unwrap();
+        let mut fresh = RecursiveMechanism::new(frozen_fig2a().into(), params).unwrap();
+        let mut cached = RecursiveMechanism::new(CachedSequences(cached_table), params).unwrap();
+        let a = fresh
             .release_many(6, &mut StdRng::seed_from_u64(17))
             .unwrap();
         let b = cached
@@ -796,8 +739,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(stats.tier, RefreshTier::ColdRebuild);
-        let cold =
-            FrozenSequences::compute(EfficientSequences::new(grown), Parallelism::Serial).unwrap();
+        let (cold, _) = EfficientSequences::new(grown)
+            .solve_table(Parallelism::Serial)
+            .unwrap();
         assert_eq!(refreshed, cold);
 
         // A changed annotation over the same participants rebuilds cold too.
@@ -813,8 +757,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(stats.tier, RefreshTier::ColdRebuild);
-        let cold =
-            FrozenSequences::compute(EfficientSequences::new(conj), Parallelism::Serial).unwrap();
+        let (cold, _) = EfficientSequences::new(conj)
+            .solve_table(Parallelism::Serial)
+            .unwrap();
         assert_eq!(refreshed, cold);
     }
 

@@ -31,21 +31,18 @@
 //! Within a family, consecutive entries differ **only** in the right-hand
 //! side of the mass-tie equality, so the family is standardized once into a
 //! [`rmdp_lp::PreparedLp`] (the mass row is always constraint 0) and walked
-//! as a chain: entry `i+1` re-enters from entry `i`'s optimal basis
-//! ([`rmdp_lp::PreparedLp::solve_warm`]), which is still dual feasible, so
-//! the dual simplex re-optimises it in a few pivots with no composite
-//! phase 1. By default each family is **one** chain from `i = 0`: a chain
-//! cut at `i` would restart cold there, and a cold start costs about as much
-//! as walking the chain from 0 to `i`, so cuts buy no parallelism. The
-//! chain run length is still a knob ([`EfficientSequences::with_chain_run_len`]
-//! cuts fixed contiguous runs via [`rmdp_runtime::contiguous_runs`],
-//! independent of the worker count), and runs — not entries — are the unit
-//! of work everywhere: a lazy `h(i)` call solves the whole run containing
-//! `i`, and [`MechanismSequences::precompute`] maps uncached runs (by
-//! default the H and the G chain) onto the worker pool. Because both paths
-//! execute byte-identical run chains, the cached values, the releases, and
-//! even the pivot counters are bit-identical for every [`Parallelism`]
-//! setting.
+//! as one chain from `i = 0`: entry `i+1` re-enters from entry `i`'s optimal
+//! basis ([`rmdp_lp::PreparedLp::solve_warm`]), which is still dual
+//! feasible, so the dual simplex re-optimises it in a few pivots with no
+//! composite phase 1. A chain cut at `i` would restart cold there, and a
+//! cold start costs about as much as walking the chain from 0 to `i`, so no
+//! finer split pays: the H chain and the G chain are the two units of
+//! parallel work. [`EfficientSequences::solve_table`] runs both and returns
+//! the complete [`FrozenSequences`] table the driver releases from; because
+//! each chain runs the same solves on whichever thread it lands, the table,
+//! the releases and even the pivot counters are bit-identical for every
+//! [`Parallelism`] setting. [`EfficientSequences::entry_model`] hands out
+//! one entry's model, so tests can solve it cold as the chain's oracle.
 //!
 //! ## Refresh after a delta
 //!
@@ -56,26 +53,18 @@
 //! seed only the trivial `H_0` entry of a whole-family chain, and every later
 //! entry re-enters through the dual simplex either way.
 
+use crate::cache::FrozenSequences;
 use crate::error::{MechanismError, SequenceFamily};
 use crate::krelation_query::SensitiveKRelation;
-use crate::sequences::MechanismSequences;
 use rmdp_krelation::fingerprint::{Fingerprint, FingerprintHasher};
 use rmdp_krelation::hash::FxHashMap;
 use rmdp_krelation::participant::ParticipantId;
 use rmdp_krelation::phi::phi_sensitivities;
 use rmdp_krelation::Expr;
 use rmdp_lp::{Basis, Model, Sense, SimplexOptions, SolveStats, Var};
-use rmdp_runtime::{contiguous_runs, par_map_indexed, run_containing, Parallelism};
-use std::ops::Range;
+use rmdp_runtime::{par_try_map_indexed, Parallelism};
 
-/// Default number of consecutive entries per warm-start run: the whole
-/// family. A dual re-entry costs a few pivots per entry, while a run that
-/// starts cold at `i` costs about as much as walking the chain from 0 to
-/// `i`, so shorter runs buy neither speed nor useful parallelism; the H and
-/// G chains are the two units of parallel work.
-const DEFAULT_CHAIN_RUN_LEN: usize = usize::MAX;
-
-/// Cumulative counters describing the LP work done by one instantiation.
+/// Cumulative counters describing the LP work of one table solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LpWorkStats {
     /// Number of LPs solved for `H` entries.
@@ -262,31 +251,13 @@ fn query_terms_fingerprint(query: &SensitiveKRelation) -> Fingerprint {
 }
 
 /// The LP-based instantiation of the recursive mechanism over a sensitive
-/// K-relation. Computed entries are cached, so repeated releases on the same
-/// relation only pay for the entries they newly touch.
+/// K-relation: a producer of the complete `H`/`G` table.
 ///
-/// Entry LPs are solved in warm-started chains over a shared immutable view
-/// of the query (the internal `SequenceLps`); runs of consecutive entries
-/// are the unit of work, so [`MechanismSequences::precompute`] can map them
-/// onto the scoped worker pool of `rmdp-runtime` and the values (and the
-/// resulting releases) stay bit-identical to the lazy serial path.
+/// The struct is the immutable LP-construction view — the query plus its
+/// precomputed φ-sensitivities and solver options. Every chain builds its
+/// own [`rmdp_lp::PreparedLp`] from this shared data (`&self` only), so the
+/// struct is `Sync` and the H and G chains can run on two workers at once.
 pub struct EfficientSequences {
-    /// The shared immutable problem view each LP solve reads from.
-    lps: SequenceLps,
-    /// Entries per warm-start run (≥ 1; 1 disables warm starts).
-    chain_run_len: usize,
-    h_cache: FxHashMap<usize, f64>,
-    g_cache: FxHashMap<usize, f64>,
-    stats: LpWorkStats,
-}
-
-/// The immutable LP-construction view: the query plus its precomputed
-/// φ-sensitivities and solver options. Every chain run builds its own
-/// [`rmdp_lp::PreparedLp`] from this shared data (`&self` only), so the
-/// struct is `Sync` and worker threads can run whole chains concurrently
-/// without any cache contention — caching stays in [`EfficientSequences`],
-/// outside the parallel region.
-struct SequenceLps {
     query: SensitiveKRelation,
     /// φ-sensitivities of each term's annotation (aligned with the query's
     /// terms), precomputed once.
@@ -303,13 +274,6 @@ enum Operand {
     Variable(Var),
 }
 
-/// One solved chain entry: its index, its value, and the solver counters.
-struct EntrySolve {
-    index: usize,
-    value: f64,
-    stats: SolveStats,
-}
-
 impl EfficientSequences {
     /// Wraps a sensitive K-relation.
     pub fn new(query: SensitiveKRelation) -> Self {
@@ -319,36 +283,15 @@ impl EfficientSequences {
             .map(|(e, _)| phi_sensitivities(e))
             .collect();
         EfficientSequences {
-            lps: SequenceLps {
-                query,
-                term_sensitivities,
-                options: SimplexOptions::default(),
-            },
-            chain_run_len: DEFAULT_CHAIN_RUN_LEN,
-            h_cache: FxHashMap::default(),
-            g_cache: FxHashMap::default(),
-            stats: LpWorkStats::default(),
+            query,
+            term_sensitivities,
+            options: SimplexOptions::default(),
         }
-    }
-
-    /// Sets the number of consecutive entries solved as one warm-started
-    /// chain (clamped to ≥ 1; 1 reproduces entry-by-entry cold solves). The
-    /// default walks each family as one chain; shorter runs only add cold
-    /// starts.
-    ///
-    /// Like [`Parallelism`] this is a pure performance knob *per value*:
-    /// serial and parallel execution are bit-identical for any fixed run
-    /// length. Different run lengths may differ in the last few floating
-    /// point bits of an entry (different pivot paths to the same optimum),
-    /// so pick one before the first solve and keep it.
-    pub fn with_chain_run_len(mut self, run_len: usize) -> Self {
-        self.chain_run_len = run_len.max(1);
-        self
     }
 
     /// Sets the LP solver options every entry is solved with.
     pub fn with_solver_options(mut self, options: SimplexOptions) -> Self {
-        self.lps.options = options;
+        self.options = options;
         self
     }
 
@@ -356,55 +299,48 @@ impl EfficientSequences {
     /// structural fingerprint.
     pub fn refresh_seed(&self) -> RefreshSeed {
         RefreshSeed {
-            terms_fingerprint: query_terms_fingerprint(&self.lps.query),
+            terms_fingerprint: query_terms_fingerprint(&self.query),
         }
     }
 
     /// The wrapped query.
     pub fn query(&self) -> &SensitiveKRelation {
-        &self.lps.query
+        &self.query
     }
 
-    /// LP work counters.
-    pub fn stats(&self) -> LpWorkStats {
-        self.stats
+    /// Solves the H chain and the G chain — on up to two workers of
+    /// `parallelism`; serially H then G on the calling thread — and returns
+    /// the complete table together with the LP work it cost.
+    ///
+    /// Each chain runs the same solves wherever it runs, so the table and
+    /// the counters are bit-identical for every [`Parallelism`]. A failing
+    /// entry surfaces as [`MechanismError::SequenceLp`] naming it (`H_7`,
+    /// `G_3`); when both chains fail, the `H` error is reported.
+    pub fn solve_table(
+        &self,
+        parallelism: Parallelism,
+    ) -> Result<(FrozenSequences, LpWorkStats), MechanismError> {
+        let families = [SequenceFamily::H, SequenceFamily::G];
+        let mut chains = par_try_map_indexed(parallelism, families.len(), |k| {
+            self.solve_chain(families[k])
+        })?;
+        let (g, g_stats) = chains.pop().expect("two chains");
+        let (h, mut stats) = chains.pop().expect("two chains");
+        stats.absorb(&g_stats);
+        Ok((FrozenSequences::from_entries(h, g, 2.0), stats))
     }
 
-    /// The run of entry indices solved together with `i` — the same cut
-    /// points [`MechanismSequences::precompute`] partitions with
-    /// ([`rmdp_runtime::contiguous_runs`]); sharing the arithmetic is part
-    /// of the lazy/eager bit-identity contract.
-    fn run_containing(&self, i: usize) -> Range<usize> {
-        run_containing(self.num_participants() + 1, self.chain_run_len, i)
-    }
-
-    /// Folds the results of one chain run into the caches and counters.
-    /// Entries that are somehow already cached are skipped so the counters
-    /// never double-count (runs are normally cached atomically).
-    fn absorb_run(&mut self, family: SequenceFamily, entries: Vec<EntrySolve>) {
-        for entry in entries {
-            let cache = match family {
-                SequenceFamily::H => &mut self.h_cache,
-                SequenceFamily::G => &mut self.g_cache,
-            };
-            if cache.contains_key(&entry.index) {
-                continue;
-            }
-            cache.insert(entry.index, entry.value);
-            self.stats.absorb_solve(family, &entry.stats);
+    /// The LP of entry `i` of `family` as a fresh model, with the constant
+    /// objective offset to add to its optimum (`H` terms whose annotation
+    /// encodes to a constant; 0 for `G`). Solving it cold is the oracle the
+    /// chain is checked against: it is the work the chain saves.
+    pub fn entry_model(&self, family: SequenceFamily, i: usize) -> (Model, f64) {
+        match family {
+            SequenceFamily::H => self.build_h_model(i),
+            SequenceFamily::G => (self.build_g_model(i), 0.0),
         }
     }
 
-    /// Solves (and caches) the whole run containing entry `i` of `family`.
-    fn solve_run_for(&mut self, family: SequenceFamily, i: usize) -> Result<(), MechanismError> {
-        let run = self.run_containing(i);
-        let entries = self.lps.solve_family_run(family, run)?;
-        self.absorb_run(family, entries);
-        Ok(())
-    }
-}
-
-impl SequenceLps {
     /// Creates the per-participant variables `f_p ∈ [0,1]` and the mass
     /// constraint `Σ_p f_p = i`. The mass row is always the **first**
     /// constraint of the model (row 0), which is what lets a chain step the
@@ -556,29 +492,25 @@ impl SequenceLps {
         model
     }
 
-    /// Solves one contiguous run of a family as a warm-started chain: the
-    /// family is standardized once at `run.start`, each subsequent entry
-    /// steps the mass row with `set_rhs(0, i)` and re-enters from the
-    /// previous optimal basis. A failure anywhere discards the whole run
-    /// (runs are cached atomically) and names the failing entry.
-    fn solve_family_run(
+    /// Solves one whole family as a warm-started chain from `i = 0`: the
+    /// family is standardized once, each later entry steps the mass row with
+    /// `set_rhs(0, i)` and re-enters from the previous optimal basis. A
+    /// failure discards the chain and names the failing entry.
+    fn solve_chain(
         &self,
         family: SequenceFamily,
-        run: Range<usize>,
-    ) -> Result<Vec<EntrySolve>, MechanismError> {
-        debug_assert!(!run.is_empty());
-        let (model, offset) = match family {
-            SequenceFamily::H => self.build_h_model(run.start),
-            SequenceFamily::G => (self.build_g_model(run.start), 0.0),
-        };
+    ) -> Result<(Vec<f64>, LpWorkStats), MechanismError> {
+        let entries = self.query.num_participants() + 1;
+        let (model, offset) = self.entry_model(family, 0);
         let has_mass_row = !self.query.participants().is_empty();
         let mut prepared = model
             .prepare()
-            .map_err(|e| MechanismError::sequence_lp(family, run.start, e))?;
+            .map_err(|e| MechanismError::sequence_lp(family, 0, e))?;
 
-        let mut entries = Vec::with_capacity(run.len());
+        let mut values = Vec::with_capacity(entries);
+        let mut stats = LpWorkStats::default();
         let mut basis: Option<Basis> = None;
-        for i in run {
+        for i in 0..entries {
             if has_mass_row {
                 prepared.set_rhs(0, i as f64);
             }
@@ -587,112 +519,18 @@ impl SequenceLps {
                 Some(b) => prepared.solve_warm(b, &self.options),
             }
             .map_err(|e| MechanismError::sequence_lp(family, i, e))?;
-            entries.push(EntrySolve {
-                index: i,
-                value: solved.solution.objective + offset,
-                stats: solved.solution.stats,
-            });
+            values.push(solved.solution.objective + offset);
+            stats.absorb_solve(family, &solved.solution.stats);
             basis = Some(solved.basis);
         }
-        Ok(entries)
-    }
-}
-
-impl MechanismSequences for EfficientSequences {
-    fn num_participants(&self) -> usize {
-        self.lps.query.num_participants()
-    }
-
-    fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-        if i > self.num_participants() {
-            // Out of range: the mass constraint Σf = i is unsatisfiable over
-            // |P| unit variables (matches the LP verdict the entry would
-            // produce).
-            return Err(MechanismError::sequence_lp(
-                SequenceFamily::H,
-                i,
-                rmdp_lp::LpError::Infeasible,
-            ));
-        }
-        if let Some(&v) = self.h_cache.get(&i) {
-            return Ok(v);
-        }
-        self.solve_run_for(SequenceFamily::H, i)?;
-        Ok(self.h_cache[&i])
-    }
-
-    fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-        if i > self.num_participants() {
-            return Err(MechanismError::sequence_lp(
-                SequenceFamily::G,
-                i,
-                rmdp_lp::LpError::Infeasible,
-            ));
-        }
-        if let Some(&v) = self.g_cache.get(&i) {
-            return Ok(v);
-        }
-        self.solve_run_for(SequenceFamily::G, i)?;
-        Ok(self.g_cache[&i])
-    }
-
-    fn bounding_factor(&self) -> f64 {
-        2.0
-    }
-
-    /// Solves every not-yet-cached chain run (all `2(|P|+1)` entries when
-    /// the caches are cold) on the scoped worker pool. Runs are cut at fixed
-    /// points independent of the worker count, each run is one warm-started
-    /// chain executed entirely on one worker, and results and stats are
-    /// folded back in run order on the calling thread — so warm starts
-    /// survive parallelism and the caches end up exactly as the lazy serial
-    /// path would leave them, pivot counters included.
-    ///
-    /// Best-effort by design: a run whose chain fails (e.g. the simplex
-    /// iteration limit on a pathological instance) is simply left uncached
-    /// and will be re-solved lazily if the driver ever asks for one of its
-    /// entries — so a failure in a run the driver never touches cannot fail
-    /// a query that would have succeeded serially, and the error surface is
-    /// identical for every [`Parallelism`] setting. With the default
-    /// whole-family chains a failure drops the whole family. That stays
-    /// rare: a warm entry whose re-entry fails numerically is re-solved cold
-    /// inside [`rmdp_lp::PreparedLp::solve_warm`], so a chain fails only
-    /// where a cold solve of that entry would fail too.
-    fn precompute(&mut self, parallelism: Parallelism) -> Result<(), MechanismError> {
-        let entries = self.num_participants() + 1;
-        let mut jobs: Vec<(SequenceFamily, Range<usize>)> = Vec::new();
-        for family in [SequenceFamily::H, SequenceFamily::G] {
-            let cache = match family {
-                SequenceFamily::H => &self.h_cache,
-                SequenceFamily::G => &self.g_cache,
-            };
-            jobs.extend(
-                contiguous_runs(entries, self.chain_run_len)
-                    .into_iter()
-                    .filter(|run| run.clone().any(|i| !cache.contains_key(&i)))
-                    .map(|run| (family, run)),
-            );
-        }
-
-        let lps = &self.lps;
-        let solved = par_map_indexed(parallelism, jobs.len(), |k| {
-            let (family, run) = &jobs[k];
-            lps.solve_family_run(*family, run.clone())
-        });
-
-        for ((family, _), result) in jobs.iter().zip(solved) {
-            let Ok(run) = result else {
-                continue;
-            };
-            self.absorb_run(*family, run);
-        }
-        Ok(())
+        Ok((values, stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachedSequences;
     use crate::general::GeneralSequences;
     use crate::mechanism::RecursiveMechanism;
     use crate::params::MechanismParams;
@@ -729,30 +567,33 @@ mod tests {
         SensitiveKRelation::counting(&r)
     }
 
+    /// The serial table and its LP work.
+    fn solve(query: SensitiveKRelation) -> (FrozenSequences, LpWorkStats) {
+        EfficientSequences::new(query)
+            .solve_table(Parallelism::Serial)
+            .unwrap()
+    }
+
     #[test]
     fn h_endpoints_match_the_definition() {
-        let mut seq = EfficientSequences::new(fig2a());
-        assert!((seq.h(0).unwrap() - 0.0).abs() < 1e-7);
-        assert!(
-            (seq.h(5).unwrap() - 3.0).abs() < 1e-7,
-            "H_|P| must be the true answer"
-        );
-        assert!((seq.true_answer().unwrap() - 3.0).abs() < 1e-7);
+        let (table, _) = solve(fig2a());
+        let h = table.h_entries();
+        assert!((h[0] - 0.0).abs() < 1e-7);
+        assert!((h[5] - 3.0).abs() < 1e-7, "H_|P| must be the true answer");
+        assert_eq!(table.num_participants(), 5);
+        assert_eq!(table.bounding_factor(), 2.0);
     }
 
     #[test]
     fn h_matches_hand_computed_values_on_fig2a() {
-        let mut seq = EfficientSequences::new(fig2a());
+        let (table, _) = solve(fig2a());
+        let h = table.h_entries();
         // Dropping node c (f_c = 0, all others 1) kills every triangle.
-        assert!((seq.h(4).unwrap() - 0.0).abs() < 1e-7);
-        let h4 = seq.h(4).unwrap();
-        let h5 = seq.h(5).unwrap();
-        assert!(h4 <= h5);
+        assert!((h[4] - 0.0).abs() < 1e-7);
+        assert!(h[4] <= h[5]);
         // Fractional relaxation can only lower the subset-based minimum.
         let general = GeneralSequences::build(&fig2a()).unwrap();
-        for i in 0..=5usize {
-            let relaxed = seq.h(i).unwrap();
-            let subset_min = general.h_entries()[i];
+        for (i, (&relaxed, &subset_min)) in h.iter().zip(general.h_entries()).enumerate() {
             assert!(
                 relaxed <= subset_min + 1e-7,
                 "H_{i}: relaxed {relaxed} > subset minimum {subset_min}"
@@ -762,19 +603,19 @@ mod tests {
 
     #[test]
     fn sequences_satisfy_defining_properties_on_fig2a() {
-        let mut seq = EfficientSequences::new(fig2a());
-        validate_monotone_start_at_zero(&mut seq, |s, i| s.h(i)).unwrap();
-        validate_monotone_start_at_zero(&mut seq, |s, i| s.g(i)).unwrap();
-        validate_convexity(&mut seq).unwrap();
-        validate_bounding_property(&mut seq).unwrap();
+        let (table, _) = solve(fig2a());
+        validate_monotone_start_at_zero(table.h_entries()).unwrap();
+        validate_monotone_start_at_zero(table.g_entries()).unwrap();
+        validate_convexity(table.h_entries()).unwrap();
+        validate_bounding_property(&table).unwrap();
     }
 
     #[test]
     fn g_full_is_bounded_by_twice_s_times_universal_sensitivity() {
         let query = fig2a();
         let bound = 2.0 * query.max_phi_sensitivity() * query.universal_sensitivity();
-        let mut seq = EfficientSequences::new(query);
-        let g_full = seq.g(5).unwrap();
+        let (table, _) = solve(query);
+        let g_full = table.g_entries()[5];
         assert!(
             g_full <= bound + 1e-7,
             "G_|P| = {g_full} exceeds 2·S·ŨS = {bound}"
@@ -795,9 +636,9 @@ mod tests {
         let smaller = SensitiveKRelation::from_terms((0..4).map(p).collect(), smaller_terms);
         assert_eq!(smaller.true_answer(), 2.0);
 
-        let mut small_seq = EfficientSequences::new(smaller);
-        let mut large_seq = EfficientSequences::new(larger);
-        validate_recursive_monotonicity(&mut small_seq, &mut large_seq).unwrap();
+        let (small, _) = solve(smaller);
+        let (large, _) = solve(larger);
+        validate_recursive_monotonicity(&small, &large).unwrap();
     }
 
     #[test]
@@ -809,11 +650,12 @@ mod tests {
             (Expr::conjunction_of_vars([p(0), p(1)]), 1.0),
         ];
         let query = SensitiveKRelation::from_terms(vec![p(0), p(1)], terms);
-        let mut seq = EfficientSequences::new(query);
+        let (table, _) = solve(query);
+        let h = table.h_entries();
         // |f| = 1: the minimiser splits 0.5/0.5: φ_or = 0.5, φ_and = 0 ⇒ 0.5.
-        assert!((seq.h(1).unwrap() - 0.5).abs() < 1e-7);
-        assert!((seq.h(2).unwrap() - 2.0).abs() < 1e-7);
-        assert!((seq.h(0).unwrap() - 0.0).abs() < 1e-7);
+        assert!((h[1] - 0.5).abs() < 1e-7);
+        assert!((h[2] - 2.0).abs() < 1e-7);
+        assert!((h[0] - 0.0).abs() < 1e-7);
     }
 
     #[test]
@@ -828,38 +670,30 @@ mod tests {
         )];
         let query = SensitiveKRelation::from_terms((0..3).map(p).collect(), terms);
         assert_eq!(query.max_phi_sensitivity(), 2.0);
-        let mut seq = EfficientSequences::new(query);
-        assert!((seq.h(3).unwrap() - 1.0).abs() < 1e-7);
-        validate_monotone_start_at_zero(&mut seq, |s, i| s.h(i)).unwrap();
-        validate_bounding_property(&mut seq).unwrap();
+        let (table, _) = solve(query);
+        assert!((table.h_entries()[3] - 1.0).abs() < 1e-7);
+        validate_monotone_start_at_zero(table.h_entries()).unwrap();
+        validate_bounding_property(&table).unwrap();
     }
 
     #[test]
     fn constant_true_annotations_contribute_a_constant_offset() {
         let terms = vec![(Expr::True, 2.5), (Expr::var(p(0)), 1.0)];
         let query = SensitiveKRelation::from_terms(vec![p(0)], terms);
-        let mut seq = EfficientSequences::new(query);
-        assert!((seq.h(0).unwrap() - 2.5).abs() < 1e-7);
-        assert!((seq.h(1).unwrap() - 3.5).abs() < 1e-7);
+        let (table, _) = solve(query);
+        assert!((table.h_entries()[0] - 2.5).abs() < 1e-7);
+        assert!((table.h_entries()[1] - 3.5).abs() < 1e-7);
         // A True annotation depends on no participant, so G stays 1·2 at most
         // (driven only by the p0 tuple).
-        assert!(seq.g(1).unwrap() <= 2.0 + 1e-7);
-    }
-
-    #[test]
-    fn caching_avoids_repeated_lp_solves() {
-        let mut seq = EfficientSequences::new(fig2a());
-        let _ = seq.h(3).unwrap();
-        let solves_after_first = seq.stats().h_solves;
-        let _ = seq.h(3).unwrap();
-        assert_eq!(seq.stats().h_solves, solves_after_first);
+        assert!(table.g_entries()[1] <= 2.0 + 1e-7);
     }
 
     #[test]
     fn end_to_end_release_on_fig2a() {
-        let seq = EfficientSequences::new(fig2a());
+        let (table, _) = solve(fig2a());
         let mut mech =
-            RecursiveMechanism::new(seq, MechanismParams::paper_node_privacy(1.0)).unwrap();
+            RecursiveMechanism::new(table.into(), MechanismParams::paper_node_privacy(1.0))
+                .unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let releases = mech.release_many(30, &mut rng).unwrap();
         for r in &releases {
@@ -869,52 +703,41 @@ mod tests {
         }
         // Δ is determined by G and the ladder; for this tiny relation it is
         // a small constant ≥ θ = 1.
-        let delta = mech.delta().unwrap();
+        let delta = mech.delta();
         assert!((1.0..20.0).contains(&delta), "Δ = {delta}");
     }
 
     #[test]
-    fn parallel_precompute_is_bit_identical_to_lazy_serial() {
-        let mut lazy = EfficientSequences::new(fig2a());
-        let mut eager = EfficientSequences::new(fig2a());
-        eager.precompute(Parallelism::Threads(3)).unwrap();
-        assert_eq!(eager.stats().h_solves, 6);
-        assert_eq!(eager.stats().g_solves, 6);
-        for i in 0..=5usize {
-            // Bitwise equality, not tolerance: both paths must execute the
-            // exact same deterministic chain runs.
-            assert_eq!(lazy.h(i).unwrap(), eager.h(i).unwrap(), "H_{i}");
-            assert_eq!(lazy.g(i).unwrap(), eager.g(i).unwrap(), "G_{i}");
+    fn parallel_tables_are_bit_identical_to_serial() {
+        let (serial, serial_stats) = solve(fig2a());
+        assert_eq!(serial_stats.h_solves, 6);
+        assert_eq!(serial_stats.g_solves, 6);
+        // More workers than chains included: the extra ones stay idle.
+        for workers in [2usize, 3, 8] {
+            let (parallel, stats) = EfficientSequences::new(fig2a())
+                .solve_table(Parallelism::Threads(workers))
+                .unwrap();
+            // Bitwise equality, not tolerance: both paths run the exact same
+            // deterministic chains.
+            assert_eq!(parallel, serial, "{workers} workers");
+            assert_eq!(stats, serial_stats, "{workers} workers");
         }
-        // All entries were cached by precompute: serving them solved nothing.
-        assert_eq!(eager.stats().h_solves, 6);
-        assert_eq!(eager.stats().g_solves, 6);
-        assert_eq!(lazy.stats().total_pivots, eager.stats().total_pivots);
-        assert_eq!(lazy.stats().warm_start_hits, eager.stats().warm_start_hits);
-    }
-
-    #[test]
-    fn precompute_skips_already_cached_entries() {
-        let mut seq = EfficientSequences::new(fig2a());
-        let _ = seq.h(2).unwrap();
-        let _ = seq.g(4).unwrap();
-        seq.precompute(Parallelism::Threads(2)).unwrap();
-        assert_eq!(seq.stats().h_solves, 6);
-        assert_eq!(seq.stats().g_solves, 6);
     }
 
     #[test]
     fn parallel_params_release_matches_serial_release_bit_for_bit() {
         let serial_params = MechanismParams::paper_node_privacy(1.0);
         let parallel_params = serial_params.with_parallelism(Parallelism::Threads(4));
-        let mut serial_mech =
-            RecursiveMechanism::new(EfficientSequences::new(fig2a()), serial_params).unwrap();
-        let mut parallel_mech =
-            RecursiveMechanism::new(EfficientSequences::new(fig2a()), parallel_params).unwrap();
-        let a = serial_mech
+        let mechanism = |params: MechanismParams| {
+            let (table, _) = EfficientSequences::new(fig2a())
+                .solve_table(params.parallelism)
+                .unwrap();
+            RecursiveMechanism::new(CachedSequences::from(table), params).unwrap()
+        };
+        let a = mechanism(serial_params)
             .release_many(5, &mut StdRng::seed_from_u64(42))
             .unwrap();
-        let b = parallel_mech
+        let b = mechanism(parallel_params)
             .release_many(5, &mut StdRng::seed_from_u64(42))
             .unwrap();
         for (ra, rb) in a.iter().zip(&b) {
@@ -929,10 +752,10 @@ mod tests {
     #[test]
     fn general_and_efficient_agree_on_the_true_answer_and_h0() {
         let query = fig2a();
-        let mut eff = EfficientSequences::new(query.clone());
-        let mut gen = GeneralSequences::build(&query).unwrap();
-        assert!((eff.h(5).unwrap() - gen.h(5).unwrap()).abs() < 1e-7);
-        assert!((eff.h(0).unwrap() - gen.h(0).unwrap()).abs() < 1e-7);
+        let (eff, _) = solve(query.clone());
+        let gen = GeneralSequences::build(&query).unwrap();
+        assert!((eff.h_entries()[5] - gen.h_entries()[5]).abs() < 1e-7);
+        assert!((eff.h_entries()[0] - gen.h_entries()[0]).abs() < 1e-7);
     }
 
     /// The fig-4 workload shapes at unit-test scale: triangles and 2-stars
@@ -953,29 +776,25 @@ mod tests {
         // Differential test on the *real* sequence models: every H_i/G_i
         // value produced by the warm-started revised chain must match a cold
         // dense-tableau solve of the same entry model.
-        let oracle = |model: &rmdp_lp::Model| {
-            rmdp_lp::simplex::solve_dense(model, &SimplexOptions::default())
-                .unwrap()
-                .objective
-        };
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            let relation = fig4_relation(pattern);
-            let n = relation.num_participants();
-            let mut seq = EfficientSequences::new(relation);
-            for i in 0..=n {
-                let h_chain = seq.h(i).unwrap();
-                let (h_model, offset) = seq.lps.build_h_model(i);
-                let h_dense = oracle(&h_model) + offset;
-                assert!(
-                    (h_chain - h_dense).abs() < 1e-6,
-                    "H_{i}: chain {h_chain} vs dense {h_dense}"
-                );
-                let g_chain = seq.g(i).unwrap();
-                let g_dense = oracle(&seq.lps.build_g_model(i));
-                assert!(
-                    (g_chain - g_dense).abs() < 1e-6,
-                    "G_{i}: chain {g_chain} vs dense {g_dense}"
-                );
+            let seq = EfficientSequences::new(fig4_relation(pattern));
+            let (table, _) = seq.solve_table(Parallelism::Serial).unwrap();
+            for family in [SequenceFamily::H, SequenceFamily::G] {
+                let chain = match family {
+                    SequenceFamily::H => table.h_entries(),
+                    SequenceFamily::G => table.g_entries(),
+                };
+                for (i, &value) in chain.iter().enumerate() {
+                    let (model, offset) = seq.entry_model(family, i);
+                    let dense = rmdp_lp::simplex::solve_dense(&model, &SimplexOptions::default())
+                        .unwrap()
+                        .objective
+                        + offset;
+                    assert!(
+                        (value - dense).abs() < 1e-6,
+                        "{family}_{i}: chain {value} vs dense {dense}"
+                    );
+                }
             }
         }
     }
@@ -983,24 +802,33 @@ mod tests {
     #[test]
     fn warm_chains_solve_the_full_family_with_fewer_pivots_than_cold() {
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            let relation = fig4_relation(pattern.clone());
-            let mut chained = EfficientSequences::new(relation.clone());
-            let mut cold = EfficientSequences::new(relation).with_chain_run_len(1);
-            chained.precompute(Parallelism::Serial).unwrap();
-            cold.precompute(Parallelism::Serial).unwrap();
-            let n = chained.num_participants();
-            for i in 0..=n {
-                assert!((chained.h(i).unwrap() - cold.h(i).unwrap()).abs() < 1e-6);
-                assert!((chained.g(i).unwrap() - cold.g(i).unwrap()).abs() < 1e-6);
+            let seq = EfficientSequences::new(fig4_relation(pattern.clone()));
+            let (table, chained) = seq.solve_table(Parallelism::Serial).unwrap();
+            let mut cold_pivots = 0;
+            for family in [SequenceFamily::H, SequenceFamily::G] {
+                let chain = match family {
+                    SequenceFamily::H => table.h_entries(),
+                    SequenceFamily::G => table.g_entries(),
+                };
+                for (i, &value) in chain.iter().enumerate() {
+                    let (model, offset) = seq.entry_model(family, i);
+                    let cold = model
+                        .prepare()
+                        .unwrap()
+                        .solve(&SimplexOptions::default())
+                        .unwrap()
+                        .solution;
+                    assert!(!cold.stats.warm_started);
+                    assert!((value - (cold.objective + offset)).abs() < 1e-6);
+                    cold_pivots += cold.stats.total_iterations();
+                }
             }
-            assert!(chained.stats().warm_start_hits > 0);
-            assert_eq!(cold.stats().warm_start_hits, 0);
+            assert!(chained.warm_start_hits > 0);
             assert!(
-                chained.stats().total_pivots < cold.stats().total_pivots,
-                "{}: chain {} pivots vs cold {}",
+                chained.total_pivots < cold_pivots,
+                "{}: chain {} pivots vs cold {cold_pivots}",
                 pattern.name(),
-                chained.stats().total_pivots,
-                cold.stats().total_pivots
+                chained.total_pivots,
             );
         }
     }
@@ -1008,10 +836,8 @@ mod tests {
     #[test]
     fn whole_family_chains_reenter_through_the_dual_simplex() {
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            let mut seq = EfficientSequences::new(fig4_relation(pattern.clone()));
-            seq.precompute(Parallelism::Serial).unwrap();
-            let stats = seq.stats();
-            let n = seq.num_participants();
+            let (table, stats) = solve(fig4_relation(pattern.clone()));
+            let n = table.num_participants();
             // One chain per family: only the two `i = 0` entries start cold.
             assert_eq!(stats.warm_start_hits, 2 * n, "{}", pattern.name());
             assert_eq!(stats.phase1_pivots, 0, "{}", pattern.name());
@@ -1030,66 +856,20 @@ mod tests {
     #[test]
     fn chain_failures_name_the_failing_entry() {
         // An unsatisfiable iteration budget makes the very first entry of
-        // the run fail; the error must say which one.
-        let mut seq = EfficientSequences::new(fig2a()).with_solver_options(SimplexOptions {
+        // both chains fail; the table reports the H chain's, by name.
+        let seq = EfficientSequences::new(fig2a()).with_solver_options(SimplexOptions {
             max_iterations: 0,
             ..SimplexOptions::default()
         });
-        match seq.h(3) {
-            Err(MechanismError::SequenceLp {
-                family: SequenceFamily::H,
-                index,
-                ..
-            }) => assert_eq!(index, 0, "the chain fails at its first entry"),
-            other => panic!("expected a named SequenceLp error, got {other:?}"),
-        }
-        match seq.g(2) {
-            Err(MechanismError::SequenceLp {
-                family: SequenceFamily::G,
-                ..
-            }) => {}
-            other => panic!("expected a named SequenceLp error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn out_of_range_entries_error_instead_of_panicking() {
-        // fig2a has 5 participants; entries 0..=5 exist. Anything beyond
-        // must surface as a named infeasible-entry error, not a panic.
-        let mut seq = EfficientSequences::new(fig2a());
-        match seq.h(6) {
-            Err(MechanismError::SequenceLp {
-                family: SequenceFamily::H,
-                index: 6,
-                ..
-            }) => {}
-            other => panic!("expected a named out-of-range error, got {other:?}"),
-        }
-        match seq.g(99) {
-            Err(MechanismError::SequenceLp {
-                family: SequenceFamily::G,
-                index: 99,
-                ..
-            }) => {}
-            other => panic!("expected a named out-of-range error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_partitioning_is_independent_of_parallelism_and_atomic() {
-        // Even with more workers than runs the values stay identical to the
-        // serial walk, and a partially queried family completes consistently.
-        let mut reference = EfficientSequences::new(fig2a());
-        for workers in [2usize, 3, 8] {
-            let mut par = EfficientSequences::new(fig2a());
-            let _ = par.h(1).unwrap(); // pre-populate one run lazily
-            par.precompute(Parallelism::Threads(workers)).unwrap();
-            for i in 0..=5usize {
-                assert_eq!(reference.h(i).unwrap(), par.h(i).unwrap());
-                assert_eq!(reference.g(i).unwrap(), par.g(i).unwrap());
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            match seq.solve_table(parallelism) {
+                Err(MechanismError::SequenceLp {
+                    family: SequenceFamily::H,
+                    index,
+                    ..
+                }) => assert_eq!(index, 0, "the chain fails at its first entry"),
+                other => panic!("expected a named SequenceLp error, got {other:?}"),
             }
-            assert_eq!(par.stats().h_solves, 6);
-            assert_eq!(par.stats().g_solves, 6);
         }
     }
 }

@@ -28,7 +28,7 @@ pub enum MechanismError {
     Lp(LpError),
     /// The LP behind one specific sequence entry failed — the error names
     /// the entry (`H_7`, `G_3`) so a failure inside a warm-started chain or
-    /// a parallel precompute can be traced to the exact solve.
+    /// a parallel table solve can be traced to the exact solve.
     SequenceLp {
         /// The family the failing entry belongs to.
         family: SequenceFamily,

@@ -13,11 +13,12 @@
 //!
 //! The construction enumerates all `2^{|P|}` participant subsets; it is the
 //! reference implementation used for small databases and as a test oracle for
-//! the efficient instantiation.
+//! the efficient instantiation. [`GeneralSequences::into_table`] hands the
+//! eager build to the driver as a [`FrozenSequences`] table.
 
+use crate::cache::FrozenSequences;
 use crate::error::MechanismError;
 use crate::sensitive::SensitiveQuery;
-use crate::sequences::MechanismSequences;
 use rmdp_krelation::hash::FxHashSet;
 use rmdp_krelation::participant::ParticipantId;
 use rmdp_runtime::{par_map_indexed, Parallelism};
@@ -28,10 +29,8 @@ pub const MAX_PARTICIPANTS: usize = 22;
 /// The subset-enumeration instantiation.
 ///
 /// All `2^{|P|}` query values and global-empirical-sensitivity values are
-/// computed eagerly at construction time (each subset is visited once), so
-/// entry lookups afterwards are O(1).
+/// computed eagerly at construction time (each subset is visited once).
 pub struct GeneralSequences {
-    n: usize,
     /// `H_i` for every `i`.
     h: Vec<f64>,
     /// `G_i` for every `i`.
@@ -138,7 +137,7 @@ impl GeneralSequences {
             g[i] = g[i].min(gs[mask]);
         }
 
-        GeneralSequences { n, h, g }
+        GeneralSequences { h, g }
     }
 
     /// The precomputed `H` entries (diagnostic access).
@@ -150,23 +149,11 @@ impl GeneralSequences {
     pub fn g_entries(&self) -> &[f64] {
         &self.g
     }
-}
 
-impl MechanismSequences for GeneralSequences {
-    fn num_participants(&self) -> usize {
-        self.n
-    }
-
-    fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-        Ok(self.h[i])
-    }
-
-    fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-        Ok(self.g[i])
-    }
-
-    fn bounding_factor(&self) -> f64 {
-        1.0
+    /// The complete table the driver releases from; `G` is a 1-bounding
+    /// sequence of `H` (Theorem 2).
+    pub fn into_table(self) -> FrozenSequences {
+        FrozenSequences::from_entries(self.h, self.g, 1.0)
     }
 }
 
@@ -204,31 +191,31 @@ mod tests {
     #[test]
     fn h_last_entry_is_the_true_answer_and_h0_is_zero() {
         let q = edge_count_query(4, SQUARE_WITH_DIAGONAL);
-        let mut seq = GeneralSequences::build(&q).unwrap();
-        assert_eq!(seq.h(0).unwrap(), 0.0);
-        assert_eq!(seq.h(4).unwrap(), 5.0);
-        assert_eq!(seq.true_answer().unwrap(), 5.0);
+        let seq = GeneralSequences::build(&q).unwrap();
+        assert_eq!(seq.h_entries()[0], 0.0);
+        assert_eq!(seq.h_entries()[4], 5.0);
+        assert_eq!(seq.into_table().num_participants(), 4);
     }
 
     #[test]
     fn h_entries_are_minima_over_subsets() {
         let q = edge_count_query(4, SQUARE_WITH_DIAGONAL);
-        let mut seq = GeneralSequences::build(&q).unwrap();
+        let seq = GeneralSequences::build(&q).unwrap();
         // With only 2 nodes kept, the best case keeps a non-adjacent pair:
         // {1, 3} has 0 edges.
-        assert_eq!(seq.h(2).unwrap(), 0.0);
+        assert_eq!(seq.h_entries()[2], 0.0);
         // With 3 nodes kept, the sparsest induced subgraph is {1, 2, 3} or
         // {0, 1, 3} with 2 edges... {1,2,3} has edges (1,2),(2,3) = 2;
         // {0,1,3} has (0,1),(3,0) = 2. So H_3 = 2.
-        assert_eq!(seq.h(3).unwrap(), 2.0);
+        assert_eq!(seq.h_entries()[3], 2.0);
     }
 
     #[test]
     fn g_last_entry_matches_global_empirical_sensitivity() {
         let q = edge_count_query(4, SQUARE_WITH_DIAGONAL);
-        let mut seq = GeneralSequences::build(&q).unwrap();
+        let seq = GeneralSequences::build(&q).unwrap();
         let gs = global_empirical_sensitivity_exhaustive(&q);
-        assert_eq!(seq.g(4).unwrap(), gs);
+        assert_eq!(seq.g_entries()[4], gs);
         // Node 0 and 2 have degree 3: removing either changes the count by 3.
         assert_eq!(gs, 3.0);
     }
@@ -236,10 +223,10 @@ mod tests {
     #[test]
     fn sequences_satisfy_the_defining_properties() {
         let q = edge_count_query(4, SQUARE_WITH_DIAGONAL);
-        let mut seq = GeneralSequences::build(&q).unwrap();
-        validate_monotone_start_at_zero(&mut seq, |s, i| s.h(i)).unwrap();
-        validate_monotone_start_at_zero(&mut seq, |s, i| s.g(i)).unwrap();
-        validate_bounding_property(&mut seq).unwrap();
+        let table = GeneralSequences::build(&q).unwrap().into_table();
+        validate_monotone_start_at_zero(table.h_entries()).unwrap();
+        validate_monotone_start_at_zero(table.g_entries()).unwrap();
+        validate_bounding_property(&table).unwrap();
     }
 
     #[test]
@@ -249,9 +236,9 @@ mod tests {
         const SMALLER_EDGES: &[(u32, u32)] = &[(0, 1), (1, 2), (0, 2)];
         let q_small = edge_count_query(3, SMALLER_EDGES);
         let q_large = edge_count_query(4, SQUARE_WITH_DIAGONAL);
-        let mut small = GeneralSequences::build(&q_small).unwrap();
-        let mut large = GeneralSequences::build(&q_large).unwrap();
-        validate_recursive_monotonicity(&mut small, &mut large).unwrap();
+        let small = GeneralSequences::build(&q_small).unwrap().into_table();
+        let large = GeneralSequences::build(&q_large).unwrap().into_table();
+        validate_recursive_monotonicity(&small, &large).unwrap();
     }
 
     #[test]
@@ -282,9 +269,10 @@ mod tests {
         use rand::SeedableRng;
 
         let q = edge_count_query(4, SQUARE_WITH_DIAGONAL);
-        let seq = GeneralSequences::build(&q).unwrap();
+        let table = GeneralSequences::build(&q).unwrap().into_table();
         let mut mech =
-            RecursiveMechanism::new(seq, MechanismParams::paper_node_privacy(1.0)).unwrap();
+            RecursiveMechanism::new(table.into(), MechanismParams::paper_node_privacy(1.0))
+                .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let releases = mech.release_many(50, &mut rng).unwrap();
         for r in &releases {

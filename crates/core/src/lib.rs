@@ -8,8 +8,8 @@
 //! |---|---|
 //! | [`sensitive`] | sensitive databases `(P, M)`, neighbouring, ancestors, monotonic queries (Sec. 3.1) |
 //! | [`empirical`] | local / global / universal empirical sensitivity (Defs. 9, 10, 16) |
-//! | [`sequences`] | recursive sequences `H` and g-bounding sequences `G` (Defs. 17, 18) |
-//! | [`mechanism`] | the mechanism driver: `Δ`, `Δ̂`, `X`, `X̂` (Sec. 4.1, Theorem 1) |
+//! | [`sequences`] | recursive sequences `H` and g-bounding sequences `G` (Defs. 17, 18): property checks over tables |
+//! | [`mechanism`] | the mechanism driver over one complete `H`/`G` table: `Δ`, `Δ̂`, `X`, `X̂` (Sec. 4.1, Theorem 1) |
 //! | [`general`] | the general but inefficient instantiation via subset enumeration (Sec. 4.2) |
 //! | [`krelation_query`] | linear queries over sensitive K-relations (Sec. 3.2) |
 //! | [`efficient`] | the efficient LP-based instantiation with the relaxation `φ` (Sec. 5) |
@@ -65,4 +65,3 @@ pub use rmdp_lp::SimplexOptions;
 // without depending on `rmdp-observe` directly.
 pub use rmdp_observe::{NoopRecorder, Recorder, SpanRecorder, Stage};
 pub use rmdp_runtime::Parallelism;
-pub use sequences::MechanismSequences;

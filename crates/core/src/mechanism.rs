@@ -1,7 +1,8 @@
 //! The recursive-mechanism driver (paper Sec. 4.1).
 //!
-//! Given an instantiation providing the sequences `H` and `G`, the driver
-//! performs the three steps of the framework:
+//! Given the complete table of an instantiation's sequences `H` and `G`
+//! (one [`FrozenSequences`] per query, shared as [`CachedSequences`]), the
+//! driver performs the three steps of the framework:
 //!
 //! 1. `Δ = min{ e^{iβ}θ : G_{|P|−i} ≤ e^{iβ}θ }` — a data-dependent bound on
 //!    the empirical sensitivity whose logarithm has global sensitivity at
@@ -11,21 +12,24 @@
 //! 2. `Δ̂ = e^{μ+Y}·Δ` with `Y ∼ Lap(β/ε₁)` — the ε₁-differentially private
 //!    release of the bound (Lemma 4).
 //! 3. `X = min_i H_i + (|P|−i)·Δ̂` — an estimate of the true answer whose
-//!    global sensitivity is at most `Δ̂` (Lemma 7); by convexity of `H`
-//!    (Lemma 10) the integer argmin is found by ternary search. The final
+//!    global sensitivity is at most `Δ̂` (Lemma 7), found by a linear scan of
+//!    the table that keeps the first minimal index. The scan needs no
+//!    convexity of the computed `H` (Lemma 10 holds for the exact values,
+//!    not necessarily for LP optima rounded to floating point). The final
 //!    release is `X̂ = X + Lap(Δ̂/ε₂)`.
 //!
-//! One `RecursiveMechanism` instance can release repeatedly on the same
-//! database (each release spends `ε₁ + ε₂`): `Δ` and every touched `H`/`G`
-//! entry are deterministic and cached, so repeated releases only sample fresh
-//! noise.
+//! The driver never solves an LP: the table is complete before it is built.
+//! One `RecursiveMechanism` can release repeatedly on the same table (each
+//! release spends `ε₁ + ε₂`); `Δ` is deterministic and computed once, so
+//! repeated releases only sample fresh noise.
 
+use crate::cache::{CachedSequences, FrozenSequences};
 use crate::error::MechanismError;
 use crate::params::MechanismParams;
-use crate::sequences::MechanismSequences;
 use rand::Rng;
 use rmdp_noise::laplace::sample_laplace;
 use rmdp_observe::{NoopRecorder, Recorder, Stage};
+use std::sync::Arc;
 
 /// One differentially private release together with its diagnostics.
 #[derive(Clone, Copy, Debug)]
@@ -47,33 +51,26 @@ pub struct Release {
     pub epsilon_spent: f64,
 }
 
-/// The recursive mechanism: a driver over an instantiation's sequences.
-pub struct RecursiveMechanism<S: MechanismSequences> {
-    sequences: S,
+/// The recursive mechanism: a driver over one query's sequence table.
+pub struct RecursiveMechanism {
+    table: Arc<FrozenSequences>,
     params: MechanismParams,
-    cached_delta: Option<f64>,
+    delta: f64,
 }
 
-impl<S: MechanismSequences> RecursiveMechanism<S> {
-    /// Wraps an instantiation with the given parameters.
-    ///
-    /// When `params.parallelism` resolves to more than one worker, every
-    /// sequence entry is precomputed here on the scoped worker pool: the
-    /// efficient instantiation cuts each of its `H`/`G` families into fixed
-    /// contiguous runs, solves every run as one warm-started LP chain, and
-    /// distributes whole runs across workers. Serially, entries stay lazy
-    /// and only the runs the driver touches are solved. Released values are
-    /// identical either way; a failing entry LP surfaces as
-    /// [`MechanismError::SequenceLp`] naming the exact entry (`H_7`, `G_3`).
-    pub fn new(mut sequences: S, params: MechanismParams) -> Result<Self, MechanismError> {
+impl RecursiveMechanism {
+    /// Validates `params` and computes `Δ` from the table.
+    pub fn new(
+        sequences: CachedSequences,
+        params: MechanismParams,
+    ) -> Result<Self, MechanismError> {
         params.validate()?;
-        if params.parallelism.is_parallel() {
-            sequences.precompute(params.parallelism)?;
-        }
+        let table = sequences.0;
+        let delta = threshold(table.g_entries(), params.beta, params.theta);
         Ok(RecursiveMechanism {
-            sequences,
+            table,
             params,
-            cached_delta: None,
+            delta,
         })
     }
 
@@ -82,69 +79,9 @@ impl<S: MechanismSequences> RecursiveMechanism<S> {
         &self.params
     }
 
-    /// Read/write access to the underlying sequences (e.g. to inspect cached
-    /// entries in tests).
-    pub fn sequences_mut(&mut self) -> &mut S {
-        &mut self.sequences
-    }
-
-    /// Step 1: the deterministic threshold `Δ`. Cached across releases.
-    pub fn delta(&mut self) -> Result<f64, MechanismError> {
-        if let Some(d) = self.cached_delta {
-            return Ok(d);
-        }
-        let n = self.sequences.num_participants();
-        let beta = self.params.beta;
-        let theta = self.params.theta;
-
-        // Ladder value at step j.
-        let ladder = |j: usize| (j as f64 * beta).exp() * theta;
-
-        // Find the smallest j in [0, n] with G_{n−j} ≤ ladder(j). The
-        // difference G_{n−j} − ladder(j) is non-increasing in j, so binary
-        // search applies. The paper's bound j ≤ 1 + ln(G_n/θ)/β restricts the
-        // search range further.
-        let g_full = self.sequences.g(n)?;
-        let j_cap = if g_full <= theta {
-            0
-        } else {
-            ((g_full / theta).ln() / beta).ceil() as usize + 1
-        };
-        let hi_limit = j_cap.min(n);
-
-        let delta = if g_full <= ladder(0) {
-            ladder(0)
-        } else {
-            // Invariant: predicate(j) = [G_{n−j} ≤ ladder(j)] is monotone in j.
-            let mut lo = 0usize; // predicate known false at lo
-            let mut hi = hi_limit; // candidate upper end
-                                   // Ensure the predicate holds at hi; if not, extend to n.
-            let holds = |seqs: &mut S, j: usize| -> Result<bool, MechanismError> {
-                Ok(seqs.g(n - j)? <= ladder(j))
-            };
-            let mut hi_ok = holds(&mut self.sequences, hi)?;
-            if !hi_ok && hi < n {
-                hi = n;
-                hi_ok = holds(&mut self.sequences, hi)?;
-            }
-            if !hi_ok {
-                // G_0 = 0 ≤ ladder(n) must hold for a valid bounding
-                // sequence; fall back to the top of the ladder defensively.
-                ladder(n)
-            } else {
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if holds(&mut self.sequences, mid)? {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                ladder(hi)
-            }
-        };
-        self.cached_delta = Some(delta);
-        Ok(delta)
+    /// Step 1: the deterministic threshold `Δ`.
+    pub fn delta(&self) -> f64 {
+        self.delta
     }
 
     /// Steps 2–3: one differentially private release, spending `ε₁ + ε₂`.
@@ -152,12 +89,11 @@ impl<S: MechanismSequences> RecursiveMechanism<S> {
         self.release_recorded(rng, &mut NoopRecorder)
     }
 
-    /// [`release`](Self::release) with stage telemetry: LP-solving segments
-    /// (the `Δ` ladder and the `H` entries the ternary search touches) are
-    /// bracketed with [`Stage::SequenceSolve`] and the two Laplace draws
-    /// with [`Stage::NoiseSample`]. The stages interleave — solving and
-    /// sampling alternate — so each stage is entered twice and recorders
-    /// accumulate.
+    /// [`release`](Self::release) with stage telemetry: the scan of the
+    /// table for `X` is bracketed with [`Stage::SequenceSolve`] and the two
+    /// Laplace draws with [`Stage::NoiseSample`] (entered twice, so
+    /// recorders accumulate). Solving the table happened before the driver
+    /// was built; callers bracket that with [`Stage::SequenceSolve`] too.
     ///
     /// The recorder only observes wall-time; it never touches the RNG or
     /// any value, so the release is bit-identical for every recorder
@@ -167,36 +103,28 @@ impl<S: MechanismSequences> RecursiveMechanism<S> {
         rng: &mut R,
         recorder: &mut T,
     ) -> Result<Release, MechanismError> {
-        let n = self.sequences.num_participants();
-        recorder.enter(Stage::SequenceSolve);
-        let delta = self.delta()?;
-        recorder.exit(Stage::SequenceSolve);
-
         // Step 2: multiplicative noise on Δ.
         recorder.enter(Stage::NoiseSample);
         let y = sample_laplace(self.params.beta / self.params.epsilon1, rng);
         recorder.exit(Stage::NoiseSample);
-        let delta_hat = (self.params.mu + y).exp() * delta;
+        let delta_hat = (self.params.mu + y).exp() * self.delta;
 
-        // Step 3: X = min_i H_i + (n − i)·Δ̂ over integers, located by ternary
-        // search thanks to the convexity of H (Lemma 10).
+        // Step 3: X = min_i H_i + (n − i)·Δ̂ over integers.
         recorder.enter(Stage::SequenceSolve);
-        let (argmin_index, x) = self.argmin_x(delta_hat)?;
+        let (argmin_index, x) = argmin_x(self.table.h_entries(), delta_hat);
         recorder.exit(Stage::SequenceSolve);
 
         recorder.enter(Stage::NoiseSample);
         let noise = sample_laplace(delta_hat / self.params.epsilon2, rng);
         recorder.exit(Stage::NoiseSample);
-        let noisy_answer = x + noise;
-        let true_answer = self.sequences.h(n)?;
 
         Ok(Release {
-            noisy_answer,
-            delta,
+            noisy_answer: x + noise,
+            delta: self.delta,
             delta_hat,
             x,
             argmin_index,
-            true_answer,
+            true_answer: self.table.h_entries()[self.table.num_participants()],
             epsilon_spent: self.params.total_epsilon(),
         })
     }
@@ -211,54 +139,57 @@ impl<S: MechanismSequences> RecursiveMechanism<S> {
     ) -> Result<Vec<Release>, MechanismError> {
         (0..trials).map(|_| self.release(rng)).collect()
     }
+}
 
-    /// The objective `H_i + (n − i)·Δ̂` minimised over integer `i` by ternary
-    /// search; falls back to a linear scan for tiny `n`.
-    fn argmin_x(&mut self, delta_hat: f64) -> Result<(usize, f64), MechanismError> {
-        let n = self.sequences.num_participants();
-        let value = |seqs: &mut S, i: usize| -> Result<f64, MechanismError> {
-            Ok(seqs.h(i)? + (n - i) as f64 * delta_hat)
-        };
-        if n <= 8 {
-            let mut best = (0usize, f64::INFINITY);
-            for i in 0..=n {
-                let v = value(&mut self.sequences, i)?;
-                if v < best.1 {
-                    best = (i, v);
-                }
-            }
-            return Ok(best);
-        }
-        // Fast path: by convexity, if the objective is already non-increasing
-        // at the right edge (H_n − H_{n−1} ≤ Δ̂) the argmin is i = n. This is
-        // the common case when Δ̂ exceeds the per-participant marginal, and it
-        // touches only two (cached) H entries.
-        let v_n = value(&mut self.sequences, n)?;
-        let v_n1 = value(&mut self.sequences, n - 1)?;
-        if v_n <= v_n1 {
-            return Ok((n, v_n));
-        }
-        let (mut lo, mut hi) = (0usize, n);
-        while hi - lo > 3 {
-            let m1 = lo + (hi - lo) / 3;
-            let m2 = hi - (hi - lo) / 3;
-            let v1 = value(&mut self.sequences, m1)?;
-            let v2 = value(&mut self.sequences, m2)?;
-            if v1 <= v2 {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        let mut best = (lo, f64::INFINITY);
-        for i in lo..=hi {
-            let v = value(&mut self.sequences, i)?;
-            if v < best.1 {
-                best = (i, v);
-            }
-        }
-        Ok(best)
+/// `Δ`: the smallest ladder value `e^{jβ}θ` with `G_{n−j} ≤ e^{jβ}θ`.
+fn threshold(g: &[f64], beta: f64, theta: f64) -> f64 {
+    let n = g.len() - 1;
+    // Ladder value at step j.
+    let ladder = |j: usize| (j as f64 * beta).exp() * theta;
+    let holds = |j: usize| g[n - j] <= ladder(j);
+
+    // The difference G_{n−j} − ladder(j) is non-increasing in j, so binary
+    // search applies. The paper's bound j ≤ 1 + ln(G_n/θ)/β restricts the
+    // search range further.
+    let g_full = g[n];
+    if g_full <= ladder(0) {
+        return ladder(0);
     }
+    let j_cap = ((g_full / theta).ln() / beta).ceil() as usize + 1;
+    // Invariant: the predicate is false at lo and holds at hi.
+    let mut lo = 0usize;
+    let mut hi = j_cap.min(n);
+    if !holds(hi) {
+        hi = n;
+        if !holds(hi) {
+            // G_0 = 0 ≤ ladder(n) must hold for a valid bounding sequence;
+            // fall back to the top of the ladder defensively.
+            return ladder(n);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    ladder(hi)
+}
+
+/// The objective `H_i + (n − i)·Δ̂` minimised over every integer `i` by a
+/// linear scan; ties keep the first minimal index.
+fn argmin_x(h: &[f64], delta_hat: f64) -> (usize, f64) {
+    let n = h.len() - 1;
+    let mut best = (0usize, f64::INFINITY);
+    for (i, &hi) in h.iter().enumerate() {
+        let v = hi + (n - i) as f64 * delta_hat;
+        if v < best.1 {
+            best = (i, v);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -267,36 +198,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// A deterministic toy instantiation: H_i = max(0, i − 5)·3 (piecewise
-    /// linear, convex), G_i = 3 for i > 0 (the exact largest marginal).
-    struct Toy {
-        n: usize,
-        h_calls: std::cell::Cell<usize>,
+    /// A hand-built table (bounding factor 1).
+    fn table(h: Vec<f64>, g: Vec<f64>) -> CachedSequences {
+        FrozenSequences::from_entries(h, g, 1.0).into()
     }
 
-    impl Toy {
-        fn new(n: usize) -> Self {
-            Toy {
-                n,
-                h_calls: std::cell::Cell::new(0),
-            }
-        }
-    }
-
-    impl MechanismSequences for Toy {
-        fn num_participants(&self) -> usize {
-            self.n
-        }
-        fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-            self.h_calls.set(self.h_calls.get() + 1);
-            Ok((i.saturating_sub(5)) as f64 * 3.0)
-        }
-        fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-            Ok(if i == 0 { 0.0 } else { 3.0 })
-        }
-        fn bounding_factor(&self) -> f64 {
-            1.0
-        }
+    /// A deterministic toy table: H_i = max(0, i − 5)·3 (piecewise linear,
+    /// convex), G_i = 3 for i > 0 (the exact largest marginal).
+    fn toy(n: usize) -> CachedSequences {
+        table(
+            (0..=n).map(|i| i.saturating_sub(5) as f64 * 3.0).collect(),
+            (0..=n).map(|i| if i == 0 { 0.0 } else { 3.0 }).collect(),
+        )
     }
 
     fn params() -> MechanismParams {
@@ -305,39 +218,26 @@ mod tests {
 
     #[test]
     fn delta_is_the_smallest_ladder_value_covering_g() {
-        let mut m = RecursiveMechanism::new(Toy::new(50), params()).unwrap();
-        let delta = m.delta().unwrap();
+        let m = RecursiveMechanism::new(toy(50), params()).unwrap();
         // Need e^{jβ}θ ≥ 3 with β = 0.1, θ = 1: j = ceil(ln 3 / 0.1) = 11.
         let expected = (11.0f64 * 0.1).exp();
-        assert!((delta - expected).abs() < 1e-9, "{delta} vs {expected}");
-        // Cached: a second call does not change the value.
-        assert_eq!(m.delta().unwrap(), delta);
+        assert!(
+            (m.delta() - expected).abs() < 1e-9,
+            "{} vs {expected}",
+            m.delta()
+        );
     }
 
     #[test]
     fn delta_equals_theta_when_g_is_small() {
-        struct Tiny;
-        impl MechanismSequences for Tiny {
-            fn num_participants(&self) -> usize {
-                10
-            }
-            fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-                Ok(i as f64 * 0.1)
-            }
-            fn g(&mut self, _i: usize) -> Result<f64, MechanismError> {
-                Ok(0.5)
-            }
-            fn bounding_factor(&self) -> f64 {
-                1.0
-            }
-        }
-        let mut m = RecursiveMechanism::new(Tiny, params()).unwrap();
-        assert!((m.delta().unwrap() - 1.0).abs() < 1e-12);
+        let tiny = table((0..=10).map(|i| i as f64 * 0.1).collect(), vec![0.5; 11]);
+        let m = RecursiveMechanism::new(tiny, params()).unwrap();
+        assert!((m.delta() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn release_is_unbiased_around_the_true_answer() {
-        let mut m = RecursiveMechanism::new(Toy::new(50), params()).unwrap();
+        let mut m = RecursiveMechanism::new(toy(50), params()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let releases = m.release_many(600, &mut rng).unwrap();
         let true_answer = 45.0 * 3.0 / 3.0 * 3.0; // (50 − 5)·3 = 135
@@ -360,72 +260,60 @@ mod tests {
     fn x_equals_true_answer_when_delta_hat_is_large_enough() {
         // If Δ̂ exceeds every marginal of H, the argmin is at i = |P| and
         // X = H_{|P|}.
-        let mut m = RecursiveMechanism::new(Toy::new(30), params()).unwrap();
-        let (idx, x) = m.argmin_x(10.0).unwrap();
+        let h = toy(30).0.h_entries().to_vec();
+        let (idx, x) = argmin_x(&h, 10.0);
         assert_eq!(idx, 30);
         assert!((x - 75.0).abs() < 1e-9);
         // If Δ̂ is tiny, the argmin collapses towards i = 0 and X ≈ n·Δ̂.
-        let (idx_small, x_small) = m.argmin_x(0.01).unwrap();
+        let (idx_small, x_small) = argmin_x(&h, 0.01);
         assert!(idx_small <= 5);
         assert!(x_small <= 0.3 + 1e-9);
     }
 
     #[test]
-    fn ternary_search_matches_linear_scan() {
-        let mut m = RecursiveMechanism::new(Toy::new(200), params()).unwrap();
-        for delta_hat in [0.05, 0.5, 1.0, 2.9, 3.1, 50.0] {
-            let (_, fast) = m.argmin_x(delta_hat).unwrap();
-            let mut slow = f64::INFINITY;
-            for i in 0..=200usize {
-                let v = m.sequences_mut().h(i).unwrap() + (200 - i) as f64 * delta_hat;
-                slow = slow.min(v);
-            }
-            assert!(
-                (fast - slow).abs() < 1e-9,
-                "Δ̂={delta_hat}: {fast} vs {slow}"
-            );
-        }
+    fn argmin_finds_the_true_minimum_of_a_non_convex_h() {
+        // H_i + (n − i)·Δ̂ with n = 12, Δ̂ = 1: the objective is 12 at i = 0,
+        // dips to 11.5 at i = 2, then climbs to 13 and falls back to 12.5 at
+        // i = n, so v_n ≤ v_{n−1} although an earlier index is strictly
+        // smaller. A search that assumes convexity stops at i = n.
+        let mut h: Vec<f64> = (0..=12).map(|i| i as f64 + 1.0).collect();
+        h[0] = 0.0;
+        h[1] = 1.0;
+        h[2] = 1.5;
+        h[12] = 12.5;
+        let objective = |i: usize| h[i] + (12 - i) as f64;
+        assert!(objective(12) <= objective(11));
+        assert!(crate::sequences::validate_convexity(&h).is_err());
+        assert_eq!(argmin_x(&h, 1.0), (2, 11.5));
+
+        // Ties keep the first minimal index: H_i = i at Δ̂ = 1 is flat.
+        let flat: Vec<f64> = (0..=12).map(|i| i as f64).collect();
+        assert_eq!(argmin_x(&flat, 1.0), (0, 12.0));
     }
 
     #[test]
     fn invalid_params_are_rejected() {
         let mut p = params();
         p.epsilon2 = 0.0;
-        assert!(RecursiveMechanism::new(Toy::new(5), p).is_err());
+        assert!(RecursiveMechanism::new(toy(5), p).is_err());
     }
 
     #[test]
     fn log_delta_sensitivity_is_bounded_by_beta() {
         // Lemma 1: ln Δ changes by at most β between neighbouring databases.
-        // Simulate a neighbouring pair with the toy sequences: the larger
-        // database has one more participant and (recursively monotone) G
-        // entries shifted by one index.
-        struct Shifted {
-            n: usize,
-            bump: f64,
-        }
-        impl MechanismSequences for Shifted {
-            fn num_participants(&self) -> usize {
-                self.n
-            }
-            fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-                Ok(i as f64)
-            }
-            fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-                Ok(if i == 0 {
-                    0.0
-                } else {
-                    self.bump + i as f64 * 0.05
-                })
-            }
-            fn bounding_factor(&self) -> f64 {
-                1.0
-            }
-        }
-        let mut small = RecursiveMechanism::new(Shifted { n: 40, bump: 2.0 }, params()).unwrap();
-        let mut large = RecursiveMechanism::new(Shifted { n: 41, bump: 2.0 }, params()).unwrap();
-        let d1 = small.delta().unwrap();
-        let d2 = large.delta().unwrap();
-        assert!((d1.ln() - d2.ln()).abs() <= params().beta + 1e-9);
+        // Simulate a neighbouring pair with toy tables: the larger database
+        // has one more participant and (recursively monotone) G entries
+        // shifted by one index.
+        let shifted = |n: usize| {
+            table(
+                (0..=n).map(|i| i as f64).collect(),
+                (0..=n)
+                    .map(|i| if i == 0 { 0.0 } else { 2.0 + i as f64 * 0.05 })
+                    .collect(),
+            )
+        };
+        let small = RecursiveMechanism::new(shifted(40), params()).unwrap();
+        let large = RecursiveMechanism::new(shifted(41), params()).unwrap();
+        assert!((small.delta().ln() - large.delta().ln()).abs() <= params().beta + 1e-9);
     }
 }

@@ -9,9 +9,9 @@
 //! and `μ = 1` for node privacy; the total privacy cost is `ε₁ + ε₂`.
 //!
 //! A sixth, non-privacy knob rides along: [`Parallelism`] selects how many
-//! worker threads the instantiation may use to precompute its sequence
-//! entries. It never affects the released values — the parallel path is
-//! bit-identical to the serial one — only wall-clock time.
+//! worker threads may solve a query's sequence table. It never affects the
+//! released values — the parallel path is bit-identical to the serial one —
+//! only wall-clock time.
 
 use crate::error::MechanismError;
 use rmdp_runtime::Parallelism;
@@ -31,14 +31,13 @@ pub struct MechanismParams {
     /// `Δ̂ < Δ` — the only failure mode of the utility analysis — less
     /// likely, at the price of more noise).
     pub mu: f64,
-    /// Worker-thread budget for precomputing the sequences `H` and `G`
-    /// (default [`Parallelism::Serial`]). With more than one worker the
-    /// driver precomputes **all** `2(|P|+1)` entries up front, distributing
-    /// fixed contiguous runs of each family across workers (every run is one
-    /// warm-started LP chain); serially it computes only the runs it
-    /// touches, lazily. The run cut points never depend on the worker
-    /// count, so the entry values — and therefore the releases — are
-    /// bit-identical for every setting.
+    /// Worker-thread budget for solving a query's `H`/`G` table (default
+    /// [`Parallelism::Serial`]). The table is always solved whole before the
+    /// driver releases from it: the H chain and the G chain (each one
+    /// warm-started LP chain over all `|P|+1` entries) are the two units of
+    /// parallel work, and `Serial` solves H then G on the calling thread.
+    /// Each chain runs the same solves wherever it runs, so the entry values
+    /// — and therefore the releases — are bit-identical for every setting.
     pub parallelism: Parallelism,
 }
 
@@ -56,7 +55,7 @@ impl MechanismParams {
         }
     }
 
-    /// Sets the worker-thread budget for sequence precomputation. Purely a
+    /// Sets the worker-thread budget for solving sequence tables. Purely a
     /// performance knob: releases are bit-identical for every setting.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;

@@ -8,115 +8,70 @@
 //!   `H_{|P|} = q(M(P))`,
 //! * a g-bounding sequence `G_0 … G_{|P|}` together with its factor `g`.
 //!
-//! [`MechanismSequences`] abstracts over the two instantiations (the general
-//! subset-enumeration one and the efficient LP-based one). Entry computation
-//! is allowed to be expensive, so implementations cache; the driver accesses
-//! entries through `&mut self`.
+//! Both instantiations deliver all of it as one complete table, a
+//! [`FrozenSequences`]: the LP-based
+//! [`EfficientSequences`](crate::EfficientSequences) solves its H and G
+//! chains whole, and the subset-enumeration
+//! [`GeneralSequences`](crate::GeneralSequences) builds every entry eagerly.
+//! The driver reads entries from the table and never solves anything.
 //!
-//! [`validate_recursive_monotonicity`] and [`validate_bounding_property`] are
-//! test oracles for the defining inequalities; they are used by the unit and
-//! property tests of both instantiations.
+//! The `validate_*` functions are test oracles for the defining
+//! inequalities; the unit and property tests of both instantiations run
+//! them over the produced tables.
 
-use crate::error::MechanismError;
-use rmdp_runtime::Parallelism;
+use crate::cache::FrozenSequences;
 
-/// The interface the mechanism driver needs from an instantiation.
-pub trait MechanismSequences {
-    /// Number of participants `|P|`.
-    fn num_participants(&self) -> usize;
-
-    /// The recursive-sequence entry `H_i`, `0 ≤ i ≤ |P|`.
-    fn h(&mut self, i: usize) -> Result<f64, MechanismError>;
-
-    /// The bounding-sequence entry `G_i`, `0 ≤ i ≤ |P|`.
-    fn g(&mut self, i: usize) -> Result<f64, MechanismError>;
-
-    /// The factor `g` of the g-bounding property (1 for the general
-    /// instantiation, 2 for the efficient one).
-    fn bounding_factor(&self) -> f64;
-
-    /// The true answer `H_{|P|}` (provided for reporting; by default computed
-    /// through [`MechanismSequences::h`]).
-    fn true_answer(&mut self) -> Result<f64, MechanismError> {
-        let n = self.num_participants();
-        self.h(n)
-    }
-
-    /// Computes (and caches) every entry the instantiation can serve, using
-    /// up to `parallelism` worker threads. A performance hook, not a
-    /// semantic one: afterwards [`MechanismSequences::h`] and
-    /// [`MechanismSequences::g`] must return exactly the values they would
-    /// have computed lazily. The default does nothing, which is correct for
-    /// instantiations that are already eager (e.g. the general one).
-    fn precompute(&mut self, parallelism: Parallelism) -> Result<(), MechanismError> {
-        let _ = parallelism;
-        Ok(())
-    }
-}
-
-/// Checks `H_0 = 0` and the within-database consequences of recursive
-/// monotonicity: `H` must be non-decreasing in `i` (test helper).
-pub fn validate_monotone_start_at_zero<S: MechanismSequences>(
-    seq: &mut S,
-    extract: fn(&mut S, usize) -> Result<f64, MechanismError>,
-) -> Result<(), String> {
-    let n = seq.num_participants();
-    let first = extract(seq, 0).map_err(|e| e.to_string())?;
+/// Checks `entries[0] = 0` and the within-database consequence of recursive
+/// monotonicity: the entries must be non-decreasing in `i` (test helper, for
+/// `H` and `G` alike).
+pub fn validate_monotone_start_at_zero(entries: &[f64]) -> Result<(), String> {
+    let first = entries.first().copied().unwrap_or(0.0);
     if first.abs() > 1e-7 {
         return Err(format!("entry 0 is {first}, expected 0"));
     }
-    let mut prev = first;
-    for i in 1..=n {
-        let cur = extract(seq, i).map_err(|e| e.to_string())?;
+    for (i, pair) in entries.windows(2).enumerate() {
+        let (prev, cur) = (pair[0], pair[1]);
         if cur + 1e-7 < prev {
             return Err(format!(
-                "entry {i} = {cur} decreased below entry {} = {prev}",
-                i - 1
+                "entry {} = {cur} decreased below entry {i} = {prev}",
+                i + 1
             ));
         }
-        prev = cur;
     }
     Ok(())
 }
 
 /// Checks the cross-database half of recursive monotonicity (Def. 17):
 /// `H_i(P₂) ≤ H_i(P₁) ≤ H_{i+1}(P₂)` for a neighbouring pair where `P₂` has
-/// one more participant than `P₁` (test helper; `smaller` must be the
-/// ancestor).
-pub fn validate_recursive_monotonicity<A, B>(smaller: &mut A, larger: &mut B) -> Result<(), String>
-where
-    A: MechanismSequences,
-    B: MechanismSequences,
-{
+/// one more participant than `P₁`, and the same for `G` (test helper;
+/// `smaller` must be the ancestor).
+pub fn validate_recursive_monotonicity(
+    smaller: &FrozenSequences,
+    larger: &FrozenSequences,
+) -> Result<(), String> {
     let n1 = smaller.num_participants();
     let n2 = larger.num_participants();
     if n2 != n1 + 1 {
         return Err(format!("expected |P2| = |P1| + 1, got {n1} and {n2}"));
     }
-    for i in 0..=n1 {
-        let h1 = smaller.h(i).map_err(|e| e.to_string())?;
-        let h2 = larger.h(i).map_err(|e| e.to_string())?;
-        let h2_next = larger.h(i + 1).map_err(|e| e.to_string())?;
-        if h2 > h1 + 1e-7 {
-            return Err(format!("H_{i}(P2) = {h2} exceeds H_{i}(P1) = {h1}"));
-        }
-        if h1 > h2_next + 1e-7 {
-            return Err(format!(
-                "H_{i}(P1) = {h1} exceeds H_{}(P2) = {h2_next}",
-                i + 1
-            ));
-        }
-        let g1 = smaller.g(i).map_err(|e| e.to_string())?;
-        let g2 = larger.g(i).map_err(|e| e.to_string())?;
-        let g2_next = larger.g(i + 1).map_err(|e| e.to_string())?;
-        if g2 > g1 + 1e-7 {
-            return Err(format!("G_{i}(P2) = {g2} exceeds G_{i}(P1) = {g1}"));
-        }
-        if g1 > g2_next + 1e-7 {
-            return Err(format!(
-                "G_{i}(P1) = {g1} exceeds G_{}(P2) = {g2_next}",
-                i + 1
-            ));
+    let families = [
+        ("H", smaller.h_entries(), larger.h_entries()),
+        ("G", smaller.g_entries(), larger.g_entries()),
+    ];
+    for (name, small, large) in families {
+        for i in 0..=n1 {
+            let (v1, v2, v2_next) = (small[i], large[i], large[i + 1]);
+            if v2 > v1 + 1e-7 {
+                return Err(format!(
+                    "{name}_{i}(P2) = {v2} exceeds {name}_{i}(P1) = {v1}"
+                ));
+            }
+            if v1 > v2_next + 1e-7 {
+                return Err(format!(
+                    "{name}_{i}(P1) = {v1} exceeds {name}_{}(P2) = {v2_next}",
+                    i + 1
+                ));
+            }
         }
     }
     Ok(())
@@ -125,15 +80,14 @@ where
 /// Checks the g-bounding property (Def. 18):
 /// `H_j ≤ H_i + (|P| − i) · G_k` with `k = |P| − ⌊(|P| − j)/g⌋`, for all
 /// `0 ≤ i ≤ j ≤ |P|` (test helper).
-pub fn validate_bounding_property<S: MechanismSequences>(seq: &mut S) -> Result<(), String> {
-    let n = seq.num_participants();
-    let g = seq.bounding_factor();
+pub fn validate_bounding_property(table: &FrozenSequences) -> Result<(), String> {
+    let n = table.num_participants();
+    let g = table.bounding_factor();
+    let (h_entries, g_entries) = (table.h_entries(), table.g_entries());
     for j in 0..=n {
         let k = n - ((n - j) as f64 / g).floor() as usize;
-        let hj = seq.h(j).map_err(|e| e.to_string())?;
-        let gk = seq.g(k).map_err(|e| e.to_string())?;
-        for i in 0..=j {
-            let hi = seq.h(i).map_err(|e| e.to_string())?;
+        let (hj, gk) = (h_entries[j], g_entries[k]);
+        for (i, &hi) in h_entries[..=j].iter().enumerate() {
             let bound = hi + (n - i) as f64 * gk;
             if hj > bound + 1e-6 {
                 return Err(format!(
@@ -145,19 +99,16 @@ pub fn validate_bounding_property<S: MechanismSequences>(seq: &mut S) -> Result<
     Ok(())
 }
 
-/// Checks convexity of `H` over integer indices (Lemma 10), used to justify
-/// the ternary-search argmin in the driver (test helper).
-pub fn validate_convexity<S: MechanismSequences>(seq: &mut S) -> Result<(), String> {
-    let n = seq.num_participants();
-    for i in 0..n.saturating_sub(1) {
-        let a = seq.h(i).map_err(|e| e.to_string())?;
-        let b = seq.h(i + 1).map_err(|e| e.to_string())?;
-        let c = seq.h(i + 2).map_err(|e| e.to_string())?;
-        if (b - a) > (c - b) + 1e-6 {
+/// Checks convexity of `H` over integer indices, a property of the exact
+/// sequences (Lemma 10) that the computed ones should keep up to the LP
+/// tolerance (test helper). The driver does not rely on it: its argmin is a
+/// linear scan.
+pub fn validate_convexity(h: &[f64]) -> Result<(), String> {
+    for (i, w) in h.windows(3).enumerate() {
+        let (rise, next_rise) = (w[1] - w[0], w[2] - w[1]);
+        if rise > next_rise + 1e-6 {
             return Err(format!(
-                "convexity violated at {i}: increments {} then {}",
-                b - a,
-                c - b
+                "convexity violated at {i}: increments {rise} then {next_rise}"
             ));
         }
     }
@@ -168,35 +119,24 @@ pub fn validate_convexity<S: MechanismSequences>(seq: &mut S) -> Result<(), Stri
 mod tests {
     use super::*;
 
-    /// A toy sequence pair for exercising the validators: H_i = i² (convex,
+    /// A toy table for exercising the validators: H_i = i² (convex,
     /// monotone, 0 at 0), G_i = 2i + 1 ≥ max marginal of H up to |P|.
-    struct Quadratic {
-        n: usize,
-    }
-
-    impl MechanismSequences for Quadratic {
-        fn num_participants(&self) -> usize {
-            self.n
-        }
-        fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-            Ok((i * i) as f64)
-        }
-        fn g(&mut self, i: usize) -> Result<f64, MechanismError> {
-            // The largest marginal of H on a database with i participants is
-            // H_i − H_{i−1} = 2i − 1; use 2i + 1 ≥ that, monotone, G_0 = 1.
-            Ok((2 * i + 1) as f64)
-        }
-        fn bounding_factor(&self) -> f64 {
-            1.0
-        }
+    fn quadratic(n: usize) -> FrozenSequences {
+        // The largest marginal of H on a database with i participants is
+        // H_i − H_{i−1} = 2i − 1; use 2i + 1 ≥ that, monotone, G_0 = 1.
+        FrozenSequences::from_entries(
+            (0..=n).map(|i| (i * i) as f64).collect(),
+            (0..=n).map(|i| (2 * i + 1) as f64).collect(),
+            1.0,
+        )
     }
 
     #[test]
     fn quadratic_sequence_passes_monotonicity_and_convexity() {
-        let mut q = Quadratic { n: 8 };
-        assert!(validate_monotone_start_at_zero(&mut q, |s, i| s.h(i)).is_ok());
-        assert!(validate_convexity(&mut q).is_ok());
-        assert_eq!(q.true_answer().unwrap(), 64.0);
+        let q = quadratic(8);
+        assert!(validate_monotone_start_at_zero(q.h_entries()).is_ok());
+        assert!(validate_convexity(q.h_entries()).is_ok());
+        assert_eq!(q.h_entries().last(), Some(&64.0));
     }
 
     #[test]
@@ -204,35 +144,16 @@ mod tests {
         // H_j − H_i = j² − i² ≤ (n − i)(2n+1)? For j ≤ n this holds since
         // j² − i² = (j−i)(j+i) ≤ (n − i)·2n < (n − i)·G_n; the validator
         // uses G_k with k ≥ j which is even larger.
-        let mut q = Quadratic { n: 8 };
-        assert!(validate_bounding_property(&mut q).is_ok());
+        assert!(validate_bounding_property(&quadratic(8)).is_ok());
     }
 
     #[test]
     fn violations_are_detected() {
-        struct Bad;
-        impl MechanismSequences for Bad {
-            fn num_participants(&self) -> usize {
-                3
-            }
-            fn h(&mut self, i: usize) -> Result<f64, MechanismError> {
-                // Not convex and not starting at zero.
-                Ok(match i {
-                    0 => 1.0,
-                    1 => 5.0,
-                    2 => 6.0,
-                    _ => 7.0,
-                })
-            }
-            fn g(&mut self, _i: usize) -> Result<f64, MechanismError> {
-                Ok(0.0)
-            }
-            fn bounding_factor(&self) -> f64 {
-                1.0
-            }
-        }
-        let mut b = Bad;
-        assert!(validate_monotone_start_at_zero(&mut b, |s, i| s.h(i)).is_err());
-        assert!(validate_bounding_property(&mut b).is_err());
+        // Not convex and not starting at zero.
+        let bad = FrozenSequences::from_entries(vec![1.0, 5.0, 6.0, 7.0], vec![0.0; 4], 1.0);
+        assert!(validate_monotone_start_at_zero(bad.h_entries()).is_err());
+        assert!(validate_convexity(bad.h_entries()).is_err());
+        assert!(validate_bounding_property(&bad).is_err());
+        assert!(validate_recursive_monotonicity(&bad, &quadratic(4)).is_err());
     }
 }

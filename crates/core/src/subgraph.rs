@@ -18,7 +18,7 @@
 //! the privacy argument is unchanged because the constraint only removes
 //! tuples from the K-relation.
 
-use crate::efficient::EfficientSequences;
+use crate::efficient::{EfficientSequences, LpWorkStats};
 use crate::error::MechanismError;
 use crate::krelation_query::SensitiveKRelation;
 use crate::mechanism::{RecursiveMechanism, Release};
@@ -55,11 +55,11 @@ pub struct SubgraphCounter {
 /// A caller-supplied filter on enumerated occurrences.
 type OccurrenceConstraint = Box<dyn Fn(&Occurrence) -> bool + Send + Sync>;
 
-/// A subgraph query that has been matched against a concrete graph: the
-/// mechanism is ready to produce any number of releases, reusing the cached
-/// `H`/`G` entries.
+/// A subgraph query that has been matched against a concrete graph and whose
+/// `H`/`G` table is solved: the mechanism is ready to produce any number of
+/// releases from that one table.
 pub struct PreparedSubgraphQuery {
-    mechanism: RecursiveMechanism<EfficientSequences>,
+    mechanism: RecursiveMechanism,
     /// True number of (constraint-satisfying) occurrences.
     pub true_count: f64,
     /// Support size of the K-relation (equals `true_count` for unweighted
@@ -72,6 +72,8 @@ pub struct PreparedSubgraphQuery {
     /// Wall-clock time spent matching the pattern and building the
     /// K-relation.
     pub build_time: Duration,
+    /// LP work of solving the sequence table.
+    pub lp: LpWorkStats,
 }
 
 /// One differentially private subgraph-count release plus diagnostics.
@@ -209,8 +211,9 @@ impl SubgraphCounter {
         SensitiveKRelation::new(&relation, participants, |_| 1.0)
     }
 
-    /// Matches the pattern and sets the mechanism up; the result can release
-    /// any number of times.
+    /// Matches the pattern, solves the sequence table (with
+    /// `params.parallelism`) and sets the mechanism up; the result can
+    /// release any number of times.
     pub fn prepare(&self, graph: &Graph) -> Result<PreparedSubgraphQuery, MechanismError> {
         let watch = Stopwatch::start();
         let query = self.build_sensitive_relation(graph);
@@ -219,7 +222,8 @@ impl SubgraphCounter {
         let support_size = query.support_size();
         let num_participants = query.num_participants();
         let universal_sensitivity = query.universal_sensitivity();
-        let mechanism = RecursiveMechanism::new(EfficientSequences::new(query), self.params)?;
+        let (table, lp) = EfficientSequences::new(query).solve_table(self.params.parallelism)?;
+        let mechanism = RecursiveMechanism::new(table.into(), self.params)?;
         Ok(PreparedSubgraphQuery {
             mechanism,
             true_count,
@@ -227,6 +231,7 @@ impl SubgraphCounter {
             num_participants,
             universal_sensitivity,
             build_time,
+            lp,
         })
     }
 
@@ -268,9 +273,9 @@ impl PreparedSubgraphQuery {
         (0..trials).map(|_| self.release(rng)).collect()
     }
 
-    /// Access to the underlying mechanism (e.g. to read `Δ` in experiments).
-    pub fn mechanism_mut(&mut self) -> &mut RecursiveMechanism<EfficientSequences> {
-        &mut self.mechanism
+    /// The underlying mechanism (e.g. to read `Δ` in experiments).
+    pub fn mechanism(&self) -> &RecursiveMechanism {
+        &self.mechanism
     }
 }
 
@@ -449,10 +454,9 @@ mod tests {
         let mut prepared = counter.prepare(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(31);
         let _ = prepared.release_many(10, &mut rng).unwrap();
-        let stats = prepared.mechanism_mut().sequences_mut().stats();
-        // With |P| = 6 there are at most 7 distinct H entries and 7 distinct
-        // G entries; 10 releases must not have solved more LPs than that.
-        assert!(stats.h_solves <= 7, "h_solves = {}", stats.h_solves);
-        assert!(stats.g_solves <= 7, "g_solves = {}", stats.g_solves);
+        // With |P| = 6, prepare solved each of the 7 H and 7 G entries once,
+        // and 10 releases from the table solved nothing more.
+        assert_eq!(prepared.lp.h_solves, 7);
+        assert_eq!(prepared.lp.g_solves, 7);
     }
 }

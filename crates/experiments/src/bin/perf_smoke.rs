@@ -1,32 +1,33 @@
 //! Perf smoke test for the two sequence-layer optimisations.
 //!
-//! **LP chains** (`BENCH_lp.json`): times a full `H`/`G` precompute twice
+//! **LP chains** (`BENCH_lp.json`): times a full `H`/`G` table solve twice
 //! per fig-4 workload (triangle and 2-star counting under node privacy) —
-//! entry-by-entry cold solves (`chain_run_len = 1`) and the default
-//! warm-started chains — with wall times and pivot counts, split into
-//! composite phase-1, dual and phase-2 pivots, plus the count and time of
-//! the LU factorizations each precompute ran and the count and stored
-//! entries of its basis updates. Gated on the default chains
-//! spending no composite phase-1 pivot: every warm entry must re-enter
-//! through the dual simplex (a silent fallback costs 2–3× and no
-//! correctness test notices it), on exact pivot limits (pivot counts
-//! are deterministic): the default chains may not spend more pivots than
-//! the largest-violation dual did (410 triangle, 1,951 2-star), and on an
-//! exact update-size limit: the 2-star warm chain's Forrest–Tomlin updates
-//! may not store more entries per update than when they were introduced
-//! (57.95, against 544.35 for the product-form eta file). The same file
-//! also carries the **basis scaling** section: synthetic 2-star counting
-//! `H`-models from 300 up to 101.5k hinge rows, solved cold and
-//! RHS-stepped warm on the sparse-LU solver (wall time, pivots, peak
-//! factor nonzeros, estimated basis memory), with the dense tableau oracle
-//! solving the 300-row point only. Gated on the sparse objective agreeing
-//! with the oracle's there, on completing the 100k-row instance, and on the
-//! 18k- and 101.5k-row warm steps staying within their pivot limits.
+//! entry-by-entry cold solves of every entry model
+//! (`EfficientSequences::entry_model`) and the default warm-started chains
+//! — with wall times and pivot counts, split into composite phase-1, dual
+//! and phase-2 pivots, plus the count and time of the LU factorizations
+//! each solve ran and the count and stored entries of its basis updates.
+//! Gated on the default chains spending no composite phase-1 pivot: every
+//! warm entry must re-enter through the dual simplex (a silent fallback
+//! costs 2–3× and no correctness test notices it), on exact pivot limits
+//! (pivot counts are deterministic): the default chains may not spend more
+//! pivots than the largest-violation dual did (410 triangle, 1,951
+//! 2-star), and on an exact update-size limit: the 2-star warm chain's
+//! Forrest–Tomlin updates may not store more entries per update than when
+//! they were introduced (57.95, against 544.35 for the product-form eta
+//! file). The same file also carries the **basis scaling** section:
+//! synthetic 2-star counting `H`-models from 300 up to 101.5k hinge rows,
+//! solved cold and RHS-stepped warm on the sparse-LU solver (wall time,
+//! pivots, peak factor nonzeros, estimated basis memory), with the dense
+//! tableau oracle solving the 300-row point only. Gated on the sparse
+//! objective agreeing with the oracle's there, on completing the 100k-row
+//! instance, and on the 18k- and 101.5k-row warm steps staying within their
+//! pivot limits.
 //!
 //! **Sequence cache** (`BENCH_cache.json`): the repeated-workload bench.
-//! One cold release pays the full sequence precompute and populates the
+//! One cold release pays the full table solve and populates the
 //! [`rmdp_core::SequenceCache`]; every repeat is a cache hit that skips the
-//! precompute entirely. The bench records cold vs warm-hit wall time (the
+//! solve entirely. The bench records cold vs warm-hit wall time (the
 //! acceptance gate requires ≥ 10× on the fig-4 triangle workload),
 //! verifies bit-identity of the released values against a cache-less run
 //! under the same seeds, and measures the hit rate of a SQL session
@@ -39,7 +40,7 @@
 //! hit on every group after the first report.
 //!
 //! **Telemetry overhead** (`BENCH_observe.json`): the instrumentation
-//! bench. The same uncached prepare-and-release workload runs twice under
+//! bench. The same uncached solve-and-release workload runs twice under
 //! identical seeds — once with a [`rmdp_observe::NoopRecorder`] (whose
 //! empty inline hooks compile away) and once with a live
 //! [`rmdp_observe::SpanRecorder`] — and the releases must be bit-identical
@@ -70,8 +71,8 @@ use rmdp_core::efficient::EfficientSequences;
 use rmdp_core::params::MechanismParams;
 use rmdp_core::subgraph::{PrivacyUnit, SubgraphCounter};
 use rmdp_core::{
-    CachedSequences, FrozenSequences, MechanismSequences, Parallelism, RecursiveMechanism,
-    SensitiveKRelation, SequenceCache,
+    CachedSequences, FrozenSequences, LpWorkStats, Parallelism, RecursiveMechanism,
+    SensitiveKRelation, SequenceCache, SequenceFamily,
 };
 use rmdp_graph::{generators, Pattern};
 use rmdp_krelation::annotate::AnnotatedDatabase;
@@ -79,7 +80,7 @@ use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_krelation::{Expr, KRelation};
 use rmdp_lp::{time_factorizations, FactorTiming, Model, Sense, SimplexOptions};
-use rmdp_observe::{Clock, MonotonicClock, NoopRecorder, SpanRecorder, Stage, Stopwatch};
+use rmdp_observe::{Clock, MonotonicClock, NoopRecorder, Recorder, SpanRecorder, Stage, Stopwatch};
 use rmdp_sql::SqlSession;
 use std::sync::{Arc, OnceLock};
 
@@ -163,26 +164,44 @@ fn mean_update_nnz(factor: &FactorTiming) -> f64 {
     factor.update_nnz as f64 / factor.updates.max(1) as f64
 }
 
-/// Serial precompute: wall milliseconds and the LU work it ran.
-fn precompute_timed(seq: &mut EfficientSequences) -> (f64, FactorTiming) {
+/// Runs `solve` under the LU timers: its result, wall milliseconds and the
+/// LU work it ran.
+fn timed<T>(solve: impl FnOnce() -> T) -> (T, f64, FactorTiming) {
     let watch = Stopwatch::start();
-    let ((), factor) = time_factorizations(now_nanos, || {
-        seq.precompute(Parallelism::Serial)
-            .expect("fig-4 entry LPs are feasible and bounded")
-    });
-    (watch.elapsed_seconds() * 1e3, factor)
+    let (out, factor) = time_factorizations(now_nanos, solve);
+    (out, watch.elapsed_seconds() * 1e3, factor)
+}
+
+/// Solves every entry model of both families from a cold start, one
+/// `prepare` + `solve` each: the work the warm chains save.
+fn solve_cold(seq: &EfficientSequences) -> LpWorkStats {
+    let mut stats = LpWorkStats::default();
+    for family in [SequenceFamily::H, SequenceFamily::G] {
+        for i in 0..=seq.query().num_participants() {
+            let (model, _) = seq.entry_model(family, i);
+            let solved = model
+                .prepare()
+                .and_then(|lp| lp.solve(&SimplexOptions::default()))
+                .expect("fig-4 entry LPs are feasible and bounded");
+            let entry = solved.solution.stats;
+            match family {
+                SequenceFamily::H => stats.h_solves += 1,
+                SequenceFamily::G => stats.g_solves += 1,
+            }
+            stats.total_pivots += entry.total_iterations();
+        }
+    }
+    stats
 }
 
 fn run_workload(name: &str, relation: &SensitiveKRelation) -> WorkloadResult {
     let participants = relation.num_participants();
+    let seq = EfficientSequences::new(relation.clone());
 
-    let mut cold = EfficientSequences::new(relation.clone()).with_chain_run_len(1);
-    let (cold_wall_ms, cold_factor) = precompute_timed(&mut cold);
+    let (c, cold_wall_ms, cold_factor) = timed(|| solve_cold(&seq));
+    let (solved, warm_wall_ms, warm_factor) = timed(|| seq.solve_table(Parallelism::Serial));
+    let (_, w) = solved.expect("fig-4 entry LPs are feasible and bounded");
 
-    let mut warm = EfficientSequences::new(relation.clone());
-    let (warm_wall_ms, warm_factor) = precompute_timed(&mut warm);
-
-    let (c, w) = (cold.stats(), warm.stats());
     assert_eq!(c.h_solves + c.g_solves, w.h_solves + w.g_solves);
     WorkloadResult {
         name: name.to_string(),
@@ -325,8 +344,8 @@ fn run_scaling_point(
 struct CacheBenchResult {
     name: String,
     participants: usize,
-    /// Wall time of the cold (miss) release: full sequence precompute,
-    /// cache population and release.
+    /// Wall time of the cold (miss) release: full table solve, cache
+    /// population and release.
     cold_wall_ms: f64,
     /// Mean wall time of a warm-hit release over `warm_releases` repeats.
     warm_hit_wall_ms: f64,
@@ -338,9 +357,9 @@ struct CacheBenchResult {
 }
 
 /// One release the way `SqlSession` does it: a fresh per-query RNG seeded
-/// from the workload stream, releasing through the given sequences.
-fn release_once<S: MechanismSequences>(
-    sequences: S,
+/// from the workload stream, releasing from the given table.
+fn release_once(
+    sequences: CachedSequences,
     params: MechanismParams,
     seed: u64,
 ) -> rmdp_core::Release {
@@ -364,17 +383,18 @@ fn run_cache_workload(
     let mut seed_stream = StdRng::seed_from_u64(4242);
     let seeds: Vec<u64> = (0..=repeats).map(|_| seed_stream.next_u64()).collect();
 
-    // Cold: the miss pays the whole sequence precompute and populates the
-    // cache (exactly what a SqlSession miss does).
+    // Cold: the miss pays the whole table solve and populates the cache
+    // (exactly what a SqlSession miss does).
+    let solve = || -> FrozenSequences {
+        EfficientSequences::new(relation.clone())
+            .solve_table(Parallelism::Serial)
+            .expect("fig-4 table solve succeeds")
+            .0
+    };
     let cold_watch = Stopwatch::start();
     let frozen = cache
-        .get_or_try_insert_with(key, || {
-            FrozenSequences::compute(
-                EfficientSequences::new(relation.clone()),
-                Parallelism::Serial,
-            )
-        })
-        .expect("fig-4 precompute succeeds");
+        .get_or_try_insert_with(key, || Ok(solve()))
+        .expect("fig-4 table solve succeeds");
     let cold_release = release_once(CachedSequences(frozen), params, seeds[0]);
     let cold_wall_ms = cold_watch.elapsed_seconds() * 1e3;
 
@@ -399,7 +419,7 @@ fn run_cache_workload(
         .chain(warm_releases.iter().take(verified))
         .zip(&seeds)
     {
-        let cold = release_once(EfficientSequences::new(relation.clone()), params, seed);
+        let cold = release_once(solve().into(), params, seed);
         bit_identical &= cold.noisy_answer.to_bits() == release.noisy_answer.to_bits()
             && cold.delta_hat.to_bits() == release.delta_hat.to_bits()
             && cold.x.to_bits() == release.x.to_bits();
@@ -584,6 +604,25 @@ struct ObserveBenchResult {
     traces_populated: bool,
 }
 
+/// One uncached release the way the SQL miss path runs it: the table solve
+/// bracketed as [`Stage::SequenceSolve`], then the release with its noise
+/// stages.
+fn release_uncached<T: Recorder>(
+    relation: &SensitiveKRelation,
+    params: MechanismParams,
+    seed: u64,
+    recorder: &mut T,
+) -> rmdp_core::Release {
+    recorder.enter(Stage::SequenceSolve);
+    let (table, _) = EfficientSequences::new(relation.clone())
+        .solve_table(params.parallelism)
+        .expect("fig-4 sequences are feasible");
+    recorder.exit(Stage::SequenceSolve);
+    RecursiveMechanism::new(table.into(), params)
+        .and_then(|mut mech| mech.release_recorded(&mut StdRng::seed_from_u64(seed), recorder))
+        .expect("fig-4 release succeeds")
+}
+
 fn run_observe_workload(relation: &SensitiveKRelation) -> ObserveBenchResult {
     let params = MechanismParams::paper_node_privacy(0.5);
     let iterations = 4;
@@ -599,13 +638,7 @@ fn run_observe_workload(relation: &SensitiveKRelation) -> ObserveBenchResult {
         let watch = Stopwatch::start();
         let releases = seeds
             .iter()
-            .map(|&seed| {
-                let mut mech =
-                    RecursiveMechanism::new(EfficientSequences::new(relation.clone()), params)
-                        .expect("fig-4 sequences are feasible");
-                mech.release_recorded(&mut StdRng::seed_from_u64(seed), &mut NoopRecorder)
-                    .expect("fig-4 release succeeds")
-            })
+            .map(|&seed| release_uncached(relation, params, seed, &mut NoopRecorder))
             .collect();
         (releases, watch.elapsed_seconds() * 1e3)
     };
@@ -615,13 +648,8 @@ fn run_observe_workload(relation: &SensitiveKRelation) -> ObserveBenchResult {
         let releases = seeds
             .iter()
             .map(|&seed| {
-                let mut mech =
-                    RecursiveMechanism::new(EfficientSequences::new(relation.clone()), params)
-                        .expect("fig-4 sequences are feasible");
                 let mut recorder = SpanRecorder::new(MonotonicClock::new());
-                let release = mech
-                    .release_recorded(&mut StdRng::seed_from_u64(seed), &mut recorder)
-                    .expect("fig-4 release succeeds");
+                let release = release_uncached(relation, params, seed, &mut recorder);
                 populated &= recorder.stage_entries(Stage::SequenceSolve) > 0
                     && recorder.stage_entries(Stage::NoiseSample) > 0;
                 release
@@ -1046,7 +1074,7 @@ fn main() {
             failed = true;
         }
     }
-    // The acceptance gate: a warm hit must skip the sequence precompute
+    // The acceptance gate: a warm hit must skip the sequence table solve
     // entirely, which shows up as ≥ 10× over cold on the fig-4 triangle
     // workload (in practice it is 100×+; 10× leaves headroom for noisy
     // shared runners).

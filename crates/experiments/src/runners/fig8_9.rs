@@ -88,8 +88,10 @@ pub fn run(sweep: Sweep, options: &CliOptions) -> Vec<KRelationPoint> {
             };
 
             let watch = rmdp_observe::Stopwatch::start();
-            let sequences = EfficientSequences::new(query);
-            let mut mechanism = match RecursiveMechanism::new(sequences, params) {
+            let mechanism = EfficientSequences::new(query)
+                .solve_table(params.parallelism)
+                .and_then(|(table, _)| RecursiveMechanism::new(table.into(), params));
+            let mut mechanism = match mechanism {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("skipping {shape:?} x={x}: {e}");
@@ -175,6 +177,7 @@ pub fn paper_expectation(sweep: Sweep) -> &'static str {
 mod tests {
     use super::*;
     use crate::scale::Scale;
+    use rmdp_core::Parallelism;
 
     #[test]
     fn table_rendering() {
@@ -212,11 +215,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let query = random_krelation(spec, &mut rng);
         let truth = query.true_answer();
-        let mut mech = RecursiveMechanism::new(
-            EfficientSequences::new(query),
-            MechanismParams::paper_edge_privacy(0.5),
-        )
-        .unwrap();
+        let (table, _) = EfficientSequences::new(query)
+            .solve_table(Parallelism::Serial)
+            .unwrap();
+        let mut mech =
+            RecursiveMechanism::new(table.into(), MechanismParams::paper_edge_privacy(0.5))
+                .unwrap();
         let releases = mech.release_many(options.trials(), &mut rng).unwrap();
         for r in &releases {
             // The true answer is recovered from the LP optimum at i = |P|,

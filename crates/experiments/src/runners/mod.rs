@@ -112,9 +112,8 @@ pub fn run_recursive<R: Rng + ?Sized>(
     };
     let counter = SubgraphCounter::new(query.pattern(), privacy, params);
     let watch = rmdp_observe::Stopwatch::start();
+    // Preparing solves the whole sequence table and computes Δ.
     let mut prepared = counter.prepare(graph)?;
-    // Force Δ so the preparation time includes the binary search over G.
-    let _ = prepared.mechanism_mut().delta()?;
     let prepare_time = watch.elapsed();
 
     let answers = prepared.release_many(trials, rng)?;

@@ -15,9 +15,9 @@ pub enum Stage {
     Fingerprint,
     /// Probing the cross-query sequence cache.
     CacheLookup,
-    /// Solving sequence LPs (the `Δ` ladder and the `H` entries touched by
-    /// the ternary search). Entered multiple times per release: LP solves
-    /// interleave with noise draws inside the mechanism.
+    /// The sequence layer: solving the whole `H`/`G` table of a cache miss
+    /// or an uncached release, and the mechanism's scan of the table for
+    /// `X` on every release.
     SequenceSolve,
     /// Drawing Laplace noise (the log-scale draw and the answer draw).
     NoiseSample,
@@ -87,10 +87,9 @@ const CLOSED: u64 = u64::MAX;
 
 /// A recorder that accumulates wall-time per stage on an injected [`Clock`].
 ///
-/// Re-entered stages accumulate (the mechanism interleaves LP solves with
-/// noise draws, so [`Stage::SequenceSolve`] and [`Stage::NoiseSample`] are
-/// each entered twice per release). Unbalanced `exit` calls are ignored;
-/// a span left open contributes nothing until exited.
+/// Re-entered stages accumulate (the mechanism draws noise twice per
+/// release, so [`Stage::NoiseSample`] is entered twice). Unbalanced `exit`
+/// calls are ignored; a span left open contributes nothing until exited.
 #[derive(Clone, Debug)]
 pub struct SpanRecorder<C: Clock> {
     clock: C,

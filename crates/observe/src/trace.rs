@@ -33,8 +33,8 @@ pub struct StageSpan {
     pub stage: Stage,
     /// Total nanoseconds across all entries of the stage.
     pub nanos: u64,
-    /// How many times the stage was entered (LP solving and noise sampling
-    /// interleave, so they enter twice per scalar release).
+    /// How many times the stage was entered (noise sampling enters twice
+    /// per scalar release).
     pub entries: u64,
 }
 

@@ -2,11 +2,12 @@
 //! recursive mechanism (no dependencies beyond the workspace's own
 //! `rmdp-observe` telemetry crate).
 //!
-//! The mechanism's cost is dominated by the `2(|P|+1)` independent LP solves
-//! behind the sequences `H_0…H_{|P|}` and `G_0…G_{|P|}` (paper Sec. 5.3):
-//! each entry is its own linear program over a shared immutable view of the
-//! query, so the solves parallelise perfectly across the index `i`. This
-//! crate provides the runtime those call sites share:
+//! The mechanism's cost is dominated by the LP solves behind the sequences
+//! `H_0…H_{|P|}` and `G_0…G_{|P|}` (paper Sec. 5.3). Each family is one
+//! warm-started chain over a shared immutable view of the query, so the H
+//! chain and the G chain run side by side; batches of queries and the groups
+//! of a grouped report fan out the same way. This crate provides the runtime
+//! those call sites share:
 //!
 //! * [`Parallelism`] — the user-facing knob (`Serial`, `Threads(n)` or
 //!   `Auto`), threaded through `MechanismParams` one crate up.
@@ -16,11 +17,6 @@
 //!   result ordering**: the output vector is always indexed by input index,
 //!   regardless of which worker computed which entry, and the first error in
 //!   *index* order (not completion order) is the one reported.
-//! * [`contiguous_runs`] — fixed, worker-count-independent partitioning of
-//!   an index range into contiguous runs, for callers whose items form
-//!   warm-start chains (consecutive sequence-entry LPs): a run is one chain
-//!   executed on one worker, so warm starts survive parallelism without
-//!   making the results depend on the schedule.
 //! * [`install_pool_metrics`] — optional observability: once a
 //!   [`MetricsRegistry`](rmdp_observe::MetricsRegistry) is installed, every
 //!   fan-out reports queue depth and per-worker busy time into it. Until
@@ -47,13 +43,11 @@
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod chunk;
 pub mod metrics;
 pub mod parallelism;
 pub mod pool;
 
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionGate, Permit};
-pub use chunk::{contiguous_runs, run_containing};
 pub use metrics::install_pool_metrics;
 pub use parallelism::Parallelism;
 pub use pool::{par_map_indexed, par_try_map_indexed};

@@ -57,8 +57,8 @@
 //! table is only ever reused under the identical sensitivity
 //! configuration, which keeps the key sound even if a future change
 //! freezes ladder-derived data (e.g. Δ itself) into the table. The cost
-//! is that a `β`/`θ` parameter sweep over one query re-pays the
-//! precompute per setting. Purely noise-scaling fields (`ε₁`, `ε₂`, `μ`)
+//! is that a `β`/`θ` parameter sweep over one query re-pays the table
+//! solve per setting. Purely noise-scaling fields (`ε₁`, `ε₂`, `μ`)
 //! and performance knobs (`parallelism`) are excluded outright: splitting
 //! the cache on them would only lower the hit rate.
 

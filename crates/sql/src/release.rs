@@ -71,12 +71,12 @@ pub(crate) fn group_seed(report_seed: u64, key: &Value) -> u64 {
 /// every mechanism release, scalar or per group.
 ///
 /// With a cache handle, a fingerprint hit serves the frozen `H`/`G` table
-/// directly — skipping plan execution *and* every sequence LP — and a miss
-/// computes the full table once (all `2(|P|+1)` entries, warm-started
-/// chains, up to `params.parallelism` workers), publishes it, and releases
-/// from the freshly frozen copy. Noise is drawn from `rng` identically on
-/// every path, so hit, miss and uncached releases are bit-identical under
-/// the same seed.
+/// directly — skipping plan execution *and* every sequence LP. A miss
+/// executes the plan, solves the whole table once (the H and G chains, up to
+/// `params.parallelism` workers), publishes it, and releases from it; without
+/// a cache handle the same miss path runs without the publish. Noise is
+/// drawn from `rng` identically on every path, so hit, miss and uncached
+/// releases are bit-identical under the same seed.
 pub(crate) fn release_plan<T: Recorder>(
     db: &AnnotatedDatabase,
     plan: &QueryPlan,
@@ -85,79 +85,68 @@ pub(crate) fn release_plan<T: Recorder>(
     cache: Option<(&SequenceCache, &PlanKey)>,
     recorder: &mut T,
 ) -> Result<ReleaseOutcome, SqlError> {
-    if let Some((cache, key)) = cache {
+    let hit = cache.and_then(|(cache, key)| {
         recorder.enter(Stage::CacheLookup);
-        let cached = cache.get(key.key);
+        let found = cache.get(key.key);
         recorder.exit(Stage::CacheLookup);
-        let (frozen, outcome, lp, refresh) = match cached {
-            Some(hit) => (hit, CacheOutcome::Hit, LpWorkStats::default(), None),
-            None => {
-                recorder.enter(Stage::Plan);
-                let query = build_sensitive_query(db, plan);
-                recorder.exit(Stage::Plan);
-                recorder.enter(Stage::SequenceSolve);
-                // A parked pre-delta entry of the same lineage (swept by
-                // `purge_stale` on snapshot swap) turns this miss into a
-                // refresh, which republishes it when the delta left the
-                // query unchanged and computes cold otherwise; either path
-                // is bit-identical to a cold compute on the post-delta data.
-                let computed = query.and_then(|query| match cache.take_refresh_base(key.lineage) {
+        found
+    });
+    let (table, outcome, lp, refresh) = match hit {
+        Some(hit) => (hit, CacheOutcome::Hit, LpWorkStats::default(), None),
+        None => {
+            recorder.enter(Stage::Plan);
+            let query = build_sensitive_query(db, plan);
+            recorder.exit(Stage::Plan);
+            recorder.enter(Stage::SequenceSolve);
+            // A parked pre-delta entry of the same lineage (swept by
+            // `purge_stale` on snapshot swap) turns this miss into a
+            // refresh, which republishes it when the delta left the query
+            // unchanged and computes cold otherwise; either path is
+            // bit-identical to a cold compute on the post-delta data.
+            let computed = query.and_then(|query| {
+                let base = cache.and_then(|(cache, key)| cache.take_refresh_base(key.lineage));
+                match base {
                     Some((base, seed)) => base
                         .refresh(&seed, query, SimplexOptions::default(), params.parallelism)
-                        .map(|(frozen, next_seed, stats)| {
-                            (frozen, next_seed, stats.lp, Some(stats.tier))
-                        })
-                        .map_err(SqlError::from),
+                        .map(|(table, next_seed, stats)| {
+                            (table, next_seed, stats.lp, Some(stats.tier))
+                        }),
                     None => FrozenSequences::compute_with_seed(
                         EfficientSequences::new(query),
                         params.parallelism,
                     )
-                    .map(|(frozen, seed, stats)| (frozen, seed, stats, None))
-                    .map_err(SqlError::from),
-                });
-                recorder.exit(Stage::SequenceSolve);
-                let (frozen, seed, stats, refresh) = computed?;
-                let frozen = Arc::new(frozen);
-                cache.insert_tagged(
-                    key.key,
-                    Arc::clone(&frozen),
-                    EntryTag {
-                        stamps: key.stamps.clone(),
-                        lineage: key.lineage,
-                    },
-                    Some(Arc::new(seed)),
-                );
-                (frozen, CacheOutcome::Miss, stats, refresh)
-            }
-        };
-        let mut mechanism = RecursiveMechanism::new(CachedSequences(frozen), params)?;
-        let release = mechanism.release_recorded(rng, recorder)?;
-        return Ok(ReleaseOutcome {
-            release,
-            cache: outcome,
-            lp,
-            refresh,
-        });
-    }
-
-    recorder.enter(Stage::Plan);
-    let query = build_sensitive_query(db, plan);
-    recorder.exit(Stage::Plan);
-    // The constructor precomputes the sequence tables when the params are
-    // parallel, so its runtime belongs to the solve span too.
-    recorder.enter(Stage::SequenceSolve);
-    let mechanism = query.and_then(|query| {
-        RecursiveMechanism::new(EfficientSequences::new(query), params).map_err(SqlError::from)
-    });
-    recorder.exit(Stage::SequenceSolve);
-    let mut mechanism = mechanism?;
+                    .map(|(table, seed, stats)| (table, seed, stats, None)),
+                }
+                .map_err(SqlError::from)
+            });
+            recorder.exit(Stage::SequenceSolve);
+            let (table, seed, stats, refresh) = computed?;
+            let table = Arc::new(table);
+            let outcome = match cache {
+                Some((cache, key)) => {
+                    cache.insert_tagged(
+                        key.key,
+                        Arc::clone(&table),
+                        EntryTag {
+                            stamps: key.stamps.clone(),
+                            lineage: key.lineage,
+                        },
+                        Some(Arc::new(seed)),
+                    );
+                    CacheOutcome::Miss
+                }
+                None => CacheOutcome::Uncached,
+            };
+            (table, outcome, stats, refresh)
+        }
+    };
+    let mut mechanism = RecursiveMechanism::new(CachedSequences(table), params)?;
     let release = mechanism.release_recorded(rng, recorder)?;
-    let lp = mechanism.sequences_mut().stats();
     Ok(ReleaseOutcome {
         release,
-        cache: CacheOutcome::Uncached,
+        cache: outcome,
         lp,
-        refresh: None,
+        refresh,
     })
 }
 
@@ -245,7 +234,7 @@ pub(crate) fn release_any<T: Recorder>(
 ///
 /// The fan-out level owns the concurrency: the worker budget is split so
 /// thread counts do not multiply, and workers left over by fewer items than
-/// workers are handed to each item's own sequence precompute.
+/// workers are handed to each item's own table solve.
 pub(crate) fn fan_out<R: Send>(
     params: MechanismParams,
     seeds: &[u64],

@@ -7,9 +7,8 @@ use rand::SeedableRng;
 use recursive_mechanism_dp::core::efficient::EfficientSequences;
 use recursive_mechanism_dp::core::general::GeneralSequences;
 use recursive_mechanism_dp::core::params::MechanismParams;
-use recursive_mechanism_dp::core::sequences::MechanismSequences;
 use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
-use recursive_mechanism_dp::core::{RecursiveMechanism, SensitiveKRelation};
+use recursive_mechanism_dp::core::{Parallelism, RecursiveMechanism, SensitiveKRelation};
 use recursive_mechanism_dp::graph::subgraph::triangle_count;
 use recursive_mechanism_dp::graph::{generators, Graph, Pattern};
 use recursive_mechanism_dp::krelation::algebra::{natural_join, rename, select};
@@ -95,15 +94,17 @@ fn general_and_efficient_instantiations_are_consistent() {
     );
     let query = counter.build_sensitive_relation(&graph);
 
-    let mut efficient = EfficientSequences::new(query.clone());
-    let mut general = GeneralSequences::build(&query).unwrap();
+    let (efficient, _) = EfficientSequences::new(query.clone())
+        .solve_table(Parallelism::Serial)
+        .unwrap();
+    let general = GeneralSequences::build(&query).unwrap();
 
     let n = query.num_participants();
-    assert!((efficient.h(n).unwrap() - general.h(n).unwrap()).abs() < 1e-6);
-    assert!((efficient.h(0).unwrap() - 0.0).abs() < 1e-9);
+    let (relaxed_h, subset_h) = (efficient.h_entries(), general.h_entries());
+    assert!((relaxed_h[n] - subset_h[n]).abs() < 1e-6);
+    assert!((relaxed_h[0] - 0.0).abs() < 1e-9);
     for i in 0..=n {
-        let relaxed = efficient.h(i).unwrap();
-        let subset = general.h(i).unwrap();
+        let (relaxed, subset) = (relaxed_h[i], subset_h[i]);
         assert!(
             relaxed <= subset + 1e-6,
             "H_{i}: relaxation {relaxed} must not exceed the subset minimum {subset}"
@@ -156,8 +157,8 @@ fn delta_is_stable_across_node_withdrawal() {
 
     let counter = SubgraphCounter::new(Pattern::triangle(), PrivacyUnit::Node, params);
 
-    let mut full = counter.prepare(&graph).unwrap();
-    let delta_full = full.mechanism_mut().delta().unwrap();
+    let full = counter.prepare(&graph).unwrap();
+    let delta_full = full.mechanism().delta();
 
     for v in 0..6u32 {
         // The neighbouring database: node v withdraws, taking its incident
@@ -165,8 +166,8 @@ fn delta_is_stable_across_node_withdrawal() {
         // node is still listed, just contributes nothing), which mirrors the
         // K-relation restriction R(t)|v→False.
         let smaller_graph = graph.without_node(v);
-        let mut smaller = counter.prepare(&smaller_graph).unwrap();
-        let delta_smaller = smaller.mechanism_mut().delta().unwrap();
+        let smaller = counter.prepare(&smaller_graph).unwrap();
+        let delta_smaller = smaller.mechanism().delta();
         let log_gap = (delta_full.ln() - delta_smaller.ln()).abs();
         assert!(
             log_gap <= beta + 1e-9,
@@ -196,11 +197,11 @@ fn weighted_linear_statistic_release() {
     let weighted = SensitiveKRelation::from_terms(relation_tuples.participants().to_vec(), terms);
     assert_eq!(weighted.true_answer(), 4.0);
 
-    let mut mech = RecursiveMechanism::new(
-        EfficientSequences::new(weighted),
-        MechanismParams::paper_node_privacy(1.0),
-    )
-    .unwrap();
+    let params = MechanismParams::paper_node_privacy(1.0);
+    let (table, _) = EfficientSequences::new(weighted)
+        .solve_table(params.parallelism)
+        .unwrap();
+    let mut mech = RecursiveMechanism::new(table.into(), params).unwrap();
     let mut rng = StdRng::seed_from_u64(13);
     let release = mech.release(&mut rng).unwrap();
     assert!((release.true_answer - 4.0).abs() < 1e-6);

@@ -2,8 +2,8 @@
 //! end to end.
 //!
 //! The `Parallelism` knob must be a pure wall-clock knob: the parallel
-//! precompute has to produce bit-identical `H`/`G` vectors — and, given a
-//! fixed seed, bit-identical `Release`s — to the lazy serial path. The
+//! table solve has to produce bit-identical `H`/`G` vectors — and, given a
+//! fixed seed, bit-identical `Release`s — to the serial one. The
 //! `SqlSession` budget accountant has to refuse over-budget batches
 //! atomically, consuming nothing. And the sequence cache has to be equally
 //! invisible: structurally identical queries (any alias names, join order,
@@ -17,7 +17,6 @@ use rand::SeedableRng;
 use recursive_mechanism_dp::core::efficient::EfficientSequences;
 use recursive_mechanism_dp::core::general::GeneralSequences;
 use recursive_mechanism_dp::core::params::MechanismParams;
-use recursive_mechanism_dp::core::sequences::MechanismSequences;
 use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
 use recursive_mechanism_dp::core::{Parallelism, RecursiveMechanism, Release, SensitiveKRelation};
 use recursive_mechanism_dp::graph::{generators, Pattern};
@@ -45,24 +44,18 @@ fn serial_and_parallel_efficient_sequences_are_bit_identical() {
     let relation = fig4_relation();
     let n = relation.num_participants();
 
-    let mut serial = EfficientSequences::new(relation.clone());
-    let mut parallel = EfficientSequences::new(relation);
-    parallel.precompute(Parallelism::Threads(4)).unwrap();
-
-    let serial_h: Vec<f64> = (0..=n).map(|i| serial.h(i).unwrap()).collect();
-    let serial_g: Vec<f64> = (0..=n).map(|i| serial.g(i).unwrap()).collect();
-    let parallel_h: Vec<f64> = (0..=n).map(|i| parallel.h(i).unwrap()).collect();
-    let parallel_g: Vec<f64> = (0..=n).map(|i| parallel.g(i).unwrap()).collect();
+    let sequences = EfficientSequences::new(relation);
+    let (serial, serial_stats) = sequences.solve_table(Parallelism::Serial).unwrap();
+    let (parallel, parallel_stats) = sequences.solve_table(Parallelism::Threads(4)).unwrap();
 
     // Bitwise equality — not within-tolerance — because both paths must run
     // the exact same deterministic LP solves.
-    assert_eq!(serial_h, parallel_h);
-    assert_eq!(serial_g, parallel_g);
-    assert_eq!(serial.stats().h_solves, n + 1);
-    assert_eq!(parallel.stats().h_solves, n + 1);
+    assert_eq!(serial.h_entries(), parallel.h_entries());
+    assert_eq!(serial.g_entries(), parallel.g_entries());
+    assert_eq!(serial_stats.h_solves, n + 1);
+    assert_eq!(parallel_stats.h_solves, n + 1);
     assert_eq!(
-        serial.stats().total_pivots,
-        parallel.stats().total_pivots,
+        serial_stats.total_pivots, parallel_stats.total_pivots,
         "same LPs, same pivots"
     );
 }
@@ -72,10 +65,14 @@ fn serial_and_parallel_mechanisms_release_identically_under_a_fixed_seed() {
     let serial_params = MechanismParams::paper_node_privacy(1.0);
     let parallel_params = serial_params.with_parallelism(Parallelism::Threads(4));
 
-    let mut serial_mech =
-        RecursiveMechanism::new(EfficientSequences::new(fig4_relation()), serial_params).unwrap();
-    let mut parallel_mech =
-        RecursiveMechanism::new(EfficientSequences::new(fig4_relation()), parallel_params).unwrap();
+    let mechanism = |params: MechanismParams| {
+        let (table, _) = EfficientSequences::new(fig4_relation())
+            .solve_table(params.parallelism)
+            .unwrap();
+        RecursiveMechanism::new(table.into(), params).unwrap()
+    };
+    let mut serial_mech = mechanism(serial_params);
+    let mut parallel_mech = mechanism(parallel_params);
 
     let serial_releases = serial_mech
         .release_many(8, &mut StdRng::seed_from_u64(123))

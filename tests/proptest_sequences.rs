@@ -17,9 +17,9 @@ use recursive_mechanism_dp::core::efficient::EfficientSequences;
 use recursive_mechanism_dp::core::general::GeneralSequences;
 use recursive_mechanism_dp::core::sequences::{
     validate_bounding_property, validate_convexity, validate_monotone_start_at_zero,
-    validate_recursive_monotonicity, MechanismSequences,
+    validate_recursive_monotonicity,
 };
-use recursive_mechanism_dp::core::SensitiveKRelation;
+use recursive_mechanism_dp::core::{FrozenSequences, Parallelism, SensitiveKRelation};
 use recursive_mechanism_dp::krelation::participant::ParticipantId;
 use recursive_mechanism_dp::krelation::Expr;
 
@@ -49,6 +49,14 @@ fn build(n: u32, terms: &[(Expr, f64)]) -> SensitiveKRelation {
     SensitiveKRelation::from_terms((0..n).map(ParticipantId).collect(), terms.to_vec())
 }
 
+/// The complete `H`/`G` table of `query`, solved serially.
+fn table(query: SensitiveKRelation) -> FrozenSequences {
+    EfficientSequences::new(query)
+        .solve_table(Parallelism::Serial)
+        .unwrap()
+        .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -59,28 +67,29 @@ proptest! {
         let s_max = query.max_phi_sensitivity();
         let universal = query.universal_sensitivity();
 
-        let mut seq = EfficientSequences::new(query.clone());
+        let seq = table(query.clone());
         let participants = query.num_participants();
+        let h = seq.h_entries();
 
         // Endpoints.
-        prop_assert!((seq.h(0).unwrap()).abs() < 1e-6);
-        prop_assert!((seq.h(participants).unwrap() - true_answer).abs() < 1e-6);
+        prop_assert!(h[0].abs() < 1e-6);
+        prop_assert!((h[participants] - true_answer).abs() < 1e-6);
 
         // Monotonicity, convexity, 2-bounding.
-        prop_assert!(validate_monotone_start_at_zero(&mut seq, |s, i| s.h(i)).is_ok());
-        prop_assert!(validate_monotone_start_at_zero(&mut seq, |s, i| s.g(i)).is_ok());
-        prop_assert!(validate_convexity(&mut seq).is_ok());
-        prop_assert!(validate_bounding_property(&mut seq).is_ok());
+        prop_assert!(validate_monotone_start_at_zero(h).is_ok());
+        prop_assert!(validate_monotone_start_at_zero(seq.g_entries()).is_ok());
+        prop_assert!(validate_convexity(h).is_ok());
+        prop_assert!(validate_bounding_property(&seq).is_ok());
 
         // G_{|P|} ≤ 2·S·ŨS (Sec. 5.2).
-        let g_full = seq.g(participants).unwrap();
+        let g_full = seq.g_entries()[participants];
         prop_assert!(g_full <= 2.0 * s_max * universal + 1e-6,
             "G_|P| = {g_full} exceeds 2·S·ŨS = {}", 2.0 * s_max * universal);
 
         // The relaxation never exceeds the subset-based minimum.
         let general = GeneralSequences::build(&query).unwrap();
-        for i in 0..=participants {
-            prop_assert!(seq.h(i).unwrap() <= general.h_entries()[i] + 1e-6);
+        for (relaxed, subset) in h.iter().zip(general.h_entries()) {
+            prop_assert!(*relaxed <= subset + 1e-6);
         }
     }
 
@@ -107,13 +116,11 @@ proptest! {
             smaller_terms,
         );
 
-        let mut small_seq = EfficientSequences::new(smaller);
-        let mut large_seq = EfficientSequences::new(larger);
-        let n1 = small_seq.num_participants();
-        for i in 0..=n1 {
-            let h1 = small_seq.h(i).unwrap();
-            let h2 = large_seq.h(i).unwrap();
-            let h2_next = large_seq.h(i + 1).unwrap();
+        let small_seq = table(smaller);
+        let large_seq = table(larger);
+        let (small_h, large_h) = (small_seq.h_entries(), large_seq.h_entries());
+        for i in 0..=small_seq.num_participants() {
+            let (h1, h2, h2_next) = (small_h[i], large_h[i], large_h[i + 1]);
             prop_assert!(h2 <= h1 + 1e-6, "H_{i}(P2) = {h2} > H_{i}(P1) = {h1}");
             prop_assert!(h1 <= h2_next + 1e-6, "H_{i}(P1) = {h1} > H_{}(P2) = {h2_next}", i + 1);
         }
@@ -151,10 +158,8 @@ proptest! {
             smaller_terms,
         );
 
-        let mut small_seq = EfficientSequences::new(smaller);
-        let mut large_seq = EfficientSequences::new(larger);
         prop_assert!(
-            validate_recursive_monotonicity(&mut small_seq, &mut large_seq).is_ok(),
+            validate_recursive_monotonicity(&table(smaller), &table(larger)).is_ok(),
             "recursive monotonicity violated for conjunctive annotations"
         );
     }

@@ -11,10 +11,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recursive_mechanism_dp::core::efficient::EfficientSequences;
 use recursive_mechanism_dp::core::params::MechanismParams;
-use recursive_mechanism_dp::core::sequences::MechanismSequences;
 use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
-use recursive_mechanism_dp::core::{Parallelism, SensitiveKRelation};
+use recursive_mechanism_dp::core::{Parallelism, SensitiveKRelation, SequenceFamily};
 use recursive_mechanism_dp::graph::{generators, Pattern};
+use recursive_mechanism_dp::lp::SimplexOptions;
 
 /// A fig-4 workload at small scale: `pattern` counts under node privacy on a
 /// G(n, p) random graph. (Kept small enough for debug-mode CI: a 2-star
@@ -30,51 +30,78 @@ fn fig4_relation(pattern: Pattern) -> SensitiveKRelation {
     .build_sensitive_relation(&graph)
 }
 
+/// What entry-by-entry cold solves of one family cost: values, total and
+/// phase-1 pivots.
+struct ColdFamily {
+    values: Vec<f64>,
+    pivots: usize,
+    phase1_pivots: usize,
+}
+
+/// Solves every entry model of `family` from a cold start.
+fn solve_cold(seq: &EfficientSequences, family: SequenceFamily) -> ColdFamily {
+    let mut cold = ColdFamily {
+        values: Vec::new(),
+        pivots: 0,
+        phase1_pivots: 0,
+    };
+    for i in 0..=seq.query().num_participants() {
+        let (model, offset) = seq.entry_model(family, i);
+        let solution = model
+            .prepare()
+            .unwrap()
+            .solve(&SimplexOptions::default())
+            .unwrap()
+            .solution;
+        assert!(!solution.stats.warm_started, "{family}_{i}");
+        cold.values.push(solution.objective + offset);
+        cold.pivots += solution.stats.total_iterations();
+        cold.phase1_pivots += solution.stats.phase1_iterations;
+    }
+    cold
+}
+
 #[test]
 fn warm_chains_beat_cold_solves_on_the_fig4_families() {
     for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
         let name = pattern.name().to_string();
-        let relation = fig4_relation(pattern);
-        let n = relation.num_participants();
+        let seq = EfficientSequences::new(fig4_relation(pattern));
+        let n = seq.query().num_participants();
 
-        // Warm-started chains (the default) vs entry-by-entry cold solves
-        // (run length 1 disables warm starts).
-        let mut chained = EfficientSequences::new(relation.clone());
-        let mut cold = EfficientSequences::new(relation).with_chain_run_len(1);
-        chained.precompute(Parallelism::Serial).unwrap();
-        cold.precompute(Parallelism::Serial).unwrap();
+        // Warm-started chains vs entry-by-entry cold solves of the same
+        // entry models.
+        let (table, warm) = seq.solve_table(Parallelism::Serial).unwrap();
+        let cold_h = solve_cold(&seq, SequenceFamily::H);
+        let cold_g = solve_cold(&seq, SequenceFamily::G);
 
         // Same number of solves either way — the chains change *how* each
         // entry is solved, not *what* is solved.
-        assert_eq!(chained.stats().h_solves, n + 1, "{name}");
-        assert_eq!(cold.stats().h_solves, n + 1, "{name}");
-        assert_eq!(chained.stats().g_solves, n + 1, "{name}");
+        assert_eq!(warm.h_solves, n + 1, "{name}");
+        assert_eq!(cold_h.values.len(), n + 1, "{name}");
+        assert_eq!(warm.g_solves, n + 1, "{name}");
 
         // Same sequences within tolerance.
         for i in 0..=n {
-            let (hw, hc) = (chained.h(i).unwrap(), cold.h(i).unwrap());
+            let (hw, hc) = (table.h_entries()[i], cold_h.values[i]);
             assert!((hw - hc).abs() < 1e-6, "{name} H_{i}: {hw} vs {hc}");
-            let (gw, gc) = (chained.g(i).unwrap(), cold.g(i).unwrap());
+            let (gw, gc) = (table.g_entries()[i], cold_g.values[i]);
             assert!((gw - gc).abs() < 1e-6, "{name} G_{i}: {gw} vs {gc}");
         }
 
         // The headline claim, asserted via LpWorkStats: strictly fewer total
         // pivots, with the savings visible in the right counters.
-        let warm = chained.stats();
-        let cold = cold.stats();
+        let cold_pivots = cold_h.pivots + cold_g.pivots;
+        let cold_phase1 = cold_h.phase1_pivots + cold_g.phase1_pivots;
         assert!(
-            warm.total_pivots < cold.total_pivots,
-            "{name}: warm chains spent {} pivots, cold solves {}",
+            warm.total_pivots < cold_pivots,
+            "{name}: warm chains spent {} pivots, cold solves {cold_pivots}",
             warm.total_pivots,
-            cold.total_pivots
         );
         assert!(warm.warm_start_hits > 0, "{name}");
-        assert_eq!(cold.warm_start_hits, 0, "{name}");
         assert!(
-            warm.phase1_pivots < cold.phase1_pivots,
-            "{name}: warm re-entry must cut phase-1 work ({} vs {})",
+            warm.phase1_pivots < cold_phase1,
+            "{name}: warm re-entry must cut phase-1 work ({} vs {cold_phase1})",
             warm.phase1_pivots,
-            cold.phase1_pivots
         );
         // Warm entries re-enter through the dual simplex: no composite
         // phase-1 pivot anywhere in the default chains.
@@ -85,29 +112,29 @@ fn warm_chains_beat_cold_solves_on_the_fig4_families() {
 
 #[test]
 fn warm_chains_survive_parallelism_bit_for_bit() {
-    // The chunked-chain mapping: runs are cut at fixed points, so the warm
-    // starts inside a run happen identically no matter how many workers the
-    // runs are spread over.
-    let relation = fig4_relation(Pattern::triangle());
-    let n = relation.num_participants();
-
-    let mut serial = EfficientSequences::new(relation.clone());
-    serial.precompute(Parallelism::Serial).unwrap();
+    // The H and G chains are the units of parallel work: each runs whole on
+    // one worker, so the warm starts inside it happen identically no matter
+    // how many workers there are.
+    let seq = EfficientSequences::new(fig4_relation(Pattern::triangle()));
+    let (serial, serial_stats) = seq.solve_table(Parallelism::Serial).unwrap();
     for workers in [2usize, 5] {
-        let mut parallel = EfficientSequences::new(relation.clone());
-        parallel.precompute(Parallelism::Threads(workers)).unwrap();
-        for i in 0..=n {
-            assert_eq!(serial.h(i).unwrap(), parallel.h(i).unwrap(), "H_{i}");
-            assert_eq!(serial.g(i).unwrap(), parallel.g(i).unwrap(), "G_{i}");
-        }
+        let (parallel, stats) = seq.solve_table(Parallelism::Threads(workers)).unwrap();
         assert_eq!(
-            serial.stats().total_pivots,
-            parallel.stats().total_pivots,
+            serial.h_entries(),
+            parallel.h_entries(),
+            "{workers} workers"
+        );
+        assert_eq!(
+            serial.g_entries(),
+            parallel.g_entries(),
+            "{workers} workers"
+        );
+        assert_eq!(
+            serial_stats.total_pivots, stats.total_pivots,
             "{workers} workers: same chains, same pivots"
         );
         assert_eq!(
-            serial.stats().warm_start_hits,
-            parallel.stats().warm_start_hits,
+            serial_stats.warm_start_hits, stats.warm_start_hits,
             "{workers} workers: same chains, same warm starts"
         );
     }
