@@ -15,10 +15,11 @@
 //! 1. a cycle in any crate's acquisition graph (ABBA deadlock shape),
 //! 2. re-acquiring a lock name already held (self-deadlock for `Mutex`,
 //!    writer-starvation hazard for `RwLock`),
-//! 3. holding any guard across a blocking call — LP solves
-//!    (`solve`/`solve_warm`/`precompute`) or network I/O (`write_all`,
-//!    `read_*`, `connect`, `accept`) — which turns one slow tenant into a
-//!    lock convoy for every other tenant.
+//! 3. holding any guard across a blocking call — LP solves (`solve`,
+//!    `solve_warm`, and the sequence-table solves `solve_table` and
+//!    `compute_with_seed` that a cache miss runs) or network I/O
+//!    (`write_all`, `read_*`, `connect`, `accept`) — which turns one slow
+//!    tenant into a lock convoy for every other tenant.
 //!
 //! Known limits (by design — this is lexical, intra-procedural analysis):
 //! locks acquired inside callees are invisible, and a guard returned from a
@@ -36,12 +37,14 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Guard-producing method names (with empty argument lists).
 const ACQUIRE: &[&str] = &["lock", "read", "write"];
 
-/// Calls that block for unbounded or long times: LP solver entry points and
-/// socket I/O. Holding any lock across these is a convoy hazard.
+/// Calls that block for unbounded or long times: LP solver entry points,
+/// the sequence-table solves behind a cache miss, and socket I/O. Holding
+/// any lock across these is a convoy hazard.
 const BLOCKING: &[&str] = &[
     "solve",
     "solve_warm",
-    "precompute",
+    "solve_table",
+    "compute_with_seed",
     "write_all",
     "read_line",
     "read_exact",

@@ -116,7 +116,14 @@ fn lock_order_catches_cycle_convoy_and_reacquisition() {
         bad.render_text()
     );
     assert!(
-        messages.iter().any(|m| m.contains("blocking call `solve")),
+        messages.iter().any(|m| m.contains("blocking call `solve(")),
+        "{}",
+        bad.render_text()
+    );
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("blocking call `compute_with_seed(")),
         "{}",
         bad.render_text()
     );
