@@ -199,12 +199,9 @@ impl TenantRegistry {
             });
         }
         let known = t.text_ids.get(sql).copied();
-        let id = match known {
-            Some(id) => id,
-            None => match u32::try_from(t.texts.len()) {
-                Ok(id) => id,
-                Err(_) => return Some(Reservation::LogFull),
-            },
+        // Decided before the ledger is touched, so a full log reserves no ε.
+        let Some(id) = known.or_else(|| next_text_id(t.texts.len())) else {
+            return Some(Reservation::LogFull);
         };
         // Lock order is always tenant → ledger (the only place both are
         // held), so the pair cannot deadlock.
@@ -248,9 +245,23 @@ impl TenantRegistry {
     }
 }
 
+/// The id a new text gets in a log that already holds `texts` distinct
+/// texts, or `None` once all 2³² ids are taken. A truncating cast here would
+/// hand out an id that already names another text and corrupt replay.
+fn next_text_id(texts: usize) -> Option<u32> {
+    u32::try_from(texts).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn text_ids_run_out_after_two_to_the_32_texts() {
+        assert_eq!(next_text_id(0), Some(0));
+        assert_eq!(next_text_id(u32::MAX as usize), Some(u32::MAX));
+        assert_eq!(next_text_id(u32::MAX as usize + 1), None);
+    }
 
     #[test]
     fn repeated_texts_share_one_allocation_and_keep_admission_order() {
