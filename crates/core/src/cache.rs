@@ -1,8 +1,8 @@
 //! Cross-query sequence cache.
 //!
 //! The recursive mechanism's cost is entirely in solving the `H`/`G`
-//! sequences — two LP chains over `2(|P|+1)` entries per query (Sec. 5.3). Production DP-SQL
-//! traffic, however, is dominated by *repeated query shapes* (Chorus:
+//! sequences — two LP chains of `2(|P_named|+1)` LPs over the query's
+//! distinct annotations (Sec. 5.3). Production DP-SQL traffic, however, is dominated by *repeated query shapes* (Chorus:
 //! Johnson, Near, Song & Sarwate; FLEX: Johnson, Near & Song), so the second
 //! structurally identical query over the same data should not pay the
 //! simplex again. This module provides the storage layer of that reuse:

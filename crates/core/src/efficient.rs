@@ -26,23 +26,44 @@
 //! weights are nonnegative, the LP optimum equals the exact minimum of the
 //! relaxed objective — no approximation is introduced.
 //!
+//! ## The reduced LP
+//!
+//! The chains solve a smaller LP with exactly the same optimum, by two
+//! identities:
+//!
+//! * **Equal annotations merge.** Terms whose annotations are structurally
+//!   equal become one term with the summed weight, in first-occurrence
+//!   order. Proof: `w·φ_e + w'·φ_e = (w+w')·φ_e`, and in `G` both terms
+//!   carry the same `S_{e,p}`, so every row they enter changes by the same
+//!   sum.
+//! * **Idle participants drop.** Only the `|P_named|` participants some
+//!   term names get a mass variable, and the chain steps
+//!   `j = 0..=|P_named|`; with `k = |P| − |P_named|` idle participants the
+//!   table is `H_i = H'_{max(0, i−k)}` (and likewise `G`). Proof: `φ` is
+//!   monotone, so an idle participant absorbs up to one unit of mass at
+//!   zero cost, and the reduced optimum `H'_j` is non-decreasing in `j`.
+//!
+//! So a query pays one epigraph row per distinct annotation and
+//! `2(|P_named|+1)` LPs per table. [`EfficientSequences::entry_model`]
+//! stays the paper's unreduced LP — every raw term, every participant — so
+//! its cold solve is an independent oracle of the reduction.
+//!
 //! ## Warm-started chains
 //!
 //! Within a family, consecutive entries differ **only** in the right-hand
 //! side of the mass-tie equality, so the family is standardized once into a
 //! [`rmdp_lp::PreparedLp`] (the mass row is always constraint 0) and walked
-//! as one chain from `i = 0`: entry `i+1` re-enters from entry `i`'s optimal
+//! as one chain from `j = 0`: step `j+1` re-enters from step `j`'s optimal
 //! basis ([`rmdp_lp::PreparedLp::solve_warm`]), which is still dual
 //! feasible, so the dual simplex re-optimises it in a few pivots with no
-//! composite phase 1. A chain cut at `i` would restart cold there, and a
-//! cold start costs about as much as walking the chain from 0 to `i`, so no
+//! composite phase 1. A chain cut at `j` would restart cold there, and a
+//! cold start costs about as much as walking the chain from 0 to `j`, so no
 //! finer split pays: the H chain and the G chain are the two units of
 //! parallel work. [`EfficientSequences::solve_table`] runs both and returns
 //! the complete [`FrozenSequences`] table the driver releases from; because
 //! each chain runs the same solves on whichever thread it lands, the table,
 //! the releases and even the pivot counters are bit-identical for every
-//! [`Parallelism`] setting. [`EfficientSequences::entry_model`] hands out
-//! one entry's model, so tests can solve it cold as the chain's oracle.
+//! [`Parallelism`] setting.
 //!
 //! ## Refresh after a delta
 //!
@@ -57,12 +78,13 @@ use crate::cache::FrozenSequences;
 use crate::error::{MechanismError, SequenceFamily};
 use crate::krelation_query::SensitiveKRelation;
 use rmdp_krelation::fingerprint::{Fingerprint, FingerprintHasher};
-use rmdp_krelation::hash::FxHashMap;
+use rmdp_krelation::hash::{FxHashMap, FxHashSet};
 use rmdp_krelation::participant::ParticipantId;
 use rmdp_krelation::phi::phi_sensitivities;
 use rmdp_krelation::Expr;
 use rmdp_lp::{Basis, Model, Sense, SimplexOptions, SolveStats, Var};
 use rmdp_runtime::{par_try_map_indexed, Parallelism};
+use std::collections::hash_map::Entry;
 
 /// Cumulative counters describing the LP work of one table solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -259,9 +281,12 @@ fn query_terms_fingerprint(query: &SensitiveKRelation) -> Fingerprint {
 /// struct is `Sync` and the H and G chains can run on two workers at once.
 pub struct EfficientSequences {
     query: SensitiveKRelation,
-    /// φ-sensitivities of each term's annotation (aligned with the query's
-    /// terms), precomputed once.
-    term_sensitivities: Vec<FxHashMap<ParticipantId, f64>>,
+    /// The participants some term names, in universe order: the mass
+    /// variables of the reduced chains.
+    named: Vec<ParticipantId>,
+    /// The query's terms with structurally equal annotations merged into one
+    /// term of summed weight, in first-occurrence order.
+    distinct_terms: Vec<(Expr, f64)>,
     /// Solver options every entry LP is solved with.
     options: SimplexOptions,
 }
@@ -275,16 +300,35 @@ enum Operand {
 }
 
 impl EfficientSequences {
-    /// Wraps a sensitive K-relation.
+    /// Wraps a sensitive K-relation and derives the reduced LP's data: the
+    /// distinct annotations with their summed weights, and the participants
+    /// they name.
     pub fn new(query: SensitiveKRelation) -> Self {
-        let term_sensitivities = query
-            .terms()
+        let mut slots: FxHashMap<&Expr, usize> = FxHashMap::default();
+        let mut distinct_terms: Vec<(Expr, f64)> = Vec::new();
+        for (expr, weight) in query.terms() {
+            match slots.entry(expr) {
+                Entry::Occupied(slot) => distinct_terms[*slot.get()].1 += weight,
+                Entry::Vacant(slot) => {
+                    slot.insert(distinct_terms.len());
+                    distinct_terms.push((expr.clone(), *weight));
+                }
+            }
+        }
+        let mut used = FxHashSet::default();
+        for (expr, _) in &distinct_terms {
+            expr.collect_variables(&mut used);
+        }
+        let named = query
+            .participants()
             .iter()
-            .map(|(e, _)| phi_sensitivities(e))
+            .copied()
+            .filter(|p| used.contains(p))
             .collect();
         EfficientSequences {
             query,
-            term_sensitivities,
+            named,
+            distinct_terms,
             options: SimplexOptions::default(),
         }
     }
@@ -314,8 +358,9 @@ impl EfficientSequences {
     ///
     /// Each chain runs the same solves wherever it runs, so the table and
     /// the counters are bit-identical for every [`Parallelism`]. A failing
-    /// entry surfaces as [`MechanismError::SequenceLp`] naming it (`H_7`,
-    /// `G_3`); when both chains fail, the `H` error is reported.
+    /// step surfaces as [`MechanismError::SequenceLp`] naming the table
+    /// entry it fills (`H_0` for `j = 0`, else `H_{j+k}` with `k` idle
+    /// participants); when both chains fail, the `H` error is reported.
     pub fn solve_table(
         &self,
         parallelism: Parallelism,
@@ -330,14 +375,26 @@ impl EfficientSequences {
         Ok((FrozenSequences::from_entries(h, g, 2.0), stats))
     }
 
-    /// The LP of entry `i` of `family` as a fresh model, with the constant
+    /// The paper's **unreduced** LP of entry `i` of `family` — every raw
+    /// term, every participant — as a fresh model, with the constant
     /// objective offset to add to its optimum (`H` terms whose annotation
     /// encodes to a constant; 0 for `G`). Solving it cold is the oracle the
-    /// chain is checked against: it is the work the chain saves.
+    /// reduced chain is checked against.
     pub fn entry_model(&self, family: SequenceFamily, i: usize) -> (Model, f64) {
+        Self::family_model(family, self.query.participants(), self.query.terms(), i)
+    }
+
+    /// The `family` LP at mass `i` over `participants` and `terms`, with its
+    /// constant objective offset.
+    fn family_model(
+        family: SequenceFamily,
+        participants: &[ParticipantId],
+        terms: &[(Expr, f64)],
+        i: usize,
+    ) -> (Model, f64) {
         match family {
-            SequenceFamily::H => self.build_h_model(i),
-            SequenceFamily::G => (self.build_g_model(i), 0.0),
+            SequenceFamily::H => Self::build_h_model(participants, terms, i),
+            SequenceFamily::G => (Self::build_g_model(participants, terms, i), 0.0),
         }
     }
 
@@ -345,9 +402,13 @@ impl EfficientSequences {
     /// constraint `Σ_p f_p = i`. The mass row is always the **first**
     /// constraint of the model (row 0), which is what lets a chain step the
     /// index with a single `set_rhs(0, i)`.
-    fn add_participant_vars(&self, model: &mut Model, i: usize) -> FxHashMap<ParticipantId, Var> {
+    fn add_participant_vars(
+        participants: &[ParticipantId],
+        model: &mut Model,
+        i: usize,
+    ) -> FxHashMap<ParticipantId, Var> {
         let mut f_vars = FxHashMap::default();
-        for &p in self.query.participants() {
+        for &p in participants {
             f_vars.insert(p, model.add_var(0.0, 1.0, 0.0));
         }
         if !f_vars.is_empty() {
@@ -430,13 +491,17 @@ impl EfficientSequences {
     /// Builds the `H_i` family model at mass `i`, returning the model and
     /// the constant objective offset (terms whose annotation encodes to a
     /// constant). The offset is independent of `i`.
-    fn build_h_model(&self, i: usize) -> (Model, f64) {
+    fn build_h_model(
+        participants: &[ParticipantId],
+        terms: &[(Expr, f64)],
+        i: usize,
+    ) -> (Model, f64) {
         let mut model = Model::new(Sense::Minimize);
-        let f_vars = self.add_participant_vars(&mut model, i);
+        let f_vars = Self::add_participant_vars(participants, &mut model, i);
 
         let mut constant_offset = 0.0;
         let mut objective_weights: FxHashMap<Var, f64> = FxHashMap::default();
-        for (expr, weight) in self.query.terms() {
+        for (expr, weight) in terms {
             match Self::encode_expr(expr, &mut model, &f_vars) {
                 Operand::Const(c) => constant_offset += weight * c,
                 Operand::Variable(v) => *objective_weights.entry(v).or_insert(0.0) += weight,
@@ -449,14 +514,12 @@ impl EfficientSequences {
     }
 
     /// Builds the `G_i` family model at mass `i`.
-    fn build_g_model(&self, i: usize) -> Model {
+    fn build_g_model(participants: &[ParticipantId], terms: &[(Expr, f64)], i: usize) -> Model {
         let mut model = Model::new(Sense::Minimize);
-        let f_vars = self.add_participant_vars(&mut model, i);
+        let f_vars = Self::add_participant_vars(participants, &mut model, i);
 
         // Encode every annotation once; remember its root operand.
-        let roots: Vec<Operand> = self
-            .query
-            .terms()
+        let roots: Vec<Operand> = terms
             .iter()
             .map(|(expr, _)| Self::encode_expr(expr, &mut model, &f_vars))
             .collect();
@@ -467,9 +530,8 @@ impl EfficientSequences {
         // Group the per-participant rows: z ≥ Σ_t q_t·S_{t,p}·φ_t.
         let mut per_participant: FxHashMap<ParticipantId, (Vec<(Var, f64)>, f64)> =
             FxHashMap::default();
-        for (t, (root, sens)) in roots.iter().zip(&self.term_sensitivities).enumerate() {
-            let weight = self.query.terms()[t].1;
-            for (&p, &s) in sens {
+        for (root, (expr, weight)) in roots.iter().zip(terms) {
+            for (p, s) in phi_sensitivities(expr) {
                 if s == 0.0 {
                     continue;
                 }
@@ -492,34 +554,40 @@ impl EfficientSequences {
         model
     }
 
-    /// Solves one whole family as a warm-started chain from `i = 0`: the
-    /// family is standardized once, each later entry steps the mass row with
-    /// `set_rhs(0, i)` and re-enters from the previous optimal basis. A
-    /// failure discards the chain and names the failing entry.
+    /// Solves one whole family on the reduced LP as a warm-started chain:
+    /// the family is standardized once, each later step moves the mass row
+    /// with `set_rhs(0, j)` and re-enters from the previous optimal basis,
+    /// for `j = 0..=|P_named|`. Step `j` fills table entry `H_0 … H_k` (for
+    /// `j = 0`) or `H_{j+k}`, where `k` participants are idle; a failure
+    /// discards the chain and names the first entry the failing step fills.
     fn solve_chain(
         &self,
         family: SequenceFamily,
     ) -> Result<(Vec<f64>, LpWorkStats), MechanismError> {
-        let entries = self.query.num_participants() + 1;
-        let (model, offset) = self.entry_model(family, 0);
-        let has_mass_row = !self.query.participants().is_empty();
+        let idle = self.query.num_participants() - self.named.len();
+        let (model, offset) = Self::family_model(family, &self.named, &self.distinct_terms, 0);
+        let has_mass_row = !self.named.is_empty();
         let mut prepared = model
             .prepare()
             .map_err(|e| MechanismError::sequence_lp(family, 0, e))?;
 
-        let mut values = Vec::with_capacity(entries);
+        let mut values = Vec::with_capacity(self.query.num_participants() + 1);
         let mut stats = LpWorkStats::default();
         let mut basis: Option<Basis> = None;
-        for i in 0..entries {
+        for j in 0..=self.named.len() {
+            let (entry, copies) = if j == 0 { (0, idle + 1) } else { (j + idle, 1) };
             if has_mass_row {
-                prepared.set_rhs(0, i as f64);
+                prepared.set_rhs(0, j as f64);
             }
             let solved = match &basis {
                 None => prepared.solve(&self.options),
                 Some(b) => prepared.solve_warm(b, &self.options),
             }
-            .map_err(|e| MechanismError::sequence_lp(family, i, e))?;
-            values.push(solved.solution.objective + offset);
+            .map_err(|e| MechanismError::sequence_lp(family, entry, e))?;
+            values.extend(std::iter::repeat_n(
+                solved.solution.objective + offset,
+                copies,
+            ));
             stats.absorb_solve(family, &solved.solution.stats);
             basis = Some(solved.basis);
         }
@@ -565,6 +633,15 @@ mod tests {
             Expr::conjunction_of_vars([p(2), p(3), p(4)]),
         );
         SensitiveKRelation::counting(&r)
+    }
+
+    /// The number of participants some term of `query` names.
+    fn named_participants(query: &SensitiveKRelation) -> usize {
+        let mut used = FxHashSet::default();
+        for (expr, _) in query.terms() {
+            expr.collect_variables(&mut used);
+        }
+        used.len()
     }
 
     /// The serial table and its LP work.
@@ -836,10 +913,12 @@ mod tests {
     #[test]
     fn whole_family_chains_reenter_through_the_dual_simplex() {
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            let (table, stats) = solve(fig4_relation(pattern.clone()));
-            let n = table.num_participants();
-            // One chain per family: only the two `i = 0` entries start cold.
-            assert_eq!(stats.warm_start_hits, 2 * n, "{}", pattern.name());
+            let query = fig4_relation(pattern.clone());
+            let named = named_participants(&query);
+            let (_, stats) = solve(query);
+            // One chain per family over the named participants: only the two
+            // `j = 0` steps start cold.
+            assert_eq!(stats.warm_start_hits, 2 * named, "{}", pattern.name());
             assert_eq!(stats.phase1_pivots, 0, "{}", pattern.name());
             assert!(stats.dual_pivots > 0, "{}", pattern.name());
             // The dual keeps every basis dual feasible, so a warm entry
@@ -853,22 +932,75 @@ mod tests {
         }
     }
 
+    /// Fig. 2(a) over a universe with `idle` extra participants that no
+    /// term names.
+    fn fig2a_with_idle(idle: u32) -> SensitiveKRelation {
+        SensitiveKRelation::from_terms((0..5 + idle).map(p).collect(), fig2a().terms().to_vec())
+    }
+
+    #[test]
+    fn an_all_idle_relation_is_one_lp_per_chain() {
+        // No term names a participant, so both chains are the single j = 0
+        // step, copied across all |P| + 1 entries.
+        let terms = vec![(Expr::True, 2.0), (Expr::True, 0.5)];
+        let query = SensitiveKRelation::from_terms((0..4).map(p).collect(), terms);
+        let (table, stats) = solve(query);
+        assert_eq!(table.h_entries(), &[2.5; 5]);
+        assert_eq!(table.g_entries(), &[0.0; 5]);
+        assert_eq!((stats.h_solves, stats.g_solves), (1, 1));
+    }
+
+    #[test]
+    fn idle_participants_shift_the_table_by_their_count() {
+        let (base, base_stats) = solve(fig2a());
+        for idle in [1u32, 3] {
+            let k = idle as usize;
+            let (table, stats) = solve(fig2a_with_idle(idle));
+            assert_eq!(table.num_participants(), 5 + k);
+            // The same reduced chains run, so the table is the base table
+            // with H_0/G_0 repeated k more times — bit for bit.
+            assert_eq!(stats, base_stats, "{idle} idle");
+            for i in 0..=5 + k {
+                let j = i.saturating_sub(k);
+                assert_eq!(table.h_entries()[i], base.h_entries()[j], "H_{i}");
+                assert_eq!(table.g_entries()[i], base.g_entries()[j], "G_{i}");
+            }
+        }
+    }
+
     #[test]
     fn chain_failures_name_the_failing_entry() {
-        // An unsatisfiable iteration budget makes the very first entry of
-        // both chains fail; the table reports the H chain's, by name.
-        let seq = EfficientSequences::new(fig2a()).with_solver_options(SimplexOptions {
-            max_iterations: 0,
-            ..SimplexOptions::default()
-        });
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        let failure = |query: SensitiveKRelation, max_iterations: usize, parallelism| {
+            let seq = EfficientSequences::new(query).with_solver_options(SimplexOptions {
+                max_iterations,
+                ..SimplexOptions::default()
+            });
             match seq.solve_table(parallelism) {
-                Err(MechanismError::SequenceLp {
-                    family: SequenceFamily::H,
-                    index,
-                    ..
-                }) => assert_eq!(index, 0, "the chain fails at its first entry"),
+                Err(MechanismError::SequenceLp { family, index, .. }) => (family, index),
                 other => panic!("expected a named SequenceLp error, got {other:?}"),
+            }
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            // An unsatisfiable iteration budget fails the j = 0 step of both
+            // chains; the table reports the H chain's, as `H_0`, however
+            // many entries that step fills.
+            for idle in [0u32, 2] {
+                assert_eq!(
+                    failure(fig2a_with_idle(idle), 0, parallelism),
+                    (SequenceFamily::H, 0),
+                    "{idle} idle"
+                );
+            }
+            // A one-pivot budget fails a later step j of the same reduced
+            // chain, which fills entry j + k when k participants are idle.
+            let (family, j) = failure(fig2a(), 1, parallelism);
+            assert!(j >= 1, "the j = 0 steps need no pivot");
+            for idle in [1u32, 3] {
+                assert_eq!(
+                    failure(fig2a_with_idle(idle), 1, parallelism),
+                    (family, j + idle as usize),
+                    "{idle} idle"
+                );
             }
         }
     }

@@ -34,8 +34,9 @@ pub struct MechanismParams {
     /// Worker-thread budget for solving a query's `H`/`G` table (default
     /// [`Parallelism::Serial`]). The table is always solved whole before the
     /// driver releases from it: the H chain and the G chain (each one
-    /// warm-started LP chain over all `|P|+1` entries) are the two units of
-    /// parallel work, and `Serial` solves H then G on the calling thread.
+    /// warm-started chain of `|P_named|+1` LPs over the query's distinct
+    /// annotations, `P_named` the participants they name) are the two units
+    /// of parallel work, and `Serial` solves H then G on the calling thread.
     /// Each chain runs the same solves wherever it runs, so the entry values
     /// — and therefore the releases — are bit-identical for every setting.
     pub parallelism: Parallelism,

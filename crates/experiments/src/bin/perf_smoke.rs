@@ -11,8 +11,11 @@
 //! warm entry must re-enter through the dual simplex (a silent fallback
 //! costs 2–3× and no correctness test notices it), on exact pivot limits
 //! (pivot counts are deterministic): the default chains may not spend more
-//! pivots than the largest-violation dual did (410 triangle, 1,951
-//! 2-star), and on an exact update-size limit: the 2-star warm chain's
+//! pivots than they do on the reduced LP (272 triangle, 1,282 2-star), on
+//! an exact solve count of `2(|P_named|+1)` (one step per participant some
+//! term names, plus `j = 0`, per chain), on every chain entry matching the
+//! cold solve of its unreduced entry model within 1e-6, and on an exact
+//! update-size limit: the 2-star warm chain's
 //! Forrest–Tomlin updates may not store more entries per update than when
 //! they were introduced (57.95, against 544.35 for the product-form eta
 //! file). The same file also carries the **basis scaling** section:
@@ -77,6 +80,7 @@ use rmdp_core::{
 use rmdp_graph::{generators, Pattern};
 use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::fingerprint::Fingerprint;
+use rmdp_krelation::hash::FxHashSet;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_krelation::{Expr, KRelation};
 use rmdp_lp::{time_factorizations, FactorTiming, Model, Sense, SimplexOptions};
@@ -87,6 +91,8 @@ use std::sync::{Arc, OnceLock};
 struct WorkloadResult {
     name: String,
     participants: usize,
+    /// Participants some term names: each chain steps `named + 1` times.
+    named_participants: usize,
     lp_solves: usize,
     cold_wall_ms: f64,
     cold_pivots: usize,
@@ -99,10 +105,11 @@ struct WorkloadResult {
     warm_factor: FactorTiming,
 }
 
-/// Dual pivots the default fig-4 warm chains spent under the
-/// largest-violation leaving rule, before dual steepest edge. Pivot counts
-/// are deterministic, so a chain spending more is a regression, not noise.
-const FIG4_WARM_PIVOT_LIMITS: [(&str, usize); 2] = [("triangle", 410), ("2-star", 1951)];
+/// Dual pivots the default fig-4 warm chains spend on the reduced LP (equal
+/// annotations merged, idle participants dropped) under dual steepest edge.
+/// Pivot counts are deterministic, so a chain spending more is a
+/// regression, not noise.
+const FIG4_WARM_PIVOT_LIMITS: [(&str, usize); 2] = [("triangle", 272), ("2-star", 1282)];
 
 /// Mean entries stored per basis update on a default warm chain, measured
 /// when Forrest–Tomlin updates replaced the product-form eta file (which
@@ -172,13 +179,18 @@ fn timed<T>(solve: impl FnOnce() -> T) -> (T, f64, FactorTiming) {
     (out, watch.elapsed_seconds() * 1e3, factor)
 }
 
-/// Solves every entry model of both families from a cold start, one
-/// `prepare` + `solve` each: the work the warm chains save.
-fn solve_cold(seq: &EfficientSequences) -> LpWorkStats {
+/// Solves every unreduced entry model of both families from a cold start,
+/// one `prepare` + `solve` each: the work the warm chains save. Returns the
+/// counters and the `H` then `G` entry values.
+fn solve_cold(seq: &EfficientSequences) -> (LpWorkStats, [Vec<f64>; 2]) {
     let mut stats = LpWorkStats::default();
-    for family in [SequenceFamily::H, SequenceFamily::G] {
+    let mut values = [Vec::new(), Vec::new()];
+    for (family, values) in [SequenceFamily::H, SequenceFamily::G]
+        .into_iter()
+        .zip(&mut values)
+    {
         for i in 0..=seq.query().num_participants() {
-            let (model, _) = seq.entry_model(family, i);
+            let (model, offset) = seq.entry_model(family, i);
             let solved = model
                 .prepare()
                 .and_then(|lp| lp.solve(&SimplexOptions::default()))
@@ -189,23 +201,45 @@ fn solve_cold(seq: &EfficientSequences) -> LpWorkStats {
                 SequenceFamily::G => stats.g_solves += 1,
             }
             stats.total_pivots += entry.total_iterations();
+            values.push(solved.solution.objective + offset);
         }
     }
-    stats
+    (stats, values)
+}
+
+/// The number of participants some term of `relation` names: the chains
+/// step over these only.
+fn named_participants(relation: &SensitiveKRelation) -> usize {
+    let mut named = FxHashSet::default();
+    for (expr, _) in relation.terms() {
+        expr.collect_variables(&mut named);
+    }
+    named.len()
 }
 
 fn run_workload(name: &str, relation: &SensitiveKRelation) -> WorkloadResult {
     let participants = relation.num_participants();
     let seq = EfficientSequences::new(relation.clone());
 
-    let (c, cold_wall_ms, cold_factor) = timed(|| solve_cold(&seq));
+    let ((c, cold_values), cold_wall_ms, cold_factor) = timed(|| solve_cold(&seq));
     let (solved, warm_wall_ms, warm_factor) = timed(|| seq.solve_table(Parallelism::Serial));
-    let (_, w) = solved.expect("fig-4 entry LPs are feasible and bounded");
+    let (table, w) = solved.expect("fig-4 entry LPs are feasible and bounded");
 
-    assert_eq!(c.h_solves + c.g_solves, w.h_solves + w.g_solves);
+    // The reduced chains must reproduce every entry of the unreduced LPs.
+    let warm_values = [table.h_entries(), table.g_entries()];
+    for ((family, warm), cold) in ["H", "G"].into_iter().zip(warm_values).zip(&cold_values) {
+        assert_eq!(warm.len(), cold.len(), "{name}: {family} length");
+        for (i, (a, b)) in warm.iter().zip(cold).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-6,
+                "{name}: {family}_{i} chain {a} vs cold {b}"
+            );
+        }
+    }
     WorkloadResult {
         name: name.to_string(),
         participants,
+        named_participants: named_participants(relation),
         lp_solves: w.h_solves + w.g_solves,
         cold_wall_ms,
         cold_pivots: c.total_pivots,
@@ -720,7 +754,8 @@ fn main() {
         let ratio = r.warm_pivots as f64 / r.cold_pivots.max(1) as f64;
         json.push_str(&format!(
             concat!(
-                "    {{\"name\": \"{}\", \"participants\": {}, \"lp_solves\": {}, ",
+                "    {{\"name\": \"{}\", \"participants\": {}, \"named_participants\": {}, ",
+                "\"lp_solves\": {}, ",
                 "\"cold\": {{\"wall_ms\": {:.3}, \"pivots\": {}, ",
                 "\"factorizations\": {}, \"factor_ms\": {:.3}, ",
                 "\"updates\": {}, \"update_nnz\": {}}}, ",
@@ -732,6 +767,7 @@ fn main() {
             ),
             r.name,
             r.participants,
+            r.named_participants,
             r.lp_solves,
             r.cold_wall_ms,
             r.cold_pivots,
@@ -752,12 +788,13 @@ fn main() {
             if k + 1 < results.len() { "," } else { "" },
         ));
         println!(
-            "{:>10}: {} LPs over {} participants — cold {} pivots / {:.1} ms, \
+            "{:>10}: {} LPs over {} of {} participants — cold {} pivots / {:.1} ms, \
              warm {} pivots ({} phase-1, {} dual) / {:.1} ms ({} warm starts, pivot ratio {:.2}); \
              warm chains ran {} LU factorizations in {:.2} ms and {} basis updates \
              storing {:.1} entries each",
             r.name,
             r.lp_solves,
+            r.named_participants,
             r.participants,
             r.cold_pivots,
             r.cold_wall_ms,
@@ -1003,6 +1040,19 @@ fn main() {
                 failed = true;
             }
         }
+    }
+    // Solve-count gate: each chain steps once per named participant plus
+    // its j = 0 step, so any other count means the chains no longer run on
+    // the reduced LP.
+    for r in results
+        .iter()
+        .filter(|r| r.lp_solves != 2 * (r.named_participants + 1))
+    {
+        eprintln!(
+            "PERF REGRESSION: {} warm chains solved {} LPs (expected 2·({} + 1))",
+            r.name, r.lp_solves, r.named_participants
+        );
+        failed = true;
     }
     let (name, limit) = FIG4_UPDATE_NNZ_LIMIT;
     match results.iter().find(|r| r.name == name) {

@@ -25,8 +25,9 @@
 //!   ([`PreparedLp::set_objective`]) and re-solve, warm-starting each solve
 //!   from the previous optimal [`Basis`] ([`PreparedLp::solve_warm`]). This
 //!   is the interface the mechanism's `H`/`G` sequence chains use: the
-//!   `2(|P|+1)` entry LPs of one query family share everything except the
-//!   mass-tie right-hand side, so a chain of warm solves replaces `O(|P|)`
+//!   `|P_named|+1` entry LPs of one query family (one per mass over the
+//!   participants its distinct annotations name) share everything except
+//!   the mass-tie right-hand side, so a chain of warm solves replaces `O(|P|)`
 //!   cold starts.
 //!
 //! ```

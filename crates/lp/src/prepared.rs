@@ -25,7 +25,8 @@
 //! A successful solve returns the optimal [`Basis`]; feeding it to
 //! [`PreparedLp::solve_warm`] after an RHS step re-enters the simplex from
 //! that basis (through the dual simplex, with no composite phase 1),
-//! which is how a chain of `|P|+1` sequence solves avoids `|P|` cold starts.
+//! which is how a chain of `|P_named|+1` sequence solves avoids `|P_named|`
+//! cold starts.
 
 use crate::error::LpError;
 use crate::lu::LuFactor;

@@ -34,9 +34,13 @@
 //! Beside the differentially private releases, tenants see no field that
 //! depends on the data or on other tenants. `OK EXPLAIN` carries ε alone:
 //! cache hits and misses describe other tenants' traffic, and a miss's LP
-//! solve count is 2(|P|+1), which reveals the participant count.
+//! solve count is 2(|P_named|+1), which reveals how many participants the
+//! query's annotations name.
 //! `OK INGEST` omits how many cache entries the swap swept; the server
 //! counts that in `server.ingest.swept`.
+//!
+//! A request line longer than 64 KiB is answered with one `ERR PROTOCOL`
+//! and ends the connection.
 //!
 //! `INGEST` rows are `;`-separated, each row a `,`-separated list of
 //! `column=value` pairs. Values parse as integers first, then booleans,
@@ -55,7 +59,7 @@ use crate::server::DpServer;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_sql::QueryOutput;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -98,7 +102,8 @@ fn encode_output(output: &QueryOutput) -> Vec<String> {
         }
         QueryOutput::Explained(traced) => {
             // Only ε: cache and LP counts describe other tenants' traffic
-            // and, after a miss, the participant count (2(|P|+1) solves).
+            // and, after a miss, the named participants (2(|P_named|+1)
+            // solves).
             let mut lines = vec![format!("OK EXPLAIN epsilon={}", traced.trace.epsilon_spent)];
             lines.extend(encode_output(&traced.output));
             lines
@@ -177,20 +182,39 @@ fn respond(server: &DpServer, request: &str) -> Vec<String> {
     }
 }
 
+/// The longest request line served, in bytes, newline excluded. A client
+/// cannot make the server buffer more than this per connection; a longer
+/// line is answered with one `ERR PROTOCOL` and the connection is closed.
+const MAX_LINE: usize = 64 * 1024;
+
 /// Serves one connection: read request lines until EOF, answer each in
-/// order. Each response is framed into one buffer and leaves in one
+/// order. Lines are read into one reused buffer, at most [`MAX_LINE`] bytes
+/// each. Each response is framed into one buffer and leaves in one
 /// `write_all`, so an unbuffered `writer` (a `TcpStream`) sends it as one
 /// segment. Any I/O error just drops the connection — the server state is
 /// untouched because budgets and admission live in [`DpServer`].
 fn handle_connection(
     server: &DpServer,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> io::Result<()> {
+    let mut line = Vec::new();
     let mut frame = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        let request = line.trim();
+    loop {
+        line.clear();
+        let limit = MAX_LINE as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_LINE {
+            let refusal = format!("ERR PROTOCOL request line exceeds {MAX_LINE} bytes\n");
+            return writer.write_all(refusal.as_bytes());
+        }
+        let request = std::str::from_utf8(&line)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            .trim();
         if request.is_empty() {
             continue;
         }
@@ -201,7 +225,6 @@ fn handle_connection(
         }
         writer.write_all(&frame)?;
     }
-    Ok(())
 }
 
 /// The gauge of connections currently served.
@@ -427,6 +450,40 @@ mod tests {
             let framed: String = lines.iter().map(|l| format!("{l}\n")).collect();
             assert_eq!(written.as_slice(), framed.as_bytes(), "{request}");
         }
+    }
+
+    #[test]
+    fn request_lines_are_capped_at_max_line_bytes() {
+        // Trailing blanks pad a query to an exact length; the request is
+        // trimmed, so padding changes nothing but the line's size.
+        let padded = |len: usize| {
+            let query = "QUERY alice SELECT COUNT(*) FROM visits";
+            format!("{query}{}\n", " ".repeat(len - query.len()))
+        };
+        let server = visits_server();
+        let spent = || server.spent_budget("alice").unwrap().epsilon;
+
+        // A line at the cap is served and debited.
+        let mut out = Vec::new();
+        handle_connection(&server, padded(MAX_LINE).as_bytes(), &mut out).unwrap();
+        assert!(
+            out.starts_with(b"OK SCALAR"),
+            "{}",
+            String::from_utf8_lossy(&out)
+        );
+        assert_eq!(spent(), 1.0);
+
+        // One byte more is refused without a debit, and the connection
+        // closes: the request after it is never read.
+        let input = format!("{}BUDGET alice\n", padded(MAX_LINE + 1));
+        let mut out = Vec::new();
+        handle_connection(&server, input.as_bytes(), &mut out).unwrap();
+        let reply = String::from_utf8(out).unwrap();
+        assert_eq!(
+            reply,
+            format!("ERR PROTOCOL request line exceeds {MAX_LINE} bytes\n")
+        );
+        assert_eq!(spent(), 1.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Two SQL strings that compile to *structurally identical* plans over the
 //! same annotated database must produce the same fingerprint, so the second
 //! one can serve its `H`/`G` sequences from the
-//! [`SequenceCache`](rmdp_core::SequenceCache) instead of re-running
-//! `2(|P|+1)` LP chains. "Structurally identical" deliberately ignores the
+//! [`SequenceCache`](rmdp_core::SequenceCache) instead of re-running the
+//! two LP chains (`2(|P_named|+1)` LPs over its distinct annotations). "Structurally identical" deliberately ignores the
 //! three sources of textual noise production query logs are full of
 //! (Chorus and FLEX both normalise the same way before caching):
 //!

@@ -162,7 +162,7 @@ pub struct TracedOutput {
 /// conjunct order normalised away, database mutation epoch and
 /// sensitivity-relevant params hashed in), and a repeat of a structurally
 /// identical query serves its `H`/`G` sequences from the cache, skipping
-/// plan execution and all `2(|P|+1)` sequence LPs. Per-query noise is
+/// plan execution and all `2(|P_named|+1)` sequence LPs. Per-query noise is
 /// still drawn fresh from the session RNG, so caching changes **only**
 /// wall-clock time: under a fixed seed the released values are
 /// bit-identical with and without the cache.

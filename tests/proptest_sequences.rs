@@ -10,7 +10,9 @@
 //! * `G` non-decreasing, `G_{|P|} ≤ 2·S·ŨS`;
 //! * `G` is a 2-bounding sequence of `H`;
 //! * restricting one participant to `False` yields a pair satisfying the
-//!   recursive-monotonicity inequalities.
+//!   recursive-monotonicity inequalities;
+//! * the reduced chains (equal annotations merged, idle participants
+//!   dropped) match cold solves of the unreduced entry LPs.
 
 use proptest::prelude::*;
 use recursive_mechanism_dp::core::efficient::EfficientSequences;
@@ -19,9 +21,12 @@ use recursive_mechanism_dp::core::sequences::{
     validate_bounding_property, validate_convexity, validate_monotone_start_at_zero,
     validate_recursive_monotonicity,
 };
-use recursive_mechanism_dp::core::{FrozenSequences, Parallelism, SensitiveKRelation};
+use recursive_mechanism_dp::core::{
+    FrozenSequences, Parallelism, SensitiveKRelation, SequenceFamily,
+};
 use recursive_mechanism_dp::krelation::participant::ParticipantId;
 use recursive_mechanism_dp::krelation::Expr;
+use recursive_mechanism_dp::lp::SimplexOptions;
 
 /// A random positive expression over participants `0..n_participants` with
 /// bounded depth, plus a weight.
@@ -42,6 +47,37 @@ fn arb_relation() -> impl Strategy<Value = (u32, Vec<(Expr, f64)>)> {
             1..6,
         );
         (Just(n), terms)
+    })
+}
+
+/// An annotation that reappears under a chain's reduction: a random
+/// expression, the self-conjunction `x ∧ x` (which the smart constructor
+/// keeps: it is not φ-equivalent to `x`), or `True`.
+fn arb_annotation(n_participants: u32) -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        arb_expr(n_participants),
+        (0..n_participants).prop_map(|i| Expr::conjunction_of_vars([ParticipantId(i); 2])),
+        Just(Expr::True),
+    ]
+}
+
+/// `(n, idle, terms)`: terms over participants `0..n` drawn from a pool of
+/// at most three annotations, so annotations repeat, with weights that
+/// often tie; the universe adds `idle` participants that no term names.
+fn arb_redundant_relation() -> impl Strategy<Value = (u32, u32, Vec<(Expr, f64)>)> {
+    (2u32..=5, 0u32..=4).prop_flat_map(|(n, idle)| {
+        let pool = proptest::collection::vec(arb_annotation(n), 1..4);
+        let picks = proptest::collection::vec(
+            (0usize..3, prop_oneof![Just(1.0), Just(2.0), Just(0.5)]),
+            1..8,
+        );
+        (Just(n), Just(idle), pool, picks).prop_map(|(n, idle, pool, picks)| {
+            let terms = picks
+                .into_iter()
+                .map(|(k, w)| (pool[k % pool.len()].clone(), w))
+                .collect();
+            (n, idle, terms)
+        })
     })
 }
 
@@ -162,5 +198,48 @@ proptest! {
             validate_recursive_monotonicity(&table(smaller), &table(larger)).is_ok(),
             "recursive monotonicity violated for conjunctive annotations"
         );
+    }
+
+    #[test]
+    fn reduced_chains_match_the_unreduced_entry_lps((n, idle, terms) in arb_redundant_relation()) {
+        // The chains merge equal annotations and step only over named
+        // participants; `entry_model` is the paper's LP over every raw term
+        // and every participant, so a cold solve of it is the oracle.
+        let query = build(n + idle, &terms);
+        let participants = query.num_participants();
+        let true_answer = query.true_answer();
+        let seq = EfficientSequences::new(query);
+        let (table, _) = seq.solve_table(Parallelism::Serial).unwrap();
+        prop_assert_eq!(table.num_participants(), participants);
+        for (family, entries) in [
+            (SequenceFamily::H, table.h_entries()),
+            (SequenceFamily::G, table.g_entries()),
+        ] {
+            for (i, &value) in entries.iter().enumerate() {
+                let (model, offset) = seq.entry_model(family, i);
+                let cold = model
+                    .prepare()
+                    .unwrap()
+                    .solve(&SimplexOptions::default())
+                    .unwrap()
+                    .solution
+                    .objective
+                    + offset;
+                prop_assert!(
+                    (value - cold).abs() < 1e-6,
+                    "{family}_{i}: reduced chain {value} vs unreduced LP {cold}"
+                );
+            }
+        }
+
+        // `True` terms lift every H entry by the same constant, so H is
+        // checked from its own start.
+        let h = table.h_entries();
+        let lifted: Vec<f64> = h.iter().map(|v| v - h[0]).collect();
+        prop_assert!((h[participants] - true_answer).abs() < 1e-6);
+        prop_assert!(validate_monotone_start_at_zero(&lifted).is_ok());
+        prop_assert!(validate_monotone_start_at_zero(table.g_entries()).is_ok());
+        prop_assert!(validate_convexity(h).is_ok());
+        prop_assert!(validate_bounding_property(&table).is_ok());
     }
 }
