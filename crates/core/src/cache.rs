@@ -461,28 +461,6 @@ impl SequenceCache {
         self.lock().seed_bank.len()
     }
 
-    /// Returns the table under `key`, computing and inserting it on a miss.
-    ///
-    /// `compute` runs **outside** the lock, so a slow table solve never
-    /// blocks other sessions' lookups; the price is that concurrent misses
-    /// on the same key may compute the table more than once (harmlessly —
-    /// the computation is deterministic).
-    pub fn get_or_try_insert_with<F>(
-        &self,
-        key: Fingerprint,
-        compute: F,
-    ) -> Result<Arc<FrozenSequences>, MechanismError>
-    where
-        F: FnOnce() -> Result<FrozenSequences, MechanismError>,
-    {
-        if let Some(found) = self.get(key) {
-            return Ok(found);
-        }
-        let value = Arc::new(compute()?);
-        self.insert(key, Arc::clone(&value));
-        Ok(value)
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
         // A poisoned mutex means a panic inside one of the short map-only
         // critical sections above; the map itself is still structurally
@@ -562,9 +540,8 @@ mod tests {
     fn cached_release_is_bit_identical_to_a_fresh_table_release() {
         let params = MechanismParams::paper_node_privacy(1.0);
         let cache = SequenceCache::new(2);
-        let cached_table = cache
-            .get_or_try_insert_with(Fingerprint(5), || Ok(frozen_fig2a()))
-            .unwrap();
+        cache.insert(Fingerprint(5), Arc::new(frozen_fig2a()));
+        let cached_table = cache.get(Fingerprint(5)).unwrap();
         let mut fresh = RecursiveMechanism::new(frozen_fig2a().into(), params).unwrap();
         let mut cached = RecursiveMechanism::new(CachedSequences(cached_table), params).unwrap();
         let a = fresh
@@ -586,20 +563,17 @@ mod tests {
         let cache = SequenceCache::new(4);
         let key = Fingerprint(42);
         assert!(cache.get(key).is_none());
-        let table = cache
-            .get_or_try_insert_with(key, || Ok(frozen_fig2a()))
-            .unwrap();
-        let again = cache
-            .get_or_try_insert_with(key, || panic!("must not recompute on a hit"))
-            .unwrap();
+        let table = Arc::new(frozen_fig2a());
+        cache.insert(key, Arc::clone(&table));
+        let again = cache.get(key).unwrap();
         assert!(Arc::ptr_eq(&table, &again));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2); // the bare get + the populating lookup
+        assert_eq!(stats.misses, 1);
         assert_eq!(stats.insertions, 1);
         assert_eq!(stats.evictions, 0);
         assert_eq!(cache.len(), 1);
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -640,9 +614,11 @@ mod tests {
             for _ in 0..4 {
                 let cache = Arc::clone(&cache);
                 scope.spawn(move || {
-                    let table = cache
-                        .get_or_try_insert_with(key, || Ok(frozen_fig2a()))
-                        .unwrap();
+                    let table = cache.get(key).unwrap_or_else(|| {
+                        let table = Arc::new(frozen_fig2a());
+                        cache.insert(key, Arc::clone(&table));
+                        table
+                    });
                     assert_eq!(table.h_entries().len(), 6);
                 });
             }
@@ -860,17 +836,5 @@ mod tests {
         // A sweep under the *same* live stamps touches nothing.
         assert_eq!(cache.purge_stale(&[11]), 0);
         assert!(cache.get(Fingerprint(2)).is_some());
-    }
-
-    #[test]
-    fn compute_errors_propagate_and_cache_nothing() {
-        let cache = SequenceCache::new(4);
-        let err = cache
-            .get_or_try_insert_with(Fingerprint(9), || {
-                Err(MechanismError::UnsupportedInstance("boom".into()))
-            })
-            .unwrap_err();
-        assert!(matches!(err, MechanismError::UnsupportedInstance(_)));
-        assert!(cache.is_empty());
     }
 }

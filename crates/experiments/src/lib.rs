@@ -18,9 +18,10 @@
 //! hours for the largest points). `EXPERIMENTS.md` records the
 //! paper-vs-measured comparison for each artefact.
 //!
-//! Performance is measured in two places: the `perf_smoke` binary, whose
-//! exact pivot and update-size gates CI runs, and the repository benchmark
-//! in `perfbench/`, which drives the server end to end over the wire.
+//! Beyond Fig. 5's running times, performance is measured by the
+//! repository benchmark in `perfbench/`, which drives the server end to end
+//! over the wire. The sequence layer's exact pivot and update-size limits
+//! are tests (`tests/warm_chain.rs`, `crates/lp/tests/scaling.rs`).
 
 #![deny(missing_docs)]
 

@@ -70,7 +70,7 @@ fn main() -> ExitCode {
     };
     if opts.list {
         for rule in RULES {
-            println!("{:<18} {}", rule.id, rule.summary);
+            println!("{:<19} {}", rule.id, rule.summary);
         }
         return ExitCode::SUCCESS;
     }

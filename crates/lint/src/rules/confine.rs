@@ -1,6 +1,8 @@
 //! Confinement rules: randomness, clocks and sockets may each live only in
 //! their sanctioned home, because each one is a channel through which
-//! nondeterminism or untracked side effects could leak into a release.
+//! nondeterminism or untracked side effects could leak into a release. The
+//! fields of a release that are not differentially private are confined
+//! too: the server crate, which answers tenants, may not read them.
 
 use super::{prev, seq_matches, violation};
 use crate::context::FileContext;
@@ -200,6 +202,52 @@ pub fn check_net(ctx: &FileContext, out: &mut Vec<Violation>) {
     }
 }
 
+/// Fields of `rmdp_core::Release` that are not differentially private and
+/// whose names are distinctive enough to flag wherever they appear.
+const UNPUBLISHABLE: &[&str] = &["true_answer", "argmin_index"];
+
+/// The release's other diagnostic fields. Their names are common words, so
+/// they are flagged only as field accesses (`.delta`, `.x`).
+const UNPUBLISHABLE_FIELDS: &[&str] = &["delta", "x"];
+
+/// Publish confinement (`publish-confinement`): the server crate's non-test
+/// code may not touch a release's diagnostic fields, so no encoder change
+/// can put one on the wire. A token rule sees names, not types: a field
+/// read through a rename (a destructuring binding, a getter defined in
+/// another crate) passes unseen. Splitting the release type so the server
+/// never holds the diagnostics closes that gap.
+pub fn check_publish(ctx: &FileContext, out: &mut Vec<Violation>) {
+    if !ctx.in_crate_src("server") {
+        return;
+    }
+    let tokens = &ctx.tokens;
+    for (i, t) in tokens.iter().enumerate() {
+        if t.kind != crate::lexer::TokenKind::Ident || ctx.is_test(i) {
+            continue;
+        }
+        // `.x` but not the range or struct-update `..x`.
+        let field_access = prev(tokens, i).is_some_and(|p| p.is_punct('.'))
+            && !i
+                .checked_sub(2)
+                .and_then(|j| tokens.get(j))
+                .is_some_and(|p| p.is_punct('.'));
+        if UNPUBLISHABLE.contains(&t.text.as_str())
+            || (field_access && UNPUBLISHABLE_FIELDS.contains(&t.text.as_str()))
+        {
+            out.push(violation(
+                ctx,
+                t,
+                "publish-confinement",
+                format!(
+                    "`{}` is a diagnostic field of a release, not a differentially \
+                     private value; the server crate answers tenants and may not read it",
+                    t.text
+                ),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,6 +258,7 @@ mod tests {
         check_rng(&ctx, &mut out);
         check_clock(&ctx, &mut out);
         check_net(&ctx, &mut out);
+        check_publish(&ctx, &mut out);
         out
     }
 
@@ -265,5 +314,19 @@ mod tests {
         let stream = "use std::net::TcpStream;";
         assert!(!check_all("crates/sql/src/x.rs", stream).is_empty());
         assert!(check_all("crates/server/src/client.rs", stream).is_empty());
+    }
+
+    #[test]
+    fn diagnostic_fields_are_confined_out_of_the_server() {
+        let leak = "fn f(r: &Release) -> f64 { r.true_answer + r.delta + r.x }";
+        assert_eq!(check_all("crates/server/src/x.rs", leak).len(), 3);
+        assert!(check_all("crates/sql/src/x.rs", leak).is_empty());
+        let argmin = "fn f(r: &Release) -> usize { r.argmin_index }";
+        assert_eq!(check_all("crates/server/src/x.rs", argmin).len(), 1);
+        // Bare names, ranges and struct updates are not field reads.
+        let clean = "fn f(x: f64, delta: f64, s: S) -> S { for _ in 0..x {} S { ..s } }";
+        assert!(check_all("crates/server/src/x.rs", clean).is_empty());
+        let in_test = format!("#[cfg(test)] mod tests {{ {leak} }}");
+        assert!(check_all("crates/server/src/x.rs", &in_test).is_empty());
     }
 }

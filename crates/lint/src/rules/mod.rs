@@ -45,6 +45,11 @@ pub const RULES: &[RuleInfo] = &[
                   server crate's protocol/client modules",
     },
     RuleInfo {
+        id: "publish-confinement",
+        summary: "a release's diagnostic fields (true_answer, argmin_index, .delta, .x) \
+                  banned in crates/server/src non-test code",
+    },
+    RuleInfo {
         id: "float-total-cmp",
         summary: "partial_cmp().unwrap()/expect() banned workspace-wide; use f64::total_cmp",
     },
@@ -87,6 +92,7 @@ pub fn check_files(files: &[FileContext]) -> Vec<Violation> {
         confine::check_rng(ctx, &mut out);
         confine::check_clock(ctx, &mut out);
         confine::check_net(ctx, &mut out);
+        confine::check_publish(ctx, &mut out);
         float::check_total_cmp(ctx, &mut out);
         float::check_float_eq(ctx, &mut out);
         float::check_float_cast(ctx, &mut out);

@@ -107,6 +107,19 @@ fn panic_fixture_is_ignored_off_the_request_path() {
 }
 
 #[test]
+fn publish_confinement_catches_the_diagnostic_fields() {
+    // true_answer, .delta, .x, argmin_index.
+    assert_pair(
+        "crates/server/src/encode.rs",
+        "publish",
+        "publish-confinement",
+        4,
+    );
+    let elsewhere = lint_at("crates/sql/src/encode.rs", "publish/bad.rs");
+    assert!(elsewhere.is_clean(), "{}", elsewhere.render_text());
+}
+
+#[test]
 fn lock_order_catches_cycle_convoy_and_reacquisition() {
     let bad = lint_at("crates/server/src/convoy.rs", "locks/bad.rs");
     let messages: Vec<&str> = bad.violations.iter().map(|v| v.message.as_str()).collect();

@@ -168,8 +168,8 @@ impl MetricsRegistry {
 
 /// Exponential-ish latency bucket bounds in **milliseconds**, shared by
 /// everything that histograms request latency (the server's per-query and
-/// per-tenant latency distributions, `perf_smoke`'s replay) so their p50/p99
-/// read on the same scale.
+/// per-tenant latency distributions) so their p50/p99 read on the same
+/// scale.
 pub const LATENCY_BUCKETS_MS: [f64; 16] = [
     0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
     10000.0,

@@ -819,6 +819,7 @@ mod tests {
     use rmdp_core::Parallelism;
     use rmdp_krelation::tuple::{Tuple, Value};
     use rmdp_krelation::Expr;
+    use rmdp_observe::LpSummary;
 
     /// The releases of a batch of scalar queries.
     fn scalars(outputs: Vec<QueryOutput>) -> Vec<Release> {
@@ -1012,15 +1013,20 @@ mod tests {
     fn failing_query_leaves_the_budget_unchanged() {
         // SUM over a column with a negative value fails *after* admission
         // (the failure is data-dependent) but released nothing, so the
-        // budget must be untouched.
+        // budget must be untouched, and the failed miss caches nothing.
         let params = MechanismParams::paper_edge_privacy(0.5);
-        let mut session =
-            SqlSession::new(db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(2.0));
+        let cache = SequenceCache::shared(4);
+        let mut session = SqlSession::new(db(), params)
+            .with_budget(rmdp_noise::PrivacyBudget::pure(2.0))
+            .with_sequence_cache(Arc::clone(&cache));
         let err = session
             .query_scalar("SELECT SUM(amount) FROM payments")
             .unwrap_err();
         assert!(matches!(err, SqlError::BadAggregate { .. }));
         assert_eq!(session.remaining_budget().unwrap().epsilon, 2.0);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().insertions, 0);
+        assert!(cache.is_empty(), "a failed miss publishes no table");
 
         // A batch failing on its last query consumes nothing either.
         let err = session
@@ -1620,7 +1626,19 @@ mod tests {
         assert_eq!(hit.cache, CacheOutcome::Hit);
         assert_eq!((hit.cache_hits, hit.cache_misses), (1, 0));
         assert_eq!(hit.fingerprint, miss.fingerprint);
-        assert_eq!(hit.lp.h_solves, 0, "a hit re-solves nothing");
+        // A hit runs no LP of either chain: every counter stays at zero.
+        assert_eq!(hit.lp, LpSummary::default(), "a hit re-solves nothing");
+        // Nor does it execute the plan. The Plan span is booked once for
+        // lowering, and a miss enters it again to execute the plan.
+        let plan_entries = |trace: &ReleaseTrace| {
+            trace
+                .stages
+                .iter()
+                .find(|span| span.stage == Stage::Plan)
+                .map(|span| span.entries)
+        };
+        assert_eq!(plan_entries(&miss), Some(2));
+        assert_eq!(plan_entries(&hit), Some(1), "a hit executes no plan");
         assert!(hit.is_consistent());
 
         // Both paths run (and time) all seven pipeline stages: the hit

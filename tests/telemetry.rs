@@ -11,14 +11,26 @@
 //!   index, so identical sessions agree exactly, whatever the schedule.
 //! * **Monotone counters**: registry counters never decrease, and the
 //!   snapshot JSON round-trips.
+//! * **Overhead** (release builds only): a live span recorder costs at most
+//!   5% plus 5 ms over the no-op recorder on uncached fig-4 releases.
 
 use proptest::prelude::*;
-use recursive_mechanism_dp::core::{MechanismParams, Parallelism};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use recursive_mechanism_dp::core::efficient::EfficientSequences;
+use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
+use recursive_mechanism_dp::core::{
+    MechanismParams, Parallelism, RecursiveMechanism, Release, SensitiveKRelation,
+};
+use recursive_mechanism_dp::graph::{generators, Pattern};
 use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
 use recursive_mechanism_dp::noise::PrivacyBudget;
-use recursive_mechanism_dp::observe::{parse_json, CacheOutcome, MetricsRegistry, MetricsSnapshot};
+use recursive_mechanism_dp::observe::{
+    parse_json, CacheOutcome, MetricsRegistry, MetricsSnapshot, MonotonicClock, NoopRecorder,
+    Recorder, SpanRecorder, Stage, Stopwatch,
+};
 use recursive_mechanism_dp::sql::{QueryOutput, SqlSession};
 use std::sync::Arc;
 
@@ -51,25 +63,20 @@ fn visits_db() -> AnnotatedDatabase {
     db
 }
 
+/// The released values of one release, as raw bits.
+fn bits(r: &Release) -> [u64; 3] {
+    [
+        r.noisy_answer.to_bits(),
+        r.delta_hat.to_bits(),
+        r.x.to_bits(),
+    ]
+}
+
 /// Every released value of an output, as raw bits, in a fixed order.
 fn release_bits(output: QueryOutput) -> Vec<[u64; 3]> {
     match output {
-        QueryOutput::Scalar(r) => vec![[
-            r.noisy_answer.to_bits(),
-            r.delta_hat.to_bits(),
-            r.x.to_bits(),
-        ]],
-        QueryOutput::Grouped(g) => g
-            .groups
-            .into_iter()
-            .map(|group| {
-                [
-                    group.release.noisy_answer.to_bits(),
-                    group.release.delta_hat.to_bits(),
-                    group.release.x.to_bits(),
-                ]
-            })
-            .collect(),
+        QueryOutput::Scalar(r) => vec![bits(&r)],
+        QueryOutput::Grouped(g) => g.groups.iter().map(|group| bits(&group.release)).collect(),
         QueryOutput::Explained(t) => release_bits(t.output),
     }
 }
@@ -167,6 +174,77 @@ fn metrics_counters_are_monotone_and_the_snapshot_json_round_trips() {
     assert!(snap.counter("sql.releases").unwrap() > 0);
     let json = snap.to_json();
     assert_eq!(MetricsSnapshot::parse_json(&json).unwrap(), snap);
+}
+
+/// One uncached release the way the SQL miss path runs it: the table solve
+/// bracketed as [`Stage::SequenceSolve`], then the release with its noise
+/// stages.
+fn release_uncached<T: Recorder>(
+    relation: &SensitiveKRelation,
+    params: MechanismParams,
+    seed: u64,
+    recorder: &mut T,
+) -> Release {
+    recorder.enter(Stage::SequenceSolve);
+    let (table, _) = EfficientSequences::new(relation.clone())
+        .solve_table(params.parallelism)
+        .unwrap();
+    recorder.exit(Stage::SequenceSolve);
+    RecursiveMechanism::new(table.into(), params)
+        .and_then(|mut mech| mech.release_recorded(&mut StdRng::seed_from_u64(seed), recorder))
+        .unwrap()
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times optimised code; run with --release")]
+fn span_recording_costs_at_most_five_percent_over_the_noop_recorder() {
+    // Four uncached fig-4 triangle releases (24 nodes, node privacy) per
+    // pass: each pays the sequence LPs, the ladder walk and the noise, the
+    // region a recorder straddles in a real query.
+    let mut rng = StdRng::seed_from_u64(77);
+    let graph = generators::gnp_average_degree(24, 6.0, &mut rng);
+    let params = MechanismParams::paper_node_privacy(0.5);
+    let relation = SubgraphCounter::new(Pattern::triangle(), PrivacyUnit::Node, params)
+        .build_sensitive_relation(&graph);
+    let mut seed_stream = StdRng::seed_from_u64(2025);
+    let seeds: Vec<u64> = (0..4).map(|_| seed_stream.next_u64()).collect();
+
+    // One pass: its wall milliseconds and the released bits.
+    let pass = |traced: bool| -> (f64, Vec<[u64; 3]>) {
+        let watch = Stopwatch::start();
+        let releases: Vec<Release> = seeds
+            .iter()
+            .map(|&seed| {
+                if !traced {
+                    return release_uncached(&relation, params, seed, &mut NoopRecorder);
+                }
+                let mut recorder = SpanRecorder::new(MonotonicClock::new());
+                let release = release_uncached(&relation, params, seed, &mut recorder);
+                assert!(recorder.stage_entries(Stage::SequenceSolve) > 0);
+                assert!(recorder.stage_entries(Stage::NoiseSample) > 0);
+                release
+            })
+            .collect();
+        let ms = watch.elapsed_seconds() * 1e3;
+        (ms, releases.iter().map(bits).collect())
+    };
+
+    // The minimum of 10 passes per side, the side that goes first
+    // alternating each round, shaves scheduler noise off both.
+    let (mut noop_ms, mut traced_ms) = (f64::INFINITY, f64::INFINITY);
+    let expected = pass(false).1;
+    for round in 0..10 {
+        for traced in [round % 2 == 1, round % 2 == 0] {
+            let (ms, bits) = pass(traced);
+            assert_eq!(bits, expected, "telemetry changed a release");
+            let best = if traced { &mut traced_ms } else { &mut noop_ms };
+            *best = best.min(ms);
+        }
+    }
+    assert!(
+        traced_ms <= noop_ms * 1.05 + 5.0,
+        "span recording took {traced_ms:.2} ms against {noop_ms:.2} ms without it"
+    );
 }
 
 proptest! {

@@ -5,7 +5,10 @@
 //! entry-by-entry cold solves within tolerance, (b) spend strictly fewer
 //! total simplex pivots — observable through `LpWorkStats` — and (c) keep
 //! the serial/parallel bit-identity contract of `tests/parallel_determinism.rs`
-//! intact (that file runs unchanged next to this one).
+//! intact (that file runs unchanged next to this one). On a larger graph the
+//! chains' pivots, solve count and basis-update sizes are held to exact
+//! limits: all three are deterministic, so exceeding one is a regression,
+//! not noise.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,14 +18,15 @@ use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
 use recursive_mechanism_dp::core::{Parallelism, SensitiveKRelation, SequenceFamily};
 use recursive_mechanism_dp::graph::{generators, Pattern};
 use recursive_mechanism_dp::krelation::hash::FxHashSet;
-use recursive_mechanism_dp::lp::SimplexOptions;
+use recursive_mechanism_dp::lp::{time_factorizations, SimplexOptions};
 
 /// A fig-4 workload at small scale: `pattern` counts under node privacy on a
-/// G(n, p) random graph. (Kept small enough for debug-mode CI: a 2-star
-/// family on this graph is still a few-hundred-row LP per entry.)
-fn fig4_relation(pattern: Pattern) -> SensitiveKRelation {
+/// G(n, p) random graph with `nodes` nodes. (Kept small enough for
+/// debug-mode CI: a 2-star family on 16 nodes is still a few-hundred-row LP
+/// per entry.)
+fn fig4_relation(pattern: Pattern, nodes: usize, average_degree: f64) -> SensitiveKRelation {
     let mut rng = StdRng::seed_from_u64(77);
-    let graph = generators::gnp_average_degree(16, 4.5, &mut rng);
+    let graph = generators::gnp_average_degree(nodes, average_degree, &mut rng);
     SubgraphCounter::new(
         pattern,
         PrivacyUnit::Node,
@@ -62,16 +66,23 @@ fn solve_cold(seq: &EfficientSequences, family: SequenceFamily) -> ColdFamily {
     cold
 }
 
+/// The participants some term of `seq`'s query names: each chain steps over
+/// these only.
+fn named_participants(seq: &EfficientSequences) -> usize {
+    let mut named = FxHashSet::default();
+    for (expr, _) in seq.query().terms() {
+        expr.collect_variables(&mut named);
+    }
+    named.len()
+}
+
 #[test]
 fn warm_chains_beat_cold_solves_on_the_fig4_families() {
     for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
         let name = pattern.name().to_string();
-        let seq = EfficientSequences::new(fig4_relation(pattern));
+        let seq = EfficientSequences::new(fig4_relation(pattern, 16, 4.5));
         let n = seq.query().num_participants();
-        let mut named = FxHashSet::default();
-        for (expr, _) in seq.query().terms() {
-            expr.collect_variables(&mut named);
-        }
+        let named = named_participants(&seq);
 
         // Warm-started chains vs entry-by-entry cold solves of the same
         // entry models.
@@ -81,9 +92,9 @@ fn warm_chains_beat_cold_solves_on_the_fig4_families() {
 
         // The cold side solves every entry of the unreduced LP; the chains
         // step only over the participants some pattern occurrence names.
-        assert_eq!(warm.h_solves, named.len() + 1, "{name}");
+        assert_eq!(warm.h_solves, named + 1, "{name}");
         assert_eq!(cold_h.values.len(), n + 1, "{name}");
-        assert_eq!(warm.g_solves, named.len() + 1, "{name}");
+        assert_eq!(warm.g_solves, named + 1, "{name}");
 
         // Same sequences within tolerance.
         for i in 0..=n {
@@ -120,7 +131,7 @@ fn warm_chains_survive_parallelism_bit_for_bit() {
     // The H and G chains are the units of parallel work: each runs whole on
     // one worker, so the warm starts inside it happen identically no matter
     // how many workers there are.
-    let seq = EfficientSequences::new(fig4_relation(Pattern::triangle()));
+    let seq = EfficientSequences::new(fig4_relation(Pattern::triangle(), 16, 4.5));
     let (serial, serial_stats) = seq.solve_table(Parallelism::Serial).unwrap();
     for workers in [2usize, 5] {
         let (parallel, stats) = seq.solve_table(Parallelism::Threads(workers)).unwrap();
@@ -142,5 +153,47 @@ fn warm_chains_survive_parallelism_bit_for_bit() {
             serial_stats.warm_start_hits, stats.warm_start_hits,
             "{workers} workers: same chains, same warm starts"
         );
+    }
+}
+
+#[test]
+fn fig4_warm_chains_stay_within_their_exact_work_limits() {
+    // The 24-node graph of the fig-4 work limits. Per pattern: the pivot
+    // limit the chains reach on the reduced LP, and the mean entries a
+    // Forrest–Tomlin update may store (set when those updates replaced the
+    // product-form eta file, which stored 544.35 per update on the 2-star
+    // chain).
+    for (pattern, pivot_limit, update_nnz_limit) in [
+        (Pattern::triangle(), 272, None),
+        (Pattern::k_star(2), 1_282, Some(57.95)),
+    ] {
+        let name = pattern.name().to_string();
+        let seq = EfficientSequences::new(fig4_relation(pattern, 24, 6.0));
+        // A zero clock: only the update counts are read, never a time.
+        let ((_, warm), factor) =
+            time_factorizations(|| 0, || seq.solve_table(Parallelism::Serial).unwrap());
+
+        assert!(
+            warm.total_pivots <= pivot_limit,
+            "{name}: warm chains spent {} pivots (limit {pivot_limit})",
+            warm.total_pivots,
+        );
+        // Every warm entry re-enters through the dual simplex; a silent
+        // fallback to the composite phase 1 costs 2–3× the pivots.
+        assert_eq!(warm.phase1_pivots, 0, "{name}");
+        // One step per named participant plus `j = 0`, per chain: any other
+        // count means the chains no longer run on the reduced LP.
+        assert_eq!(
+            warm.h_solves + warm.g_solves,
+            2 * (named_participants(&seq) + 1),
+            "{name}"
+        );
+        if let Some(limit) = update_nnz_limit {
+            let mean = factor.update_nnz as f64 / factor.updates.max(1) as f64;
+            assert!(
+                mean <= limit,
+                "{name}: {mean:.2} entries stored per basis update (limit {limit})"
+            );
+        }
     }
 }
